@@ -72,6 +72,7 @@ from .pde_check import (
     with_scaled_value,
 )
 from .simulate import (
+    RNG_LAYOUT,
     ConstantScenario,
     ConstantStrategy,
     JEstimate,

@@ -438,6 +438,7 @@ def cmd_simulate(doc: dict, em: Emitter) -> int:
             "g": g_ref,
             "dt_effective": batch.dt,
             "n_steps": batch.n_steps,
+            "rng_layout": batch.rng_layout,
         }
     })
     return EXIT_OK if (j_ok and g_ok) else EXIT_CHECK_FAILED
@@ -478,6 +479,7 @@ def cmd_perturb(doc: dict, em: Emitter) -> int:
     em.payload("perturb", {
         "result": {
             "ok": ok,
+            "rng_layout": sim.RNG_LAYOUT,
             **{name: rep.to_json_dict() for name, rep in reports.items()},
         }
     })

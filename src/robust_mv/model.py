@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import (
     AssumptionViolated,
@@ -94,11 +95,15 @@ class JumpSizeLaw:
 
     The analytic first and second moments are exposed because the closed
     forms depend on the law only through them, while the simulator draws
-    exact samples.  Supported samplers:
+    exact sizes by inverting the CDF at uniforms (``quantile``), so one
+    uniform per event keeps the sizes coupled across runs whose jump
+    intensities differ.  Supported samplers:
 
-    * ``two-point``: values (a, b) with P(a) = p;
-    * ``uniform``: uniform on (lo, hi) with lo > -1;
-    * ``shifted-lognormal``: exp(Z) - 1 with Z ~ N(m, s^2).
+    * ``two-point``: values (a, b) with P(a) = p; the quantile is a
+      comparison against the probability of the smaller value;
+    * ``uniform``: uniform on (lo, hi) with lo > -1; the quantile is affine;
+    * ``shifted-lognormal``: exp(Z) - 1 with Z ~ N(m, s^2); the quantile is
+      exp(m + s ndtri(u)) - 1.
     """
 
     sampler: str
@@ -180,14 +185,21 @@ class JumpSizeLaw:
     # --- sampling -----------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.quantile(rng.random(size))
+
+    def quantile(self, u) -> np.ndarray:
+        """Inverse CDF at uniforms u in [0, 1): nondecreasing in u."""
+        u = np.asarray(u, dtype=float)
         if self.sampler == "two-point":
             a, b, p = self.params
-            return np.where(rng.random(size) < p, a, b)
+            if a > b:
+                a, b, p = b, a, 1.0 - p
+            return np.where(u < p, a, b)
         if self.sampler == "uniform":
             lo, hi = self.params
-            return rng.uniform(lo, hi, size)
+            return lo + (hi - lo) * u
         m, s = self.params
-        return np.exp(m + s * rng.standard_normal(size)) - 1.0
+        return np.exp(m + s * ndtri(u)) - 1.0
 
     def two_point_surrogate(self) -> tuple[tuple[float, float], ...]:
         """(value, probability) pairs of a two-point law with the same moments.

@@ -2,15 +2,22 @@
 
 Euler-Maruyama for the diffusion part; compound Poisson jumps by
 per-step thinning (counts inverted from one uniform per step and type,
-sizes drawn lazily per event); discrete Levy atoms by independent
-Poisson counts per atom with the compensator drift subtracted for
-small atoms.
+sizes by inverting the size law's CDF); discrete Levy atoms by
+independent Poisson counts per atom with the compensator drift
+subtracted for small atoms.
 
-Every path owns a counter-based RNG stream keyed by (seed, path index),
-with disjoint counter blocks for normals, jump-count uniforms and
-per-event jump sizes.  Results are therefore independent of chunking
-and scheduling, and bit-identical across repeated runs of the same
-configuration.  Reductions are single fixed-order ndarray sums.
+Random numbers follow RNG layout 2 (``RNG_LAYOUT``).  Paths are grouped
+into blocks of ``_BLOCK`` = 1024 consecutive stream indices, and each
+(seed, block, tag) keys one counter-based Philox stream, drawn
+path-major: normals, jump-count uniforms and first-event jump-size
+uniforms each have their own tag.  The rare second and later jump
+events of one (path, step, type) draw from a stream keyed by (seed,
+stream index, step, type).  Antithetic pairs share stream index
+path // 2.  A path's numbers depend only on the seed and its index, and
+per-path dot products are summed in a fixed order with elementwise
+operations, so results are independent of chunking and of the path
+count, and bit-identical across repeated runs.  Reductions are single
+fixed-order ndarray sums.
 
 The perturbation operations realize the local-variation definitions of
 worst-case scenario and equilibrium at desk scale: constant splices on
@@ -41,9 +48,12 @@ from .model import (
 from .closed_form import ClosedFormSolution
 from .worst_case import corner_scenarios, sobol_scenarios
 
+RNG_LAYOUT = 2
+_BLOCK = 1024  # stream indices per Philox stream; part of the RNG layout
 _TAG_NORMALS = 1
 _TAG_COUNTS = 2
 _TAG_SIZES = 3
+_TAG_FIRST_SIZES = 4
 _SE_FLOOR = float(np.finfo(float).tiny)
 _MAGIC = b"RMVP"
 
@@ -95,8 +105,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 2:
             raise InvalidBounds("need at least two paths")
-        if self.dt <= 0:
-            raise InvalidBounds("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise InvalidBounds("dt must be positive and finite")
+        if self.chunk_paths < 1:
+            raise InvalidBounds("chunk_paths must be at least 1")
         if self.scheme != "euler":
             raise InvalidBounds(f"unknown scheme {self.scheme!r}")
         if self.seed < 0 or self.seed >= 2**64:
@@ -124,6 +136,7 @@ class PathBatch:
     kind: str
     x0: float
     paths: np.ndarray | None = None
+    rng_layout: int = RNG_LAYOUT
 
     @property
     def n_paths(self) -> int:
@@ -333,44 +346,102 @@ class _Segment:
 
 
 class ShockCache:
-    """Per-path shock tables, drawn once and reused across CRN runs.
+    """Shock tables, drawn once and reused across CRN runs.
 
     Keyed by chunk start; all runs sharing a cache must share the seed,
     step count, asset count, jump-stream count and antithetic flag.
     """
 
     def __init__(self) -> None:
-        self.store: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        self.store: dict[int, tuple[np.ndarray, np.ndarray | None, np.ndarray | None]] = {}
 
 
-def _chunk_shocks(seed: int, start: int, size: int, n_steps: int, n_assets: int,
-                  n_streams: int, antithetic: bool,
-                  cache: ShockCache | None) -> tuple[np.ndarray, np.ndarray | None]:
-    if cache is not None and start in cache.store:
-        return cache.store[start]
-    z = np.empty((size, n_steps, n_assets))
-    u = np.empty((size, n_steps, n_streams)) if n_streams else None
-    for row in range(size):
-        path = start + row
-        stream = path // 2 if antithetic else path
-        g = _stream(seed, stream, _TAG_NORMALS)
-        draw = g.standard_normal(n_steps * n_assets).reshape(n_steps, n_assets)
-        if antithetic and path % 2:
-            draw = -draw
-        z[row] = draw
+class _BlockStream:
+    """One tag's block streams, ``width`` values per stream index.
+
+    Stream index i is row i % _BLOCK of the Philox stream keyed by
+    (seed, i // _BLOCK, tag).  ``read`` returns the rows transposed,
+    (width, indices).  A read that starts where the previous one stopped
+    continues the current generator, so in-order chunks draw every row
+    once; any other read restarts its block and discards the prefix it
+    does not need.
+    """
+
+    def __init__(self, seed: int, tag: int, width: int, normal: bool):
+        self.seed, self.tag, self.width, self.normal = seed, tag, width, normal
+        self.gen: np.random.Generator | None = None
+        self.block = -1
+        self.row = 0
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        out = np.empty((self.width, hi - lo))
+        pos = lo
+        while pos < hi:
+            block, row = divmod(pos, _BLOCK)
+            if block != self.block or row < self.row:
+                self.gen = _stream(self.seed, block, self.tag)
+                self.block, self.row = block, 0
+            if row > self.row:
+                self._draw(row - self.row)
+            end = min(hi, (block + 1) * _BLOCK)
+            out[:, pos - lo:end - lo] = self._draw(end - pos).T
+            pos = end
+        return out
+
+    def _draw(self, n: int) -> np.ndarray:
+        size = (n, self.width)
+        self.row += n
+        return self.gen.standard_normal(size) if self.normal else self.gen.random(size)
+
+
+class _Shocks:
+    """Shock tables of one run, chunk by chunk, stored step-major so each
+    step reads contiguous per-path vectors: normals (steps, assets,
+    paths), and for jump runs the count uniforms and first-event size
+    uniforms (steps, streams, paths).  Antithetic pairs share stream
+    index path // 2; odd paths negate the normals."""
+
+    def __init__(self, seed: int, n_steps: int, n_assets: int, n_streams: int,
+                 antithetic: bool, cache: ShockCache | None):
+        self.seed = seed
+        self.n_steps = n_steps
+        self.antithetic = antithetic
+        self.cache = cache
+        self.normals = _BlockStream(seed, _TAG_NORMALS, n_steps * n_assets, normal=True)
+        self.jumps = None
         if n_streams:
-            gu = _stream(seed, stream, _TAG_COUNTS)
-            u[row] = gu.random(n_steps * n_streams).reshape(n_steps, n_streams)
-    out = (z, u)
-    if cache is not None:
-        cache.store[start] = out
-    return out
+            self.jumps = (_BlockStream(seed, _TAG_COUNTS, n_steps * n_streams, normal=False),
+                          _BlockStream(seed, _TAG_FIRST_SIZES, n_steps * n_streams, normal=False))
 
+    def chunk(self, start: int, size: int):
+        if self.cache is not None and start in self.cache.store:
+            return self.cache.store[start]
+        paths = np.arange(start, start + size)
+        streams = paths // 2 if self.antithetic else paths
+        lo, hi = int(streams[0]), int(streams[-1]) + 1
 
-def _event_sizes(seed: int, stream_index: int, step: int, type_index: int,
-                 law, count: int) -> np.ndarray:
-    g = _stream(seed, stream_index, _TAG_SIZES, step=step, sub=type_index)
-    return law.sample(g, count)
+        def table(reader: _BlockStream) -> np.ndarray:
+            cols = reader.read(lo, hi)
+            if self.antithetic:
+                cols = cols[:, streams - lo]
+            return cols.reshape(self.n_steps, -1, size)
+
+        z = table(self.normals)
+        if self.antithetic:
+            z[:, :, paths % 2 == 1] *= -1.0
+        u = v = None
+        if self.jumps is not None:
+            u, v = (table(reader) for reader in self.jumps)
+        out = (z, u, v)
+        if self.cache is not None:
+            self.cache.store[start] = out
+        return out
+
+    def extra_uniforms(self, path: int, step: int, type_index: int, count: int) -> np.ndarray:
+        """Size uniforms of the second and later jump events of one
+        (path, step, type), from a stream keyed by exactly that."""
+        stream = path // 2 if self.antithetic else path
+        return _stream(self.seed, stream, _TAG_SIZES, step=step, sub=type_index).random(count)
 
 
 def simulate_paths(
@@ -429,19 +500,20 @@ def simulate_paths(
     paths = np.empty((cfg.n_paths, n_steps + 1)) if cfg.keep_paths else None
     sqrt_dt = math.sqrt(dt)
 
+    shocks = _Shocks(cfg.seed, n_steps, n_assets, n_streams, cfg.antithetic, shock_cache)
+
     for start in range(0, cfg.n_paths, chunk):
         size = min(chunk, cfg.n_paths - start)
-        z, u = _chunk_shocks(cfg.seed, start, size, n_steps, n_assets, n_streams,
-                             cfg.antithetic, shock_cache)
+        z, u, v = shocks.chunk(start, size)
         x = np.full(size, float(x0))
         if cfg.keep_paths:
             paths[start:start + size, 0] = x
         for seg, lo, hi in segments:
             counts = None
             if seg.n_streams:
-                counts = np.empty((size, hi - lo, seg.n_streams), dtype=np.int64)
+                counts = np.empty((hi - lo, seg.n_streams, size), dtype=np.int64)
                 for l in range(seg.n_streams):
-                    counts[:, :, l] = _poisson_counts(u[:, lo:hi, l], float(seg.lam_dt[l]))
+                    counts[:, l] = _poisson_counts(u[lo:hi, l], float(seg.lam_dt[l]))
             # strategies constant across the segment take a precomputed path
             const_vec = strategy.constant_at(t_nodes[lo])
             if const_vec is not None:
@@ -451,15 +523,14 @@ def simulate_paths(
             pre = _ConstPrep(dynamics, seg, const_vec) if const_vec is not None else None
             for s_rel, s_abs in enumerate(range(lo, hi)):
                 t = t_nodes[s_abs]
-                step_counts = None if counts is None else counts[:, s_rel, :]
+                jumps = None if counts is None else _StepJumps(
+                    counts[s_rel], v[s_abs], shocks, start, s_abs)
                 if pre is not None:
-                    x = x + pre.drift_dt + (z[:, s_abs, :] @ pre.vol_vec) * sqrt_dt
-                    if step_counts is not None:
-                        x = x + pre.jump_increment(step_counts, cfg.seed, start, s_abs,
-                                                   cfg.antithetic)
+                    x = x + pre.drift_dt + _dot(pre.vol_vec, z[s_abs]) * sqrt_dt
+                    if jumps is not None:
+                        x = x + pre.jump_increment(jumps)
                 else:
-                    x = _advance(dynamics, strategy, seg, t, x, z[:, s_abs, :],
-                                 step_counts, cfg.seed, start, s_abs, cfg.antithetic)
+                    x = _advance(dynamics, strategy, seg, t, x, z[s_abs], jumps)
                 if guard_wealth and dynamics.kind != "log_return" and np.any(x <= 0.0):
                     bad = int(np.argmax(x <= 0.0)) + start
                     raise NonBankruptcyViolated(
@@ -478,7 +549,25 @@ def simulate_paths(
 def _effective_chunk(requested: int, n_steps: int, width: int) -> int:
     budget = 12_000_000  # floats per per-chunk shock table (~96 MB)
     cap = max(512, budget // max(1, n_steps * max(1, width)))
-    return max(1, min(requested, cap))
+    return min(requested, cap)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[i] * b[i] over the first axis, where each term is a scalar
+    or a per-path vector, summed in index order with elementwise
+    operations only.  Unlike BLAS, whose kernels round differently with
+    the number of rows, this gives every path the same bits whatever the
+    chunk size."""
+    out = a[0] * b[0]
+    for i in range(1, len(a)):
+        out = out + a[i] * b[i]
+    return out
+
+
+def _mix(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Per-path ``m.T @ a`` for per-path vectors a of shape (n, paths), in
+    the order of ``_dot``; returns (m.shape[1], paths)."""
+    return _dot(m[:, :, None], a[:, None, :])
 
 
 class _ConstPrep:
@@ -504,34 +593,13 @@ class _ConstPrep:
             self.comp_dt = float(np.sum(seg.lam_dt[small] * self.zeta[small])) if np.any(small) else 0.0
             self.drift_dt += self.comp_dt
 
-    def jump_increment(self, step_counts, seed, chunk_start, step_abs, antithetic):
-        seg = self.seg
-        if seg.jump_kind == "ld":
-            return step_counts @ self.zeta - self.comp_dt
-        inc = np.zeros(step_counts.shape[0])
-        for l in range(seg.n_streams):
-            rows = np.nonzero(step_counts[:, l])[0]
-            if rows.size == 0:
-                continue
-            for row in rows:
-                path = chunk_start + int(row)
-                stream = path // 2 if antithetic else path
-                sizes = _event_sizes(seed, stream, step_abs, l, seg.size_laws[l],
-                                     int(step_counts[row, l]))
-                if self.log_state:
-                    moves = self.expos[l] * sizes
-                    if np.any(moves <= -1.0):
-                        raise NonBankruptcyViolated(
-                            f"log-state jump 1 + alpha.J y <= 0 on path {path}"
-                        )
-                    inc[row] += float(np.sum(np.log1p(moves)))
-                else:
-                    inc[row] += self.expos[l] * float(np.sum(sizes))
-        return inc
+    def jump_increment(self, jumps: _StepJumps) -> np.ndarray:
+        if self.seg.jump_kind == "ld":
+            return _dot(jumps.counts, self.zeta) - self.comp_dt
+        return _cp_jump_increment(self.seg, self.expos, jumps, self.log_state)
 
 
-def _advance(dynamics, strategy, seg: _Segment, t, x, z_step, counts,
-             seed, chunk_start, step_abs, antithetic):
+def _advance(dynamics, strategy, seg: _Segment, t, x, z_step, jumps):
     dt = seg.dt
     alpha = strategy.values(t, x)
     log_state = dynamics.state_is_log
@@ -539,62 +607,71 @@ def _advance(dynamics, strategy, seg: _Segment, t, x, z_step, counts,
         drift = float(alpha @ seg.drift)
         if log_state:
             drift -= 0.5 * float(alpha @ seg.cov @ alpha)
-        vol_vec = seg.chol.T @ alpha
-        inc = drift * dt + z_step @ vol_vec * math.sqrt(dt)
+        inc = drift * dt + _dot(seg.chol.T @ alpha, z_step) * math.sqrt(dt)
     else:
-        drift = alpha @ seg.drift
+        alpha = alpha.T  # (assets, paths)
+        drift = _dot(alpha, seg.drift)
         if log_state:
-            drift = drift - 0.5 * np.einsum("pi,ij,pj->p", alpha, seg.cov, alpha)
-        inc = drift * dt + np.einsum("pi,pi->p", alpha @ seg.chol, z_step) * math.sqrt(dt)
+            drift = drift - 0.5 * _dot(_mix(seg.cov, alpha), alpha)
+        inc = drift * dt + _dot(_mix(seg.chol, alpha), z_step) * math.sqrt(dt)
 
-    if seg.jump_kind == "cp" and counts is not None:
-        inc = inc + _cp_jump_increment(dynamics, seg, alpha, counts, seed,
-                                       chunk_start, step_abs, antithetic, x.size)
-    elif seg.jump_kind == "ld" and counts is not None:
-        inc = inc + _ld_jump_increment(dynamics, seg, alpha, counts, dt)
+    if seg.jump_kind == "cp" and jumps is not None:
+        expos = alpha @ seg.loadings if alpha.ndim == 1 else _mix(seg.loadings, alpha)
+        inc = inc + _cp_jump_increment(seg, expos, jumps, log_state)
+    elif seg.jump_kind == "ld" and jumps is not None:
+        inc = inc + _ld_jump_increment(dynamics, seg, alpha, jumps.counts)
     return x + inc
 
 
-def _cp_jump_increment(dynamics, seg: _Segment, alpha, counts, seed,
-                       chunk_start, step_abs, antithetic, size):
-    inc = np.zeros(size)
+@dataclass(frozen=True)
+class _StepJumps:
+    """One step's jump counts and first-event size uniforms (types, paths),
+    with what it takes to key the extra-event streams."""
+
+    counts: np.ndarray
+    first_u: np.ndarray
+    shocks: _Shocks
+    chunk_start: int
+    step: int
+
+
+def _cp_jump_increment(seg: _Segment, expos: np.ndarray, jumps: _StepJumps,
+                       log_state: bool) -> np.ndarray:
+    """Compound-Poisson increment of one step.  ``expos`` holds the
+    exposures alpha.J per type: (types,) for a constant strategy or
+    (types, paths) per path."""
+    inc = np.zeros(jumps.counts.shape[1])
     for l in range(seg.n_streams):
-        rows = np.nonzero(counts[:, l])[0]
+        counts = jumps.counts[l]
+        rows = np.flatnonzero(counts)
         if rows.size == 0:
             continue
-        loading = seg.loadings[:, l]
-        for row in rows:
-            path = chunk_start + int(row)
-            stream = path // 2 if antithetic else path
-            sizes = _event_sizes(seed, stream, step_abs, l, seg.size_laws[l],
-                                 int(counts[row, l]))
-            expo = float(alpha @ loading) if alpha.ndim == 1 else float(alpha[row] @ loading)
-            if dynamics.state_is_log:
-                moves = expo * sizes
-                if np.any(moves <= -1.0):
-                    raise NonBankruptcyViolated(
-                        f"log-state jump 1 + alpha.J y <= 0 on path {path}"
-                    )
-                inc[row] += float(np.sum(np.log1p(moves)))
-            else:
-                inc[row] += expo * float(np.sum(sizes))
+        law = seg.size_laws[l]
+        owners = [rows]
+        sizes = [law.quantile(jumps.first_u[l, rows])]
+        for row in rows[counts[rows] > 1]:  # rare: several events in one step
+            u = jumps.shocks.extra_uniforms(jumps.chunk_start + int(row), jumps.step, l,
+                                            int(counts[row]) - 1)
+            owners.append(np.full(u.size, row))
+            sizes.append(law.quantile(u))
+        owners = np.concatenate(owners)
+        moves = np.broadcast_to(expos[l], inc.shape)[owners] * np.concatenate(sizes)
+        if log_state:
+            bad = moves <= -1.0
+            if np.any(bad):
+                path = jumps.chunk_start + int(owners[np.argmax(bad)])
+                raise NonBankruptcyViolated(f"log-state jump 1 + alpha.J y <= 0 on path {path}")
+            moves = np.log1p(moves)
+        np.add.at(inc, owners, moves)
     return inc
 
 
-def _ld_jump_increment(dynamics, seg: _Segment, alpha, counts, dt):
-    # compensated-small-jump bookkeeping: the expected small-atom flow is a
-    # drift rider, the realized jumps enter net of it; the sum telescopes to
-    # the raw uncompensated jump increment
-    if alpha.ndim == 1:
-        moves = seg.atom_vecs @ alpha  # (m,)
-        zeta = np.log1p(moves) if dynamics.state_is_log else moves
-        comp = float(np.sum(seg.lam_dt[seg.small] * zeta[seg.small])) if np.any(seg.small) else 0.0
-        return comp + (counts @ zeta - comp)
-    moves = alpha @ seg.atom_vecs.T  # (paths, m)
+def _ld_jump_increment(dynamics, seg: _Segment, alpha, counts):
+    """Raw (uncompensated) jump increment of the discrete Levy atoms;
+    ``alpha`` is (assets,) or per path (assets, paths)."""
+    moves = seg.atom_vecs @ alpha if alpha.ndim == 1 else _mix(seg.atom_vecs.T, alpha)
     zeta = np.log1p(moves) if dynamics.state_is_log else moves
-    inc = np.einsum("pm,pm->p", counts.astype(float), zeta)
-    comp = (zeta[:, seg.small] * seg.lam_dt[seg.small]).sum(axis=1) if np.any(seg.small) else 0.0
-    return comp + (inc - comp)
+    return _dot(counts, zeta)
 
 
 def simulate_solution(sol: ClosedFormSolution, cfg: SimConfig,

@@ -218,6 +218,17 @@ class TestVerifySimulatePerturb:
         out2 = run_cli(["simulate", path, "--json"])[1]
         assert out1 == out2
 
+    def test_payloads_carry_rng_layout(self, tmp_path):
+        path = write_problem(
+            tmp_path,
+            simulate={"n_paths": 200, "dt": 0.1, "seed": 9},
+            perturb={"h_list": [0.1], "w_samples": 2, "u_samples": 2,
+                     "n_paths": 200, "dt": 0.1, "seed": 9},
+        )
+        for command in ("simulate", "perturb"):
+            _, out = run_cli([command, path, "--json", "--quiet"])
+            assert json.loads(out)["result"]["rng_layout"] == 2
+
     def test_perturb_pass_and_probe_fail(self, tmp_path):
         base = write_problem(
             tmp_path, "ok.json",

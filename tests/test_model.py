@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 import robust_mv as rm
 from robust_mv.model import atom_table
@@ -57,6 +58,44 @@ class TestJumpSizeLaws:
         law = rm.JumpSizeLaw.uniform(0.0, 0.2)
         with pytest.raises(rm.InvalidBounds):
             law.check_stated_moments(0.1, 0.05)
+
+
+_QUANTILE_LAWS = {
+    "two-point": (rm.JumpSizeLaw.two_point(-0.1, 0.3, 0.25),
+                  stats.rv_discrete(values=([-0.1, 0.3], [0.25, 0.75]))),
+    "two-point-descending": (rm.JumpSizeLaw.two_point(0.3, -0.1, 0.75),
+                             stats.rv_discrete(values=([-0.1, 0.3], [0.25, 0.75]))),
+    "uniform": (rm.JumpSizeLaw.uniform(-0.2, 0.4), stats.uniform(loc=-0.2, scale=0.6)),
+    "shifted-lognormal": (rm.JumpSizeLaw.shifted_lognormal(-0.1, 0.2),
+                          stats.lognorm(0.2, loc=-1.0, scale=np.exp(-0.1))),
+}
+
+
+class TestJumpSizeQuantile:
+    # a grid in (0, 1) that avoids the two-point atom's boundary u = 0.25
+    U = (np.arange(1, 2000) + 0.5) / 2001.0
+
+    @pytest.mark.parametrize("name", sorted(_QUANTILE_LAWS))
+    def test_matches_scipy_ppf(self, name):
+        law, ref = _QUANTILE_LAWS[name]
+        assert np.allclose(law.quantile(self.U), ref.ppf(self.U), rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(_QUANTILE_LAWS))
+    def test_monotone_in_u(self, name):
+        law, _ = _QUANTILE_LAWS[name]
+        u = np.concatenate([[0.0], self.U, [np.nextafter(1.0, 0.0)]])
+        q = law.quantile(u)
+        assert np.all(np.diff(q) >= 0.0)
+        assert np.all(q >= -1.0)
+
+    @pytest.mark.parametrize("name", sorted(_QUANTILE_LAWS))
+    def test_moments_integrate_over_u(self, name):
+        law, _ = _QUANTILE_LAWS[name]
+        breaks = [0.25, 0.75] if name.startswith("two-point") else None
+        for power, moment in ((1, law.mean), (2, law.second_moment)):
+            value, _ = integrate.quad(lambda u: float(law.quantile(u)) ** power, 0.0, 1.0,
+                                      points=breaks, epsabs=1e-13, epsrel=1e-11, limit=200)
+            assert value == pytest.approx(moment, rel=1e-9, abs=1e-12)
 
     def test_surrogate_preserves_moments(self):
         for law in (

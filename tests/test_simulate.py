@@ -1,7 +1,9 @@
 """Monte Carlo engine: exactness, determinism, CRN, perturbation tests."""
 
+import hashlib
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,10 +11,18 @@ import pytest
 import robust_mv as rm
 from robust_mv.model import WealthDynamics
 from robust_mv.simulate import (
+    _BLOCK,
     ConstantStrategy,
     ShockCache,
     SplicedScenario,
     SplicedStrategy,
+    _cp_jump_increment,
+    _dot,
+    _mix,
+    _poisson_counts,
+    _Segment,
+    _Shocks,
+    _StepJumps,
     paired_difference,
     scenario_candidates,
     strategy_candidates,
@@ -106,6 +116,137 @@ class TestEngineBasics:
                                   cfg, 0.0, 1.0, 1.0)
         with pytest.raises(rm.InvalidBounds):
             batch.spill(tmp_path / "nope.rmvp")
+
+
+class TestConfigDomain:
+    def test_nan_dt_rejected(self):
+        with pytest.raises(rm.InvalidBounds):
+            rm.SimConfig(n_paths=10, dt=float("nan"), seed=1)
+
+    def test_infinite_dt_rejected(self):
+        with pytest.raises(rm.InvalidBounds):
+            rm.SimConfig(n_paths=10, dt=float("inf"), seed=1)
+
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_nonpositive_chunk_rejected(self, chunk):
+        with pytest.raises(rm.InvalidBounds):
+            rm.SimConfig(n_paths=10, dt=0.1, seed=1, chunk_paths=chunk)
+
+
+@dataclass(frozen=True)
+class _Proportional:
+    """State-dependent strategy: alpha = (1 + x) vec, one row per path."""
+
+    vec: np.ndarray
+
+    def constant_at(self, t):
+        return None
+
+    def values(self, t, x):
+        return np.outer(1.0 + x, self.vec)
+
+
+def _busy_jumps():
+    # about two events per step and type, so later events in one step are common
+    return rm.CompoundPoissonJumps(
+        loadings=np.array([[1.0, 0.0], [0.5, 1.0]]),
+        intensity=np.array([20.0, 12.0]),
+        size_laws=(rm.JumpSizeLaw.shifted_lognormal(-0.05, 0.1),
+                   rm.JumpSizeLaw.two_point(-0.2, 0.1, 0.4)),
+    )
+
+
+_RUNS = {
+    "diffusion": (None, False, ConstantStrategy(np.array([0.5, 0.25]))),
+    "antithetic": (None, True, ConstantStrategy(np.array([0.5, 0.25]))),
+    "compound_poisson": (_busy_jumps(), False, ConstantStrategy(np.array([0.3, 0.2]))),
+    "compound_poisson_state": (_busy_jumps(), False, _Proportional(np.array([0.3, 0.2]))),
+}
+
+
+def _run(name, n_paths, chunk_paths=65536):
+    jump, antithetic, strat = _RUNS[name]
+    scen = rm.Scenario(np.array([0.08, 0.02]), np.diag([0.04, 0.09]), jump=jump)
+    cfg = rm.SimConfig(n_paths=n_paths, dt=0.1, seed=11, antithetic=antithetic,
+                       chunk_paths=chunk_paths)
+    # log-return state: busy jumps cannot bankrupt it
+    return rm.simulate_paths(WealthDynamics("log_return"), strat, scen,
+                             cfg, 0.0, 1.0, 0.0).terminal
+
+
+class TestRngLayout:
+    """RNG layout 2: Philox streams per (seed, path block, tag)."""
+
+    @pytest.mark.parametrize("name", sorted(_RUNS))
+    def test_chunkings_across_block_boundaries_are_bitwise(self, name):
+        # 2500 paths span three blocks; 333 and 1 slice blocks mid-way
+        ref = _run(name, 2500, chunk_paths=4096)
+        for chunk in (1, 333, 1024):
+            assert np.array_equal(_run(name, 2500, chunk_paths=chunk), ref), chunk
+
+    @pytest.mark.parametrize("name", sorted(_RUNS))
+    def test_path_count_prefix_property(self, name):
+        long = _run(name, 3000)
+        short = _run(name, 1500)
+        assert np.array_equal(long[:1500], short)
+
+    def test_layout_is_stamped(self, flat_scenario):
+        batch = rm.simulate_paths(WealthDynamics("terminal_wealth"),
+                                  ConstantStrategy(np.zeros(2)), flat_scenario,
+                                  rm.SimConfig(n_paths=4, dt=0.5, seed=1), 0.0, 1.0, 1.0)
+        assert rm.RNG_LAYOUT == 2
+        assert batch.rng_layout == rm.RNG_LAYOUT
+
+    def test_shock_table_digest_is_pinned(self):
+        # seed 7, 2100 paths (two block boundaries), 3 steps, 2 assets, 1 jump stream
+        z, u, v = _Shocks(7, 3, 2, 1, antithetic=False, cache=None).chunk(0, 2100)
+        assert _BLOCK == 1024
+        assert z.shape == (3, 2, 2100) and u.shape == v.shape == (3, 1, 2100)
+        digest = hashlib.sha256()
+        for table in (z, u, v):
+            # hashed path-major: (path, step, component), little-endian
+            per_path = np.ascontiguousarray(table.transpose(2, 0, 1), dtype="<f8")
+            digest.update(per_path.tobytes())
+        assert digest.hexdigest() == (
+            "2b0213e8fb223abbd16d79ac99f1316164fa0f4a5c0e75e774dd5c08c9a5ff0e")
+
+    def test_fixed_order_products_match_matmul(self):
+        rng = np.random.default_rng(3)
+        m, a = rng.standard_normal((4, 3)), rng.standard_normal((4, 50))
+        assert np.allclose(_mix(m, a), m.T @ a, rtol=1e-14, atol=1e-14)
+        assert np.allclose(_dot(m[:, 0], a), m[:, 0] @ a, rtol=1e-14, atol=1e-14)
+        # a path's bits do not depend on how many other paths share the call
+        assert np.array_equal(_mix(m, a)[:, 7], _mix(m, a[:, 7:8])[:, 0])
+
+    @pytest.mark.parametrize("log_state", [False, True])
+    @pytest.mark.parametrize("per_path", [False, True])
+    def test_jump_increment_matches_event_loop(self, log_state, per_path):
+        jump = _busy_jumps()
+        scen = rm.Scenario(np.array([0.08, 0.02]), np.diag([0.04, 0.09]), jump=jump)
+        seg = _Segment(scen, WealthDynamics("terminal_wealth"), 0.1)
+        shocks = _Shocks(5, 4, 2, 2, antithetic=False, cache=None)
+        start, size, step = 1000, 300, 2
+        _, u, v = shocks.chunk(start, size)
+        counts = np.stack([_poisson_counts(u[step, l], float(seg.lam_dt[l])) for l in range(2)])
+        assert np.any(counts > 1)
+        rng = np.random.default_rng(0)
+        alpha = rng.uniform(0.0, 0.4, (2, size)) if per_path else np.array([0.3, 0.2])
+        expos = seg.loadings.T @ alpha  # (types,) or (types, paths)
+        got = _cp_jump_increment(seg, expos, _StepJumps(counts, v[step], shocks, start, step),
+                                 log_state)
+        want = np.zeros(size)
+        for row in range(size):
+            for l in range(2):
+                n = int(counts[l, row])
+                if n == 0:
+                    continue
+                law = jump.size_laws[l]
+                ys = [float(law.quantile(v[step, l, row]))]
+                ys += list(law.quantile(shocks.extra_uniforms(start + row, step, l, n - 1)))
+                e = expos[l, row] if per_path else expos[l]
+                for y in ys:
+                    want[row] += np.log1p(e * y) if log_state else e * y
+        assert np.array_equal(got, want)
 
 
 class TestEstimates:
