@@ -59,6 +59,24 @@ class TestJumpSizeLaws:
         with pytest.raises(rm.InvalidBounds):
             law.check_stated_moments(0.1, 0.05)
 
+    def test_surrogate_preserves_moments(self):
+        for law in (
+            rm.JumpSizeLaw.uniform(-0.3, 0.5),
+            rm.JumpSizeLaw.shifted_lognormal(0.05, 0.3),
+            rm.JumpSizeLaw.two_point(-0.2, 0.6, 0.7),
+        ):
+            atoms = law.two_point_surrogate()
+            m1 = sum(y * p for y, p in atoms)
+            m2 = sum(y * y * p for y, p in atoms)
+            assert m1 == pytest.approx(law.mean, abs=1e-14)
+            assert m2 == pytest.approx(law.second_moment, abs=1e-14)
+
+    def test_support_below_minus_one_rejected(self):
+        with pytest.raises(rm.InvalidBounds):
+            rm.JumpSizeLaw.two_point(-1.5, 0.2, 0.5)
+        with pytest.raises(rm.InvalidBounds):
+            rm.JumpSizeLaw.uniform(-1.2, 0.0)
+
 
 _QUANTILE_LAWS = {
     "two-point": (rm.JumpSizeLaw.two_point(-0.1, 0.3, 0.25),
@@ -96,24 +114,6 @@ class TestJumpSizeQuantile:
             value, _ = integrate.quad(lambda u: float(law.quantile(u)) ** power, 0.0, 1.0,
                                       points=breaks, epsabs=1e-13, epsrel=1e-11, limit=200)
             assert value == pytest.approx(moment, rel=1e-9, abs=1e-12)
-
-    def test_surrogate_preserves_moments(self):
-        for law in (
-            rm.JumpSizeLaw.uniform(-0.3, 0.5),
-            rm.JumpSizeLaw.shifted_lognormal(0.05, 0.3),
-            rm.JumpSizeLaw.two_point(-0.2, 0.6, 0.7),
-        ):
-            atoms = law.two_point_surrogate()
-            m1 = sum(y * p for y, p in atoms)
-            m2 = sum(y * y * p for y, p in atoms)
-            assert m1 == pytest.approx(law.mean, abs=1e-14)
-            assert m2 == pytest.approx(law.second_moment, abs=1e-14)
-
-    def test_support_below_minus_one_rejected(self):
-        with pytest.raises(rm.InvalidBounds):
-            rm.JumpSizeLaw.two_point(-1.5, 0.2, 0.5)
-        with pytest.raises(rm.InvalidBounds):
-            rm.JumpSizeLaw.uniform(-1.2, 0.0)
 
 
 class TestAdjustedMoments:
