@@ -27,6 +27,7 @@ from .model import (
     DiscreteLevyJumps,
     JumpSizeLaw,
     Scenario,
+    ScenarioArrays,
     UncertaintySet,
     WealthDynamics,
     adjusted_moments,
@@ -41,6 +42,7 @@ from .worst_case import (
     find_worst_case,
     premium_sharpe_form,
     risk_premium,
+    sample_scenario_arrays,
     sample_scenarios,
     scenario_premium,
     worst_case_numeric,

@@ -79,10 +79,14 @@ def _vector(value, n: int, where: str) -> np.ndarray:
     return arr
 
 
+def _reject_constant(token: str):
+    raise SchemaError(f"non-finite number {token} is not allowed in problem files")
+
+
 def load_problem(path) -> dict:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read problem file: {exc}") from exc
     if not isinstance(doc, dict):
@@ -113,9 +117,9 @@ def parse_uncertainty(doc: dict) -> UncertaintySet:
     elif n > 2:
         verts = _need(unc, "corr_vertices", "uncertainty")
         kwargs["corr_vertices"] = tuple(np.asarray(v, dtype=float) for v in verts)
-    if "jump_bounds" in unc:
-        kwargs["jump_bounds"] = parse_jump_bounds(unc["jump_bounds"], n)
     try:
+        if "jump_bounds" in unc:
+            kwargs["jump_bounds"] = parse_jump_bounds(unc["jump_bounds"], n)
         return UncertaintySet(**kwargs)
     except (InvalidBounds, NotPositiveDefinite) as exc:
         raise SchemaError(f"uncertainty: {exc}") from exc
@@ -455,6 +459,9 @@ def cmd_perturb(doc: dict, em: Emitter) -> int:
     h_list = [float(h) for h in block["h_list"]]
     mode = block.get("mode", "both")
     base_scale = block.get("base_scale")
+    if base_scale is not None and sol.kind == "wealth_scaled":
+        raise SchemaError("perturb.base_scale scales a constant strategy; "
+                          "the wealth-scaled strategy is not constant")
     base = None if base_scale is None else float(base_scale) * sol.alpha_coef
 
     reports = {}

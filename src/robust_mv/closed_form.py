@@ -97,6 +97,8 @@ class OdeGrids:
         b_spl = CubicHermiteSpline(self.t, self.b, self.b_slope)
         object.__setattr__(self, "_a_spline", a_spl)
         object.__setattr__(self, "_b_spline", b_spl)
+        object.__setattr__(self, "_a_slope_spline", a_spl.derivative())
+        object.__setattr__(self, "_b_slope_spline", b_spl.derivative())
 
     def mean_factor(self, t):
         return self._a_spline(t)
@@ -105,10 +107,10 @@ class OdeGrids:
         return self._b_spline(t)
 
     def mean_factor_slope(self, t):
-        return self._a_spline.derivative()(t)
+        return self._a_slope_spline(t)
 
     def second_factor_slope(self, t):
-        return self._b_spline.derivative()(t)
+        return self._b_slope_spline(t)
 
 
 def _ode_rates(a: float, b: float, lam: float, premium: float) -> tuple[float, float]:
@@ -210,7 +212,10 @@ class ClosedFormSolution:
 
     @property
     def alpha_coef(self) -> np.ndarray:
-        """Constant strategy vector (constant-aversion kinds only)."""
+        """Constant strategy vector (constant-aversion kinds only: the
+        wealth-scaled strategy depends on (t, x), see `alpha_hat`)."""
+        if self.kind == "wealth_scaled":
+            raise InvalidBounds("the wealth-scaled strategy is not constant; use alpha_hat(t, x)")
         if self.kind == "log_return":
             return self.direction / (1.0 + 2.0 * self.criterion.lam)
         return self.direction / (2.0 * self.criterion.lam)
@@ -249,22 +254,22 @@ class ClosedFormSolution:
             return p / (2.0 * (1.0 + 2.0 * lam)), (2.0 * lam + 0.5) * p / (1.0 + 2.0 * lam) ** 2
         return p / (4.0 * lam), p / (2.0 * lam)
 
-    def V(self, t: float, x: float) -> float:
+    def V(self, t, x):
         lam = self.criterion.lam
         if self.kind == "wealth_scaled":
-            a = float(self.ode.mean_factor(t))
-            b = float(self.ode.second_factor(t))
+            a = self.ode.mean_factor(t)
+            b = self.ode.second_factor(t)
             return (a + lam * (a * a - b)) * x
         a_v, _ = self._coeffs()
         return x + a_v * (self.criterion.horizon - t)
 
-    def g(self, t: float, x: float) -> float:
+    def g(self, t, x):
         if self.kind == "wealth_scaled":
-            return float(self.ode.mean_factor(t)) * x
+            return self.ode.mean_factor(t) * x
         _, a_g = self._coeffs()
         return x + a_g * (self.criterion.horizon - t)
 
-    def f(self, t: float, x: float, y: float | None = None) -> float:
+    def f(self, t, x, y=None):
         """Mean-minus-lambda-second-moment functional.
 
         For the wealth-scaled kind the aversion argument y (defaulting
@@ -275,8 +280,8 @@ class ClosedFormSolution:
         tau = self.criterion.horizon - t
         if self.kind == "wealth_scaled":
             yy = x if y is None else y
-            a = float(self.ode.mean_factor(t))
-            b = float(self.ode.second_factor(t))
+            a = self.ode.mean_factor(t)
+            b = self.ode.second_factor(t)
             return a * x - (lam / yy) * b * x * x
         if self.kind == "log_return":
             c = 1.0 + 2.0 * lam
@@ -294,15 +299,18 @@ class ClosedFormSolution:
             ode = self.ode
 
             def v_t(t, x):
-                a, b = float(ode.mean_factor(t)), float(ode.second_factor(t))
-                at, bt = float(ode.mean_factor_slope(t)), float(ode.second_factor_slope(t))
+                a, b = ode.mean_factor(t), ode.second_factor(t)
+                at, bt = ode.mean_factor_slope(t), ode.second_factor_slope(t)
                 return (at + lam * (2.0 * a * at - bt)) * x
+
+            def v_x(t, x):
+                a = ode.mean_factor(t)
+                return a + lam * (a ** 2 - ode.second_factor(t))
 
             return ScalarField(
                 value=self.V,
                 dt=v_t,
-                dx=lambda t, x: float(ode.mean_factor(t))
-                + lam * (float(ode.mean_factor(t)) ** 2 - float(ode.second_factor(t))),
+                dx=v_x,
                 dxx=lambda t, x: 0.0,
             )
         a_v, _ = self._coeffs()
@@ -319,8 +327,8 @@ class ClosedFormSolution:
             ode = self.ode
             return ScalarField(
                 value=self.g,
-                dt=lambda t, x: float(ode.mean_factor_slope(t)) * x,
-                dx=lambda t, x: float(ode.mean_factor(t)),
+                dt=lambda t, x: ode.mean_factor_slope(t) * x,
+                dx=lambda t, x: ode.mean_factor(t),
                 dxx=lambda t, x: 0.0,
             )
         _, a_g = self._coeffs()
@@ -331,9 +339,10 @@ class ClosedFormSolution:
             dxx=lambda t, x: 0.0,
         )
 
-    def f_field(self, y: float | None = None) -> ScalarField:
+    def f_field(self, y=None) -> ScalarField:
         """f as a field in (t, x); for the wealth-scaled kind the aversion
-        argument y stays frozen while differentiating."""
+        argument y stays frozen while differentiating (y may be an array
+        matching the points the field is evaluated at)."""
         lam = self.criterion.lam
         if self.kind == "wealth_scaled":
             if y is None:
@@ -341,11 +350,11 @@ class ClosedFormSolution:
             ode = self.ode
             return ScalarField(
                 value=lambda t, x: self.f(t, x, y),
-                dt=lambda t, x: float(ode.mean_factor_slope(t)) * x
-                - (lam / y) * float(ode.second_factor_slope(t)) * x * x,
-                dx=lambda t, x: float(ode.mean_factor(t))
-                - (2.0 * lam / y) * float(ode.second_factor(t)) * x,
-                dxx=lambda t, x: -(2.0 * lam / y) * float(ode.second_factor(t)),
+                dt=lambda t, x: ode.mean_factor_slope(t) * x
+                - (lam / y) * ode.second_factor_slope(t) * x * x,
+                dx=lambda t, x: ode.mean_factor(t)
+                - (2.0 * lam / y) * ode.second_factor(t) * x,
+                dxx=lambda t, x: -(2.0 * lam / y) * ode.second_factor(t),
             )
         v, g = self.V_field, self.g_field
         # f = V - lam g^2 holds exactly, so partials follow the identity

@@ -3,6 +3,8 @@
 The PDE checker consumes solution components through this interface:
 when a field carries analytic ``dt``/``dx``/``dxx`` callables they are
 used directly, otherwise the checker falls back to finite differences.
+Every callable takes scalars or broadcasting arrays for t and x and
+returns a value of the broadcast shape (a constant may stay a scalar).
 """
 
 from __future__ import annotations
@@ -10,7 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-PointFn = Callable[[float, float], float]
+import numpy as np
+
+Point = float | np.ndarray
+PointFn = Callable[[Point, Point], Point]
 
 
 @dataclass(frozen=True)
@@ -20,7 +25,7 @@ class ScalarField:
     dx: PointFn | None = None
     dxx: PointFn | None = None
 
-    def __call__(self, t: float, x: float) -> float:
+    def __call__(self, t: Point, x: Point) -> Point:
         return self.value(t, x)
 
     @property

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -46,11 +47,35 @@ def _ro(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _require_finite(what: str, *values) -> None:
+    for v in values:
+        if v is not None and not np.all(np.isfinite(np.asarray(v, dtype=float))):
+            raise InvalidBounds(f"{what} must be finite")
+
+
 def cholesky_or_raise(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"{what} is not positive definite") from exc
+
+
+def factorizes(mats: np.ndarray) -> np.ndarray:
+    """Per-matrix mask over a (..., n, n) stack: does a Cholesky
+    factorization succeed?  One batched call; the per-matrix retry runs
+    only when some matrix in the stack fails."""
+    try:
+        np.linalg.cholesky(mats)
+        return np.ones(mats.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        flat = mats.reshape((-1,) + mats.shape[-2:])
+        ok = np.ones(flat.shape[0], dtype=bool)
+        for i, m in enumerate(flat):
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return ok.reshape(mats.shape[:-2])
 
 
 def build_covariance(vols: Sequence[float], corr: np.ndarray) -> np.ndarray:
@@ -373,6 +398,14 @@ def atom_table(jump: JumpSpec | None) -> tuple[JumpAtom, ...]:
     return tuple(out)
 
 
+def atom_arrays(jump: JumpSpec | None, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`atom_table` as arrays: vec (m, n), weight (m,), small (m,)."""
+    atoms = atom_table(jump)
+    return (np.array([a.vec for a in atoms], dtype=float).reshape(len(atoms), n),
+            np.array([a.weight for a in atoms], dtype=float),
+            np.array([a.small for a in atoms], dtype=bool))
+
+
 def atoms_near_unit_sphere(jump: JumpSpec | None, tol: float = 1e-9) -> list[int]:
     """Indices of atoms within `tol` of the small/large jump cutoff."""
     if jump is None:
@@ -433,6 +466,33 @@ class Scenario:
     def with_jump(self, jump: JumpSpec | None) -> "Scenario":
         return Scenario(self.drift, self.cov, jump)
 
+    @cached_property
+    def arrays(self) -> "ScenarioArrays":
+        """This scenario as a `ScenarioArrays` with no sample axis."""
+        return ScenarioArrays(self.drift, self.cov, *atom_arrays(self.jump, self.n))
+
+
+@dataclass(frozen=True)
+class ScenarioArrays:
+    """Scenarios as stacked arrays over leading sample axes ``...``.
+
+    drift (..., n), cov (..., n, n), and the atom table (`atom_table`)
+    with the atom axis first: vec (m, ..., n), weight (m, ...) and the
+    small-jump flag (m, ...).  This is the form the wealth dynamics and
+    the PDE operators broadcast over; a `Scenario` is the case with no
+    sample axis.  Validation happens where the stack is built.
+    """
+
+    drift: np.ndarray
+    cov: np.ndarray
+    atom_vec: np.ndarray
+    atom_weight: np.ndarray
+    atom_small: np.ndarray
+
+    @property
+    def arrays(self) -> "ScenarioArrays":
+        return self
+
 
 def adjusted_moments(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Jump-adjusted drift and second-moment matrix (b_F, Sigma_F).
@@ -467,8 +527,12 @@ class CompoundPoissonBounds:
     second_hi: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("loadings", "intensity_lo", "intensity_hi", "mean_lo", "mean_hi", "second_lo", "second_hi"):
+        names = ("loadings", "intensity_lo", "intensity_hi", "mean_lo", "mean_hi", "second_lo", "second_hi")
+        for name in names:
             object.__setattr__(self, name, _ro(getattr(self, name)))
+        _require_finite("jump bounds", *(getattr(self, name) for name in names))
+        if self.loadings.ndim != 2:
+            raise DimensionMismatch("loadings must be an n x k matrix")
         k = self.loadings.shape[1]
         for lo, hi, what in (
             (self.intensity_lo, self.intensity_hi, "intensity"),
@@ -481,6 +545,10 @@ class CompoundPoissonBounds:
                 raise InvalidBounds(f"jump {what} bounds are unordered")
         if np.any(self.intensity_lo <= 0):
             raise InvalidBounds("jump intensities must stay strictly positive")
+        if np.any(self.loadings < 0) or np.any(self.loadings > 1):
+            raise InvalidBounds("jump loadings must lie in [0, 1]")
+        if np.linalg.matrix_rank(self.loadings) != k:
+            raise InvalidBounds("jump loading matrix must have full column rank")
 
     def spec_at(self, intensity, means, seconds) -> CompoundPoissonJumps:
         laws = tuple(
@@ -501,6 +569,7 @@ class DiscreteLevyBounds:
         object.__setattr__(self, "atoms", _ro(np.atleast_2d(self.atoms)))
         object.__setattr__(self, "weight_lo", _ro(self.weight_lo))
         object.__setattr__(self, "weight_hi", _ro(self.weight_hi))
+        _require_finite("jump bounds", self.atoms, self.weight_lo, self.weight_hi)
         m = self.atoms.shape[0]
         if self.weight_lo.shape != (m,) or self.weight_hi.shape != (m,):
             raise DimensionMismatch("need one weight interval per atom")
@@ -542,6 +611,9 @@ class UncertaintySet:
     def __post_init__(self) -> None:
         for name in ("drift_lo", "drift_hi", "vol_lo", "vol_hi"):
             object.__setattr__(self, name, _ro(getattr(self, name)))
+        _require_finite("drift and volatility bounds",
+                        self.drift_lo, self.drift_hi, self.vol_lo, self.vol_hi)
+        _require_finite("correlation bounds", self.rho_lo, self.rho_hi)
         n = self.drift_lo.size
         for name in ("drift_hi", "vol_lo", "vol_hi"):
             if getattr(self, name).shape != (n,):
@@ -567,6 +639,7 @@ class UncertaintySet:
                 raise InvalidBounds("hull sets do not take a correlation interval")
             verts = tuple(_ro(v) for v in self.corr_vertices)
             object.__setattr__(self, "corr_vertices", verts)
+            _require_finite("correlation hull vertices", *verts)
             for v in verts:
                 if v.shape != (n, n):
                     raise DimensionMismatch("correlation vertices must be n x n")
@@ -693,8 +766,9 @@ class UncertaintySet:
         return True
 
     def corr_matrix_from_weights(self, weights: np.ndarray) -> np.ndarray:
+        """sum_j w_j V_j for weights (..., m); returns (..., n, n)."""
         w = np.asarray(weights, dtype=float)
-        return sum(wi * vi for wi, vi in zip(w, self.corr_vertices))
+        return sum(w[..., j, None, None] * v for j, v in enumerate(self.corr_vertices))
 
     def contains(self, scenario: Scenario, tol: float = 1e-9) -> bool:
         """Box containment of drift and vols plus correlation containment."""
@@ -755,6 +829,7 @@ class Criterion:
     def __post_init__(self) -> None:
         if self.kind not in CRITERION_KINDS:
             raise InvalidBounds(f"unknown criterion kind {self.kind!r}")
+        _require_finite("criterion lam, horizon, t0 and x0", self.lam, self.horizon, self.t0, self.x0)
         if self.lam <= 0:
             raise InvalidBounds("risk aversion must be strictly positive")
         if self.horizon <= self.t0:
@@ -780,6 +855,9 @@ class WealthDynamics:
       money in stocks; drift alpha.b, jump alpha.v per relative jump v.
     * log_return: state is log wealth, control is the fraction of wealth
       in stocks; drift alpha.b - alpha.Sigma.alpha / 2, jump log(1 + alpha.v).
+
+    Every map broadcasts over leading sample axes: alpha (..., n) against
+    a `Scenario` or a `ScenarioArrays` stack; scalar inputs give scalars.
     """
 
     kind: str
@@ -792,32 +870,33 @@ class WealthDynamics:
     def state_is_log(self) -> bool:
         return self.kind == "log_return"
 
-    def drift(self, alpha: np.ndarray, scenario: Scenario) -> float:
-        base = float(alpha @ scenario.drift)
+    def drift(self, alpha: np.ndarray, scenario: Scenario | ScenarioArrays):
+        base = np.einsum("...i,...i->...", alpha, scenario.arrays.drift)
         if self.state_is_log:
-            base -= 0.5 * float(alpha @ scenario.cov @ alpha)
+            base = base - 0.5 * self.diffusion_sq(alpha, scenario)
         return base
 
-    def diffusion_sq(self, alpha: np.ndarray, scenario: Scenario) -> float:
-        return float(alpha @ scenario.cov @ alpha)
+    def diffusion_sq(self, alpha: np.ndarray, scenario: Scenario | ScenarioArrays):
+        return np.einsum("...i,...ij,...j->...", alpha, scenario.arrays.cov, alpha)
 
-    def jump_size(self, x: float, alpha: np.ndarray, vec: np.ndarray) -> float:
-        move = float(alpha @ vec)
+    def jump_size(self, x, alpha: np.ndarray, vec: np.ndarray):
+        move = np.einsum("...i,...i->...", alpha, vec)
         if self.state_is_log:
-            if move <= -1.0:
+            if np.any(move <= -1.0):
+                worst = float(np.min(move))
                 raise NonBankruptcyViolated(
-                    f"log-state jump 1 + alpha.v = {1.0 + move} is not positive"
+                    f"log-state jump 1 + alpha.v = {1.0 + worst} is not positive"
                 )
-            return math.log1p(move)
+            return np.log1p(move)
         return move
 
-    def levy_drift(self, x: float, alpha: np.ndarray, scenario: Scenario) -> float:
+    def levy_drift(self, x, alpha: np.ndarray, scenario: Scenario | ScenarioArrays):
         """Drift of the compensated-small-jump representation: the raw
         drift plus the expected flow of atoms with ||z|| < 1."""
-        total = self.drift(alpha, scenario)
-        for atom in atom_table(scenario.jump):
-            if atom.small:
-                total += atom.weight * self.jump_size(x, alpha, atom.vec)
+        arr = scenario.arrays
+        total = self.drift(alpha, arr)
+        for vec, weight, small in zip(arr.atom_vec, arr.atom_weight, arr.atom_small):
+            total = total + np.where(small, weight * self.jump_size(x, alpha, vec), 0.0)
         return total
 
 

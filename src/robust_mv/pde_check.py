@@ -30,11 +30,11 @@ from .fields import ScalarField
 from .model import (
     Criterion,
     Scenario,
+    ScenarioArrays,
     UncertaintySet,
     WealthDynamics,
-    atom_table,
 )
-from .worst_case import sample_scenarios
+from .worst_case import sample_scenario_arrays
 
 
 @dataclass(frozen=True)
@@ -46,23 +46,31 @@ class FdSteps:
     t_rel: float = 1e-6
 
 
-def _fd4_first(f: Callable[[float], float], z: float, h: float) -> float:
+def _fd4_first(f: Callable, z, h):
     return (-f(z + 2 * h) + 8 * f(z + h) - 8 * f(z - h) + f(z - 2 * h)) / (12.0 * h)
 
 
-def _fd4_second(f: Callable[[float], float], z: float, h: float) -> float:
+def _fd4_second(f: Callable, z, h):
     return (
         -f(z + 2 * h) + 16 * f(z + h) - 30 * f(z) + 16 * f(z - h) - f(z - 2 * h)
     ) / (12.0 * h * h)
 
 
+def _out(value):
+    """Numpy scalar for a 0-d result, the array otherwise."""
+    return value[()] if isinstance(value, np.ndarray) else value
+
+
 class OperatorSet:
     """Generator, quadratic-variation and jump operators for one dynamics.
 
-    All operators evaluate scalar fields at a point (t, x) for a given
-    (alpha, theta).  The jump integral runs over the finite atom table
-    of the scenario (compound Poisson types are represented by their
-    moment-preserving two-point surrogates).
+    All operators evaluate scalar fields at points (t, x) for a given
+    (alpha, theta) and broadcast over leading sample axes: t and x of
+    shape (...), alpha (..., n), and theta a `Scenario` or a
+    `ScenarioArrays` stack; scalar inputs give a scalar.  The jump
+    integral runs over the finite atom table of the scenario (compound
+    Poisson types are represented by their moment-preserving two-point
+    surrogates).
     """
 
     def __init__(self, dynamics: WealthDynamics, span: float,
@@ -74,12 +82,13 @@ class OperatorSet:
 
     # --- derivatives --------------------------------------------------------
 
-    def partials(self, field: ScalarField, t: float, x: float) -> tuple[float, float, float]:
+    def partials(self, field: ScalarField, t, x):
+        """(psi_t, psi_x, psi_xx) at (t, x)."""
         if self.use_analytic and field.has_analytic:
             return field.dt(t, x), field.dx(t, x), field.dxx(t, x)
-        h_x = self.fd.x_rel * (1.0 + abs(x))
+        h_x = self.fd.x_rel * (1.0 + np.abs(x))
         h_t = self.fd.t_rel * self.span
-        if x + 2 * h_x == x or t + 2 * h_t == t:
+        if np.any(x + 2 * h_x == x) or np.any(t + 2 * h_t == t):
             raise DerivativeFailure(f"stencil width underflowed at (t={t}, x={x})")
         ft = _fd4_first(lambda s: field.value(s, x), t, h_t)
         fx = _fd4_first(lambda z: field.value(t, z), x, h_x)
@@ -88,36 +97,35 @@ class OperatorSet:
 
     # --- operators ------------------------------------------------------------
 
-    def jump_integral(self, field: ScalarField, alpha: np.ndarray, theta: Scenario,
-                      t: float, x: float, fx: float | None = None) -> float:
+    def jump_integral(self, field: ScalarField, alpha: np.ndarray, theta: Scenario | ScenarioArrays,
+                      t, x, fx=None):
         """Sum over atoms of psi(t, x + zeta) - psi(t, x) - zeta 1{small} psi_x."""
-        atoms = atom_table(theta.jump)
-        if not atoms:
+        arr = theta.arrays
+        if arr.atom_weight.shape[0] == 0:
             return 0.0
         if fx is None:
             fx = self.partials(field, t, x)[1]
         base = field.value(t, x)
         total = 0.0
-        for atom in atoms:
-            zeta = self.dynamics.jump_size(x, alpha, atom.vec)
+        for vec, weight, small in zip(arr.atom_vec, arr.atom_weight, arr.atom_small):
+            zeta = self.dynamics.jump_size(x, alpha, vec)
             term = field.value(t, x + zeta) - base
-            if atom.small:
-                term -= zeta * fx
-            total += atom.weight * term
-        return total
+            term = term - np.where(small, zeta * fx, 0.0)
+            total = total + weight * term
+        return _out(total)
 
-    def generator(self, field: ScalarField, alpha: np.ndarray, theta: Scenario,
-                  t: float, x: float) -> float:
+    def generator(self, field: ScalarField, alpha: np.ndarray, theta: Scenario | ScenarioArrays,
+                  t, x):
         """Full generator of the controlled state: diffusion part with the
         compensated-small-jump drift, plus the jump integral.  Reduces to
         psi_t + eta psi_x + ||xi||^2 psi_xx / 2 without jumps."""
         ft, fx, fxx = self.partials(field, t, x)
         eta = self.dynamics.levy_drift(x, alpha, theta)
         val = ft + eta * fx + 0.5 * self.dynamics.diffusion_sq(alpha, theta) * fxx
-        return val + self.jump_integral(field, alpha, theta, t, x, fx=fx)
+        return _out(val + self.jump_integral(field, alpha, theta, t, x, fx=fx))
 
-    def quadratic_variation(self, field: ScalarField, alpha: np.ndarray, theta: Scenario,
-                            t: float, x: float) -> float:
+    def quadratic_variation(self, field: ScalarField, alpha: np.ndarray,
+                            theta: Scenario | ScenarioArrays, t, x):
         """Carried quadratic variation of the field: ||xi||^2 psi_x^2 plus
         the jump term sum_atoms w (psi(t, x + zeta) - psi(t, x))^2.
 
@@ -126,18 +134,17 @@ class OperatorSet:
         """
         fx = self.partials(field, t, x)[1]
         total = self.dynamics.diffusion_sq(alpha, theta) * fx * fx
-        atoms = atom_table(theta.jump)
-        if atoms:
+        arr = theta.arrays
+        if arr.atom_weight.shape[0]:
             base = field.value(t, x)
-            for atom in atoms:
-                zeta = self.dynamics.jump_size(x, alpha, atom.vec)
-                total += atom.weight * (field.value(t, x + zeta) - base) ** 2
-        return total
+            for vec, weight in zip(arr.atom_vec, arr.atom_weight):
+                zeta = self.dynamics.jump_size(x, alpha, vec)
+                total = total + weight * (field.value(t, x + zeta) - base) ** 2
+        return _out(total)
 
 
-def jump_operator_value(field: ScalarField, alpha: np.ndarray, theta: Scenario,
-                        t: float, x: float, dynamics: WealthDynamics,
-                        span: float = 1.0) -> float:
+def jump_operator_value(field: ScalarField, alpha: np.ndarray, theta: Scenario | ScenarioArrays,
+                        t, x, dynamics: WealthDynamics, span: float = 1.0):
     """Standalone jump-integral evaluation (linear in the field)."""
     ops = OperatorSet(dynamics, span)
     return ops.jump_integral(field, np.asarray(alpha, dtype=float), theta, t, x)
@@ -168,9 +175,10 @@ def with_scaled_value(sol, factor: float) -> _SolutionView:
     return _SolutionView(sol, v_field=sol.V_field.scaled(factor))
 
 
-def saddle_objective(sol, ops: OperatorSet, alpha: np.ndarray, theta: Scenario,
-                     t: float, x: float) -> float:
-    """F(alpha, theta) at (t, x) for the solution's criterion.
+def saddle_objective(sol, ops: OperatorSet, alpha: np.ndarray,
+                     theta: Scenario | ScenarioArrays, t, x):
+    """F(alpha, theta) at (t, x) for the solution's criterion; broadcasts
+    over sample axes like the operators.
 
     Constant aversion: generator of V minus lam times the quadratic
     variation of g.  Wealth-scaled aversion: objective form
@@ -259,33 +267,37 @@ def residual_grid(sol, t_nodes: Sequence[float] | None = None,
     theta = sol.worst_case.scenario
     lam = criterion.lam
 
-    rows: list[ResidualRow] = []
-    for t in np.asarray(t_nodes, dtype=float):
-        for x in np.asarray(x_nodes, dtype=float):
-            alpha = np.atleast_1d(sol.alpha_hat(t, x))
-            g_field = sol.g_field
-            ag = ops.generator(g_field, alpha, theta, t, x)
-            rows.append(ResidualRow(t, x, "mean_pde", ag))
-            if sol.kind == "wealth_scaled":
-                f_field = sol.f_field(y=x)
-                af = ops.generator(f_field, alpha, theta, t, x)
-                rows.append(ResidualRow(t, x, "objective_pde", af))
-                rows.append(ResidualRow(
-                    t, x, "hjb_objective",
-                    af + 2.0 * (lam / x) * g_field.value(t, x) * ag,
-                ))
-            else:
-                av = ops.generator(sol.V_field, alpha, theta, t, x)
-                hg = ops.quadratic_variation(g_field, alpha, theta, t, x)
-                rows.append(ResidualRow(t, x, "hjb_value", av - lam * hg))
-                f_field = sol.f_field()
-                af = ops.generator(f_field, alpha, theta, t, x)
-                rows.append(ResidualRow(t, x, "objective_pde", af))
-                rows.append(ResidualRow(
-                    t, x, "hjb_objective",
-                    af + 2.0 * lam * g_field.value(t, x) * ag,
-                ))
-    return ResidualTable(tuple(rows))
+    # every lattice point at once: t outer, x inner
+    t_nodes = np.asarray(t_nodes, dtype=float)
+    x_nodes = np.asarray(x_nodes, dtype=float)
+    t = np.repeat(t_nodes, x_nodes.size)
+    x = np.tile(x_nodes, t_nodes.size)
+    alpha = sol.alpha_hat(t, x)
+    g_field = sol.g_field
+    ag = ops.generator(g_field, alpha, theta, t, x)
+    if sol.kind == "wealth_scaled":
+        af = ops.generator(sol.f_field(y=x), alpha, theta, t, x)
+        columns = {
+            "mean_pde": ag,
+            "objective_pde": af,
+            "hjb_objective": af + 2.0 * (lam / x) * g_field.value(t, x) * ag,
+        }
+    else:
+        av = ops.generator(sol.V_field, alpha, theta, t, x)
+        hg = ops.quadratic_variation(g_field, alpha, theta, t, x)
+        af = ops.generator(sol.f_field(), alpha, theta, t, x)
+        columns = {
+            "mean_pde": ag,
+            "hjb_value": av - lam * hg,
+            "objective_pde": af,
+            "hjb_objective": af + 2.0 * lam * g_field.value(t, x) * ag,
+        }
+    values = {eq: v.tolist() for eq, v in columns.items()}
+    return ResidualTable(tuple(
+        ResidualRow(ti, xi, eq, values[eq][i])
+        for i, (ti, xi) in enumerate(zip(t.tolist(), x.tolist()))
+        for eq in columns
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +349,7 @@ def saddle_check(sol, uset: UncertaintySet, samples: int = 1000, seed: int = 0,
     ops = OperatorSet(dynamics, criterion.span)
     theta_hat = sol.worst_case.scenario
     fixed_jump = theta_hat.jump if uset.jump_bounds is None else None
-    thetas = sample_scenarios(uset, samples, rng, fixed_jump=fixed_jump)
+    thetas = sample_scenario_arrays(uset, samples, rng, fixed_jump=fixed_jump)
 
     t_lo = criterion.t0 + 0.02 * criterion.span
     t_hi = criterion.horizon - 0.02 * criterion.span
@@ -347,38 +359,45 @@ def saddle_check(sol, uset: UncertaintySet, samples: int = 1000, seed: int = 0,
         s = 1.0 + abs(criterion.x0)
         x_lo, x_hi = criterion.x0 - 0.5 * s, criterion.x0 + 1.0 * s
 
-    def eps_at(x: float) -> float:
-        return eps_rel * (1.0 + sol.premium) * (1.0 + abs(x))
+    def eps_at(x):
+        return eps_rel * (1.0 + sol.premium) * (1.0 + np.abs(x))
 
     t_mid = 0.5 * (t_lo + t_hi)
     x_mid = 0.5 * (x_lo + x_hi)
     a_mid = np.atleast_1d(sol.alpha_hat(t_mid, x_mid))
-    saddle_value = saddle_objective(sol, ops, a_mid, theta_hat, t_mid, x_mid)
-    saddle_eps = eps_at(x_mid)
+    saddle_value = float(saddle_objective(sol, ops, a_mid, theta_hat, t_mid, x_mid))
+    saddle_eps = float(eps_at(x_mid))
 
-    violations: list[SaddleViolation] = []
-    max_alpha_side = -math.inf
-    min_theta_side = math.inf
+    # the draws stay one sample at a time, interleaved as (t, x, direction,
+    # radius), so every seed keeps its stream
     n = a_mid.size
+    t = np.empty(samples)
+    x = np.empty(samples)
+    unit = np.zeros((samples, n))
+    shrink = np.zeros(samples)
     for i in range(samples):
-        t = rng.uniform(t_lo, t_hi)
-        x = rng.uniform(x_lo, x_hi)
-        eps = eps_at(x)
-        a_hat = np.atleast_1d(sol.alpha_hat(t, x))
-        radius = radius_scale * max(float(np.linalg.norm(a_hat)), 1e-12)
+        t[i] = rng.uniform(t_lo, t_hi)
+        x[i] = rng.uniform(x_lo, x_hi)
         direction = rng.standard_normal(n)
         norm = float(np.linalg.norm(direction))
-        alpha = a_hat if norm == 0 else a_hat + direction / norm * radius * rng.random() ** (1.0 / n)
+        if norm != 0:
+            unit[i] = direction / norm
+            shrink[i] = rng.random() ** (1.0 / n)
 
-        f_alpha = saddle_objective(sol, ops, alpha, theta_hat, t, x)
-        max_alpha_side = max(max_alpha_side, f_alpha)
-        if f_alpha > eps:
-            violations.append(SaddleViolation("alpha", f_alpha, eps, t, x, i))
+    eps = eps_at(x)
+    a_hat = np.reshape(sol.alpha_hat(t, x), (samples, n))
+    radius = radius_scale * np.maximum(np.linalg.norm(a_hat, axis=1), 1e-12)
+    alpha = a_hat + unit * radius[:, None] * shrink[:, None]
+    f_alpha = saddle_objective(sol, ops, alpha, theta_hat, t, x)
+    f_theta = saddle_objective(sol, ops, a_hat, thetas, t, x)
 
-        f_theta = saddle_objective(sol, ops, a_hat, thetas[i], t, x)
-        min_theta_side = min(min_theta_side, f_theta)
-        if f_theta < -eps:
-            violations.append(SaddleViolation("theta", f_theta, eps, t, x, i))
+    violations: list[SaddleViolation] = []
+    for i in np.flatnonzero((f_alpha > eps) | (f_theta < -eps)).tolist():
+        point = (float(eps[i]), float(t[i]), float(x[i]), i)
+        if f_alpha[i] > eps[i]:
+            violations.append(SaddleViolation("alpha", float(f_alpha[i]), *point))
+        if f_theta[i] < -eps[i]:
+            violations.append(SaddleViolation("theta", float(f_theta[i]), *point))
 
     return SaddleReport(
         samples=samples,
@@ -386,6 +405,6 @@ def saddle_check(sol, uset: UncertaintySet, samples: int = 1000, seed: int = 0,
         saddle_value=saddle_value,
         saddle_eps=saddle_eps,
         violations=tuple(violations),
-        max_alpha_side=max_alpha_side,
-        min_theta_side=min_theta_side,
+        max_alpha_side=float(np.max(f_alpha, initial=-math.inf)),
+        min_theta_side=float(np.min(f_theta, initial=math.inf)),
     )

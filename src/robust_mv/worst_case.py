@@ -33,15 +33,19 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .model import (
+    _MOMENT_TOL,
     CompoundPoissonBounds,
     Criterion,
     DiscreteLevyBounds,
     JumpSpec,
     Scenario,
+    ScenarioArrays,
     UncertaintySet,
     adjusted_moments,
+    atom_arrays,
     build_covariance,
     cholesky_or_raise,
+    factorizes,
 )
 
 SHORT_SECOND = "ShortSecond"
@@ -452,29 +456,125 @@ class _CoordBox:
         valid = np.broadcast_to(valid, shape)
         return prem.ravel(), valid.ravel()
 
-    def scenario_at(self, point: np.ndarray) -> Scenario:
+    def stack(self, pts: np.ndarray) -> tuple[ScenarioArrays, np.ndarray]:
+        """Scenarios at (k, dim) points as one `ScenarioArrays` stack plus a
+        validity mask.  A point is valid when its correlation matrix is
+        symmetric with unit diagonal, its covariance passes a Cholesky
+        factorization and its jump moments are consistent, the checks
+        `build_covariance` and the jump-spec constructors apply one
+        scenario at a time."""
         n = self.uset.n
-        pt = np.asarray(point, dtype=float)[None, :]
-        drift, vols, corr, jpts = self.split(pt)
+        k = pts.shape[0]
+        drift, vols, corr, jpts = self.split(pts)
         if n == 1:
-            corr_mat = np.array([[1.0]])
+            corr_mat = np.ones((k, 1, 1))
         elif n == 2:
-            r = float(corr[0, 0])
-            corr_mat = np.array([[1.0, r], [r, 1.0]])
+            corr_mat = np.empty((k, 2, 2))
+            corr_mat[:, 0, 0] = corr_mat[:, 1, 1] = 1.0
+            corr_mat[:, 0, 1] = corr_mat[:, 1, 0] = corr[:, 0]
         else:
-            w = self.hull_weights(corr)[0]
-            corr_mat = self.uset.corr_matrix_from_weights(w)
-        cov = build_covariance(vols[0], corr_mat)
-        jump = self.fixed_jump
+            corr_mat = self.uset.corr_matrix_from_weights(self.hull_weights(corr))
+        cov = vols[:, :, None] * vols[:, None, :] * corr_mat
+        valid = (
+            np.all(np.abs(corr_mat - corr_mat.swapaxes(1, 2))
+                   <= 1e-12 + 1e-5 * np.abs(corr_mat.swapaxes(1, 2)), axis=(1, 2))
+            & np.all(np.abs(np.diagonal(corr_mat, axis1=1, axis2=2) - 1.0) <= 1e-12 + 1e-5, axis=1)
+        )
+        valid[valid] = factorizes(cov[valid])
+
         jb = self.uset.jump_bounds
-        if jb is not None:
-            j = jpts[0]
-            if isinstance(jb, CompoundPoissonBounds):
-                k = jb.loadings.shape[1]
-                jump = jb.spec_at(j[:k], j[k:2 * k], j[2 * k:3 * k])
-            else:
-                jump = jb.spec_at(j)
-        return Scenario(drift[0], cov, jump)
+        if self.fixed_jump is not None or jb is None:
+            vec, weight, small = atom_arrays(self.fixed_jump, n)
+            m = weight.size
+            vec = np.broadcast_to(vec[:, None, :], (m, k, n))
+            weight = np.broadcast_to(weight[:, None], (m, k))
+            small = np.broadcast_to(small[:, None], (m, k))
+        elif isinstance(jb, CompoundPoissonBounds):
+            # per type the moment-matching two-point surrogate (mean -+ s,
+            # probability 1/2 each), as `atom_table` builds it
+            n_types = jb.loadings.shape[1]
+            mu, mean, second = (jpts[:, :n_types], jpts[:, n_types:2 * n_types],
+                                jpts[:, 2 * n_types:3 * n_types])
+            var = second - mean * mean
+            s = np.sqrt(np.maximum(var, 0.0))
+            valid &= np.all((var >= -_MOMENT_TOL) & (mean - s > -1.0), axis=1)
+            sizes = np.stack([mean - s, mean + s], axis=-1).reshape(k, 2 * n_types).T
+            types = np.repeat(np.arange(n_types), 2)
+            vec = sizes[:, :, None] * jb.loadings.T[types][:, None, :]
+            weight = np.repeat(mu.T * 0.5, 2, axis=0)
+            small = np.abs(sizes) < 1.0
+        else:
+            m = jb.atoms.shape[0]
+            vec = np.broadcast_to(jb.atoms[:, None, :], (m, k, n))
+            weight = jpts.T
+            small = np.broadcast_to((np.linalg.norm(jb.atoms, axis=1) < 1.0)[:, None], (m, k))
+        return ScenarioArrays(drift, cov, vec, weight, small), valid
+
+    def jump_at(self, point: np.ndarray) -> JumpSpec | None:
+        jb = self.uset.jump_bounds
+        if jb is None:
+            return self.fixed_jump
+        j = self.split(np.asarray(point, dtype=float)[None, :])[3][0]
+        if isinstance(jb, CompoundPoissonBounds):
+            k = jb.loadings.shape[1]
+            return jb.spec_at(j[:k], j[k:2 * k], j[2 * k:3 * k])
+        return jb.spec_at(j)
+
+    def scenarios(self, pts: np.ndarray) -> list[Scenario]:
+        """Scenario objects at the valid rows of (k, dim) points, in order."""
+        arr, valid = self.stack(pts)
+        return [Scenario(arr.drift[i], arr.cov[i], self.jump_at(pts[i]))
+                for i in np.flatnonzero(valid)]
+
+    def scenario_at(self, point: np.ndarray) -> Scenario:
+        out = self.scenarios(np.asarray(point, dtype=float)[None, :])
+        if not out:
+            raise NotPositiveDefinite(
+                "no valid scenario at this point: covariance not positive definite "
+                "or jump moments inconsistent")
+        return out[0]
+
+    def _draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        """k candidate points, uniform on the box (hull weights uniform on
+        the simplex).  Consumes the generator exactly as k successive
+        single-point draws would."""
+        if self.uset.n <= 2:
+            return rng.uniform(self.lo, self.hi, size=(k, self.dim))
+        pts = np.empty((k, self.dim))
+        i0 = 2 * self.uset.n
+        for pt in pts:
+            pt[:] = rng.uniform(self.lo, self.hi)
+            # overwrite stick coordinates with a uniform simplex draw
+            w = rng.dirichlet(np.ones(self.n_corr + 1))
+            rem = 1.0
+            for j in range(self.n_corr):
+                pt[i0 + j] = 0.0 if rem <= 0 else min(max(w[j] / rem, 0.0), 1.0)
+                rem -= w[j]
+        return pts
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` valid points, (count, dim).  Invalid candidates are
+        redrawn in chunks of exactly the number still missing, so the
+        generator stops where a one-at-a-time rejection loop would."""
+        budget = 100 * count + 100
+        accepted = [np.empty((0, self.dim))]
+        missing = count
+        while missing:
+            chunk = min(missing, budget)
+            if chunk == 0:
+                raise NotPositiveDefinite("scenario sampling kept hitting non-PD draws")
+            budget -= chunk
+            pts = self._draw(chunk, rng)
+            pts = pts[self.stack(pts)[1]]
+            accepted.append(pts)
+            missing -= pts.shape[0]
+        return np.concatenate(accepted)
+
+
+def _as_generator(rng: np.random.Generator | int) -> np.random.Generator:
+    if isinstance(rng, (int, np.integer)):
+        return np.random.default_rng(int(rng))
+    return rng
 
 
 def sample_scenarios(uset: UncertaintySet, count: int,
@@ -482,30 +582,17 @@ def sample_scenarios(uset: UncertaintySet, count: int,
                      fixed_jump: JumpSpec | None = None) -> list[Scenario]:
     """Uniform draws from the set's bounds (hull weights uniform on the
     simplex), re-drawn in the rare event a covariance fails to factor."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     box = _CoordBox.build(uset, fixed_jump)
-    out: list[Scenario] = []
-    guard = 0
-    while len(out) < count:
-        guard += 1
-        if guard > 100 * count + 100:
-            raise NotPositiveDefinite("scenario sampling kept hitting non-PD draws")
-        pt = rng.uniform(box.lo, box.hi)
-        if uset.n > 2:
-            # overwrite stick coordinates with a uniform simplex draw
-            w = rng.dirichlet(np.ones(box.n_corr + 1))
-            u = np.empty(box.n_corr)
-            rem = 1.0
-            for j in range(box.n_corr):
-                u[j] = 0.0 if rem <= 0 else min(max(w[j] / rem, 0.0), 1.0)
-                rem -= w[j]
-            pt[2 * uset.n:2 * uset.n + box.n_corr] = u
-        try:
-            out.append(box.scenario_at(pt))
-        except (NotPositiveDefinite, InvalidBounds):
-            continue
-    return out
+    return box.scenarios(box.sample(count, _as_generator(rng)))
+
+
+def sample_scenario_arrays(uset: UncertaintySet, count: int,
+                           rng: np.random.Generator | int,
+                           fixed_jump: JumpSpec | None = None) -> ScenarioArrays:
+    """The draws of `sample_scenarios` (same generator, same values) as one
+    `ScenarioArrays` stack with sample axis ``count``."""
+    box = _CoordBox.build(uset, fixed_jump)
+    return box.stack(box.sample(count, _as_generator(rng)))[0]
 
 
 def corner_scenarios(uset: UncertaintySet, fixed_jump: JumpSpec | None = None,
@@ -519,18 +606,8 @@ def corner_scenarios(uset: UncertaintySet, fixed_jump: JumpSpec | None = None,
     total = math.prod(len(a) for a in axes)
     if total > cap:
         raise BudgetExceeded(f"{total} corners exceed the cap of {cap}")
-    out = []
-    seen = set()
-    for combo in itertools.product(*axes):
-        key = tuple(combo)
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            out.append(box.scenario_at(np.array(combo)))
-        except (NotPositiveDefinite, InvalidBounds):
-            continue
-    return out
+    combos = list(dict.fromkeys(itertools.product(*axes)))
+    return box.scenarios(np.array(combos, dtype=float))
 
 
 def sobol_scenarios(uset: UncertaintySet, count: int,
@@ -539,14 +616,7 @@ def sobol_scenarios(uset: UncertaintySet, count: int,
     box = _CoordBox.build(uset, fixed_jump)
     eng = qmc.Sobol(d=box.dim, scramble=False)
     u = eng.random(count)
-    pts = box.lo + u * (box.hi - box.lo)
-    out = []
-    for pt in pts:
-        try:
-            out.append(box.scenario_at(pt))
-        except (NotPositiveDefinite, InvalidBounds):
-            continue
-    return out
+    return box.scenarios(box.lo + u * (box.hi - box.lo))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,13 @@ class TestSchema:
         )
         assert run_cli(["worst-case", path])[0] == 2
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_is_schema_error(self, tmp_path, token):
+        path = write_problem(tmp_path)
+        path.write_text(path.read_text().replace('"rho_hi": 0.6', f'"rho_hi": {token}'))
+        assert token in path.read_text()
+        assert run_cli(["worst-case", path])[0] == 2
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -246,6 +253,18 @@ class TestVerifySimulatePerturb:
         code, out = run_cli(["perturb", probe])
         assert code == 1
         assert "VIOLATION" in out
+
+    def test_perturb_base_scale_rejected_for_wealth_scaled(self, tmp_path):
+        path = write_problem(
+            tmp_path,
+            assets=1,
+            uncertainty={"drift_lo": [0.1], "drift_hi": [0.12],
+                         "vol_lo": [0.2], "vol_hi": [0.25]},
+            criterion={"kind": "wealth_scaled", "lambda": 1.0, "T": 1.0, "x0": 1.0},
+            perturb={"h_list": [0.1], "w_samples": 2, "u_samples": 2,
+                     "n_paths": 200, "dt": 0.1, "seed": 3, "base_scale": 2.0},
+        )
+        assert run_cli(["perturb", path])[0] == 2
 
     def test_entry_point_runs_as_subprocess(self, tmp_path):
         path = write_problem(tmp_path)

@@ -214,6 +214,25 @@ class TestWealthScaled:
         assert grids.mean_factor(grids.t[i]) == pytest.approx(grids.a[i], abs=1e-14)
         assert grids.mean_factor_slope(grids.t[i]) == pytest.approx(grids.a_slope[i], abs=1e-10)
 
+    def test_alpha_coef_rejects_wealth_scaled(self, ws_solution):
+        # the strategy is (t, x)-dependent; a constant would be a wrong answer
+        with pytest.raises(rm.InvalidBounds, match="alpha_hat"):
+            ws_solution.alpha_coef
+
+    def test_fields_take_arrays(self, ws_solution):
+        t = np.array([0.1, 0.5, 0.9])
+        x = np.array([0.7, 1.0, 1.6])
+        pairs = [(ws_solution.V_field, lambda i: ws_solution.V_field),
+                 (ws_solution.g_field, lambda i: ws_solution.g_field),
+                 (ws_solution.f_field(y=x), lambda i: ws_solution.f_field(y=x[i]))]
+        for batched, scalar in pairs:
+            for name in ("value", "dt", "dx", "dxx"):
+                vals = np.broadcast_to(getattr(batched, name)(t, x), t.shape)
+                for i in range(t.size):
+                    one = getattr(scalar(i), name)(t[i], x[i])
+                    assert np.ndim(one) == 0
+                    assert vals[i] == pytest.approx(one, rel=1e-14, abs=1e-15)
+
     def test_blowup_guard(self):
         with pytest.raises(rm.OdeBlowup):
             solve_growth_factors(lam=1.0, premium=5.0, t0=0.0, horizon=1.0,

@@ -262,6 +262,48 @@ class TestScenarioAndSet:
                 (0.1, 0.12), (0.02, 0.03), (0.15, 0.2), (0.2, 0.3), (0.4, 1.0)
             )
 
+    @pytest.mark.parametrize("field", ["drift_lo", "drift_hi", "vol_lo", "vol_hi"])
+    def test_non_finite_box_bounds_rejected(self, field):
+        bounds = {"drift_lo": [0.1, 0.02], "drift_hi": [0.12, 0.03],
+                  "vol_lo": [0.15, 0.2], "vol_hi": [0.2, 0.3]}
+        bounds[field] = [bounds[field][0], np.inf if field.endswith("hi") else np.nan]
+        with pytest.raises(rm.InvalidBounds, match="finite"):
+            rm.UncertaintySet(**bounds, rho_lo=0.4, rho_hi=0.6)
+
+    def test_non_finite_rho_bound_rejected(self):
+        with pytest.raises(rm.InvalidBounds, match="finite"):
+            rm.UncertaintySet([0.1, 0.02], [0.12, 0.03], [0.15, 0.2], [0.2, 0.3],
+                              rho_lo=np.nan, rho_hi=0.6)
+
+    def test_non_finite_hull_vertex_rejected(self):
+        bad = np.eye(3)
+        bad[0, 1] = bad[1, 0] = np.nan
+        with pytest.raises(rm.InvalidBounds, match="finite"):
+            rm.UncertaintySet.hull([0.0] * 3, [0.1] * 3, [0.1] * 3, [0.2] * 3, (np.eye(3), bad))
+
+    def test_non_finite_compound_poisson_bounds_rejected(self):
+        with pytest.raises(rm.InvalidBounds, match="finite"):
+            rm.CompoundPoissonBounds(
+                loadings=np.array([[1.0], [0.0]]),
+                intensity_lo=np.array([0.2]), intensity_hi=np.array([np.inf]),
+                mean_lo=np.array([0.0]), mean_hi=np.array([0.1]),
+                second_lo=np.array([0.01]), second_hi=np.array([0.02]),
+            )
+
+    def test_non_finite_levy_bounds_rejected(self):
+        with pytest.raises(rm.InvalidBounds, match="finite"):
+            rm.DiscreteLevyBounds(atoms=np.array([[np.nan]]),
+                                  weight_lo=np.array([0.1]), weight_hi=np.array([0.2]))
+
+    def test_compound_poisson_bounds_check_loadings(self):
+        with pytest.raises(rm.InvalidBounds, match="loadings"):
+            rm.CompoundPoissonBounds(
+                loadings=np.array([[1.5], [0.0]]),
+                intensity_lo=np.array([0.2]), intensity_hi=np.array([0.3]),
+                mean_lo=np.array([0.0]), mean_hi=np.array([0.1]),
+                second_lo=np.array([0.01]), second_hi=np.array([0.02]),
+            )
+
     def test_singleton_detection(self, short_second_set):
         assert not short_second_set.is_singleton
         scen = rm.Scenario(np.array([0.08]), np.array([[0.04]]))
@@ -278,6 +320,26 @@ class TestCriterionAndDynamics:
             rm.Criterion("wealth_scaled", lam=1.0, horizon=1.0, x0=0.0)
         with pytest.raises(rm.InvalidBounds):
             rm.Criterion("bogus", lam=1.0, horizon=1.0)
+
+    @pytest.mark.parametrize("field", ["lam", "horizon", "t0", "x0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_criterion_rejected(self, field, value):
+        kwargs = {"lam": 1.0, "horizon": 1.0, "t0": 0.0, "x0": 1.0, field: value}
+        with pytest.raises(rm.InvalidBounds, match="finite"):
+            rm.Criterion("terminal_wealth", **kwargs)
+
+    def test_dynamics_broadcast_over_samples(self):
+        scen = rm.Scenario(np.array([0.1, 0.05]), np.diag([0.04, 0.0625]))
+        alphas = np.array([[1.0, -0.5], [0.3, 2.0], [0.0, 0.0]])
+        for kind in ("terminal_wealth", "log_return"):
+            dyn = rm.WealthDynamics(kind)
+            drift = dyn.drift(alphas, scen)
+            diff = dyn.diffusion_sq(alphas, scen)
+            assert drift.shape == diff.shape == (3,)
+            for i, a in enumerate(alphas):
+                assert np.ndim(dyn.drift(a, scen)) == 0
+                assert drift[i] == pytest.approx(dyn.drift(a, scen), abs=1e-15)
+                assert diff[i] == pytest.approx(dyn.diffusion_sq(a, scen), abs=1e-15)
 
     def test_wealth_scaled_aversion(self):
         crit = rm.Criterion("wealth_scaled", lam=2.0, horizon=1.0, x0=4.0)

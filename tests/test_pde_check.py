@@ -1,12 +1,137 @@
 """Operators, residual grids and the sampled saddle structure."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import robust_mv as rm
 from robust_mv.fields import ScalarField
 from robust_mv.model import WealthDynamics
 from robust_mv.pde_check import OperatorSet, saddle_objective, with_scaled_value
+from robust_mv.worst_case import _CoordBox
+
+
+@pytest.fixture(scope="module")
+def jump_bounds_case(tw_criterion):
+    """Two assets with compound-Poisson moment boxes; second < mean^2 on
+    part of the box, so uniform draws get rejected and redrawn."""
+    jb = rm.CompoundPoissonBounds(
+        loadings=np.array([[1.0], [0.5]]),
+        intensity_lo=np.array([0.2]), intensity_hi=np.array([0.6]),
+        mean_lo=np.array([-0.2]), mean_hi=np.array([0.2]),
+        second_lo=np.array([0.005]), second_hi=np.array([0.05]),
+    )
+    uset = rm.UncertaintySet.two_asset(
+        (0.10, 0.12), (0.02, 0.03), (0.15, 0.2), (0.2, 0.3), (0.4, 0.6), jump_bounds=jb)
+    worst = rm.worst_case_numeric(uset, resolution=5, refinements=1)
+    return rm.solve_terminal_wealth(uset, tw_criterion, worst=worst), uset
+
+
+@pytest.fixture(scope="module")
+def hull_case(tw_criterion):
+    verts = [np.eye(3),
+             np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]]),
+             np.array([[1.0, -0.2, 0.4], [-0.2, 1.0, 0.0], [0.4, 0.0, 1.0]])]
+    uset = rm.UncertaintySet.hull([0.08, 0.06, 0.05], [0.08, 0.06, 0.05],
+                                  [0.15, 0.2, 0.25], [0.2, 0.25, 0.3], verts)
+    worst = rm.worst_case_numeric(uset, resolution=5, refinements=1)
+    return rm.solve_terminal_wealth(uset, tw_criterion, worst=worst), uset
+
+
+@pytest.fixture(scope="module")
+def verify_cases(tw_solution, lr_solution, cp_solution, ws_solution, short_second_set,
+                 cp_set, ws_set, jump_bounds_case, hull_case):
+    return {
+        "tw": (tw_solution, short_second_set),
+        "lr": (lr_solution, short_second_set),
+        "cp": (cp_solution, cp_set),
+        "ws": (ws_solution, ws_set),
+        "jump_bounds": jump_bounds_case,
+        "hull": hull_case,
+    }
+
+
+def sequential_scenarios(uset, count, rng, fixed_jump=None):
+    """One candidate at a time: a uniform draw on the coordinate box (plus
+    a Dirichlet draw for hull weights), built into a Scenario and redrawn
+    on failure.  Returns the scenarios and the number of rejected draws."""
+    box = _CoordBox.build(uset, fixed_jump)
+    n, n_corr = uset.n, box.n_corr
+    out, rejected = [], 0
+    while len(out) < count:
+        pt = rng.uniform(box.lo, box.hi)
+        if n > 2:
+            w = rng.dirichlet(np.ones(n_corr + 1))
+            rem = 1.0
+            for j in range(n_corr):
+                pt[2 * n + j] = 0.0 if rem <= 0 else min(max(w[j] / rem, 0.0), 1.0)
+                rem -= w[j]
+        drift, vols = pt[:n], pt[n:2 * n]
+        corr, jpts = pt[2 * n:2 * n + n_corr], pt[2 * n + n_corr:]
+        try:
+            if n == 1:
+                corr_mat = np.array([[1.0]])
+            elif n == 2:
+                corr_mat = np.array([[1.0, corr[0]], [corr[0], 1.0]])
+            else:
+                corr_mat = uset.corr_matrix_from_weights(box.hull_weights(corr[None, :])[0])
+            jump = fixed_jump
+            jb = uset.jump_bounds
+            if isinstance(jb, rm.CompoundPoissonBounds):
+                k = jb.loadings.shape[1]
+                jump = jb.spec_at(jpts[:k], jpts[k:2 * k], jpts[2 * k:3 * k])
+            elif jb is not None:
+                jump = jb.spec_at(jpts)
+            out.append(rm.Scenario(drift, rm.build_covariance(vols, corr_mat), jump))
+        except (rm.NotPositiveDefinite, rm.InvalidBounds):
+            rejected += 1
+    return out, rejected
+
+
+def per_sample_saddle(sol, uset, samples, seed, radius_scale=10.0, eps_rel=1e-9):
+    """The saddle check written as a loop over samples of scalar
+    `saddle_objective` calls; same draws in the same order."""
+    crit = sol.criterion
+    rng = np.random.default_rng([int(seed), 0x5A])
+    ops = OperatorSet(WealthDynamics.for_criterion(crit), crit.span)
+    theta_hat = sol.worst_case.scenario
+    fixed_jump = theta_hat.jump if uset.jump_bounds is None else None
+    thetas, _ = sequential_scenarios(uset, samples, rng, fixed_jump)
+    t_lo, t_hi = crit.t0 + 0.02 * crit.span, crit.horizon - 0.02 * crit.span
+    if crit.kind == "wealth_scaled":
+        x_lo, x_hi = 0.5 * crit.x0, 2.0 * crit.x0
+    else:
+        s = 1.0 + abs(crit.x0)
+        x_lo, x_hi = crit.x0 - 0.5 * s, crit.x0 + 1.0 * s
+
+    def eps_at(x):
+        return eps_rel * (1.0 + sol.premium) * (1.0 + abs(x))
+
+    t_mid, x_mid = 0.5 * (t_lo + t_hi), 0.5 * (x_lo + x_hi)
+    a_mid = np.atleast_1d(sol.alpha_hat(t_mid, x_mid))
+    saddle_value = saddle_objective(sol, ops, a_mid, theta_hat, t_mid, x_mid)
+    violations, max_alpha, min_theta = [], -math.inf, math.inf
+    n = a_mid.size
+    for i in range(samples):
+        t, x = rng.uniform(t_lo, t_hi), rng.uniform(x_lo, x_hi)
+        eps = eps_at(x)
+        a_hat = np.atleast_1d(sol.alpha_hat(t, x))
+        radius = radius_scale * max(float(np.linalg.norm(a_hat)), 1e-12)
+        direction = rng.standard_normal(n)
+        norm = float(np.linalg.norm(direction))
+        alpha = a_hat if norm == 0 else a_hat + direction / norm * radius * rng.random() ** (1.0 / n)
+        f_alpha = saddle_objective(sol, ops, alpha, theta_hat, t, x)
+        max_alpha = max(max_alpha, f_alpha)
+        if f_alpha > eps:
+            violations.append(("alpha", i))
+        f_theta = saddle_objective(sol, ops, a_hat, thetas[i], t, x)
+        min_theta = min(min_theta, f_theta)
+        if f_theta < -eps:
+            violations.append(("theta", i))
+    return violations, saddle_value, max_alpha, min_theta
 
 
 class TestResidualGrids:
@@ -171,3 +296,90 @@ class TestSaddle:
         assert a.saddle_value == b.saddle_value
         assert a.max_alpha_side == b.max_alpha_side
         assert a.min_theta_side == b.min_theta_side
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * (1.0 + abs(a))
+
+
+class TestBatchedVerification:
+    @pytest.mark.parametrize("case", ["tw", "lr", "cp", "ws", "jump_bounds", "hull"])
+    def test_saddle_check_matches_per_sample_loop(self, verify_cases, case):
+        sol, uset = verify_cases[case]
+        for seed in (0, 3):
+            rep = rm.saddle_check(sol, uset, samples=400, seed=seed)
+            violations, value, max_alpha, min_theta = per_sample_saddle(sol, uset, 400, seed)
+            assert [(v.side, v.index) for v in rep.violations] == violations
+            assert _close(rep.saddle_value, value)
+            assert _close(rep.max_alpha_side, max_alpha)
+            assert _close(rep.min_theta_side, min_theta)
+
+    def test_jump_bounds_case_exercises_redraws(self, jump_bounds_case):
+        _, uset = jump_bounds_case
+        _, rejected = sequential_scenarios(uset, 400, np.random.default_rng(0))
+        assert rejected > 0
+
+    @pytest.mark.parametrize("case", ["tw", "cp", "ws", "jump_bounds", "hull"])
+    def test_sample_scenarios_bit_identical_to_sequential_draws(self, verify_cases, case):
+        sol, uset = verify_cases[case]
+        fixed_jump = sol.worst_case.scenario.jump if uset.jump_bounds is None else None
+        for seed in (1, 2):
+            got = rm.sample_scenarios(uset, 300, seed, fixed_jump=fixed_jump)
+            want, _ = sequential_scenarios(uset, 300, np.random.default_rng(seed), fixed_jump)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.drift, b.drift)
+                assert np.array_equal(a.cov, b.cov)
+                assert repr(a.jump) == repr(b.jump)
+            stack = rm.sample_scenario_arrays(uset, 300, seed, fixed_jump=fixed_jump)
+            assert np.array_equal(stack.drift, np.array([b.drift for b in want]))
+            assert np.array_equal(stack.cov, np.array([b.cov for b in want]))
+
+    def test_residual_rows_keep_their_order(self, tw_solution, ws_solution):
+        for sol, eqs in ((tw_solution, ["mean_pde", "hjb_value", "objective_pde", "hjb_objective"]),
+                         (ws_solution, ["mean_pde", "objective_pde", "hjb_objective"])):
+            t_nodes, x_nodes = rm.default_grid(sol.criterion, 3, 4)
+            rows = rm.residual_grid(sol, t_nodes, x_nodes).rows
+            want = [(t, x, eq) for t in t_nodes for x in x_nodes for eq in eqs]
+            assert [(r.t, r.x, r.eq_id) for r in rows] == want
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_operators_on_arrays_equal_scalar_calls(self, data, verify_cases):
+        case = data.draw(st.sampled_from(["tw", "lr", "cp", "ws", "jump_bounds"]))
+        sol, uset = verify_cases[case]
+        crit = sol.criterion
+        ops = OperatorSet(WealthDynamics.for_criterion(crit), crit.span,
+                          use_analytic=data.draw(st.booleans()))
+        k = data.draw(st.integers(1, 5))
+        unit = st.floats(0.05, 0.95)
+        t = crit.t0 + crit.span * np.array(data.draw(st.lists(unit, min_size=k, max_size=k)))
+        x_lo, x_hi = rm.default_grid(crit, 2, 2)[1]
+        x = x_lo + (x_hi - x_lo) * np.array(data.draw(st.lists(unit, min_size=k, max_size=k)))
+        n = uset.n
+        shift = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=k * n, max_size=k * n))
+        alpha = np.reshape(sol.alpha_hat(t, x), (k, n)) + np.reshape(shift, (k, n))
+        if data.draw(st.booleans()):
+            theta = sol.worst_case.scenario
+            thetas = [theta] * k
+        else:
+            seed = data.draw(st.integers(0, 2**16))
+            fixed_jump = sol.worst_case.scenario.jump if uset.jump_bounds is None else None
+            theta = rm.sample_scenario_arrays(uset, k, seed, fixed_jump=fixed_jump)
+            thetas = rm.sample_scenarios(uset, k, seed, fixed_jump=fixed_jump)
+        if sol.kind == "wealth_scaled":
+            fields = [(sol.g_field, lambda i: sol.g_field), (sol.V_field, lambda i: sol.V_field),
+                      (sol.f_field(y=x), lambda i: sol.f_field(y=x[i]))]
+        else:
+            fields = [(f, lambda i, f=f: f) for f in (sol.g_field, sol.V_field, sol.f_field())]
+        for batched, scalar in fields:
+            gen = ops.generator(batched, alpha, theta, t, x)
+            qv = ops.quadratic_variation(batched, alpha, theta, t, x)
+            assert np.shape(gen) == (k,) and np.shape(qv) == (k,)
+            for i in range(k):
+                g_i = ops.generator(scalar(i), alpha[i], thetas[i], t[i], x[i])
+                q_i = ops.quadratic_variation(scalar(i), alpha[i], thetas[i], t[i], x[i])
+                assert np.ndim(g_i) == 0 and np.ndim(q_i) == 0
+                assert _close(g_i, gen[i])
+                assert _close(q_i, qv[i])
