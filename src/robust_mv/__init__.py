@@ -75,7 +75,6 @@ from .pde_check import (
 )
 from .simulate import (
     RNG_LAYOUT,
-    ConstantScenario,
     ConstantStrategy,
     JEstimate,
     PathBatch,

@@ -135,6 +135,7 @@ class JumpSizeLaw:
     params: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _require_finite("jump-size law parameters", self.params)
         if self.sampler == "two-point":
             a, b, p = self.params
             if not (0.0 <= p <= 1.0):
@@ -267,6 +268,7 @@ class CompoundPoissonJumps:
         k = J.shape[1]
         if mu.shape != (k,) or len(self.size_laws) != k:
             raise DimensionMismatch("intensity and size_laws must have one entry per jump type")
+        _require_finite("jump loadings and intensities", J, mu)
         if np.any(mu <= 0):
             raise InvalidBounds("jump intensities must be strictly positive")
         if np.any(J < 0) or np.any(J > 1):
@@ -442,6 +444,7 @@ class Scenario:
         b, s = self.drift, self.cov
         if b.ndim != 1 or s.shape != (b.size, b.size):
             raise DimensionMismatch(f"drift has length {b.size} but cov has shape {s.shape}")
+        _require_finite("scenario drift and covariance", b, s)
         if not np.allclose(s, s.T, atol=1e-10):
             raise NotPositiveDefinite("covariance is not symmetric")
         cholesky_or_raise(s, "scenario covariance")

@@ -3,8 +3,11 @@
 Euler-Maruyama for the diffusion part; compound Poisson jumps by
 per-step thinning (counts inverted from one uniform per step and type,
 sizes by inverting the size law's CDF); discrete Levy atoms by
-independent Poisson counts per atom with the compensator drift
-subtracted for small atoms.
+independent Poisson counts per atom.  One step kernel serves every run:
+the steps are cut into segments at each switch of the scenario timeline
+and of the strategy, the step coefficients are computed once per
+segment for a constant strategy and every step for a state-dependent
+one, and one update line advances every step.
 
 Random numbers follow RNG layout 2 (``RNG_LAYOUT``).  Paths are grouped
 into blocks of ``_BLOCK`` = 1024 consecutive stream indices, and each
@@ -17,7 +20,10 @@ path // 2.  A path's numbers depend only on the seed and its index, and
 per-path dot products are summed in a fixed order with elementwise
 operations, so results are independent of chunking and of the path
 count, and bit-identical across repeated runs.  Reductions are single
-fixed-order ndarray sums.
+fixed-order ndarray sums.  A run's numbers depend on the values of its
+scenarios and strategies, not on object identity: a splice whose window
+scenario is the base scenario itself gives the same bits as one whose
+window is an equal copy.
 
 The perturbation operations realize the local-variation definitions of
 worst-case scenario and equilibrium at desk scale: constant splices on
@@ -245,26 +251,21 @@ class ConstantStrategy:
         v.setflags(write=False)
         object.__setattr__(self, "vec", v)
 
-    def constant_at(self, t: float) -> np.ndarray | None:
-        return self.vec
-
     def values(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.vec
 
 
 @dataclass(frozen=True)
 class SolutionStrategy:
-    """Wraps a closed-form solution's alpha_hat for the simulator."""
+    """Wraps a closed-form solution's strategy for the simulator: the
+    constant vector ``alpha_coef``, or per path for wealth-scaled ones."""
 
     sol: ClosedFormSolution
 
-    def constant_at(self, t: float) -> np.ndarray | None:
-        if self.sol.kind == "wealth_scaled":
-            return None
-        return self.sol.alpha_coef
-
     def values(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.sol.alpha_hat(t, x)
+        if self.sol.kind == "wealth_scaled":
+            return self.sol.alpha_hat(t, x)
+        return self.sol.alpha_coef
 
 
 @dataclass(frozen=True)
@@ -280,23 +281,10 @@ class SplicedStrategy:
         v.setflags(write=False)
         object.__setattr__(self, "window_vec", v)
 
-    def constant_at(self, t: float) -> np.ndarray | None:
-        if t < self.switch - 1e-12:
-            return self.window_vec
-        return self.base.constant_at(t)
-
     def values(self, t: float, x: np.ndarray) -> np.ndarray:
         if t < self.switch - 1e-12:
             return self.window_vec
         return self.base.values(t, x)
-
-
-@dataclass(frozen=True)
-class ConstantScenario:
-    scenario: Scenario
-
-    def at(self, t: float) -> Scenario:
-        return self.scenario
 
 
 @dataclass(frozen=True)
@@ -319,9 +307,9 @@ class SplicedScenario:
 
 
 class _Segment:
-    """Per-scenario precomputation shared by all steps of one splice segment."""
+    """Per-scenario precomputation shared by all steps of one segment."""
 
-    def __init__(self, scenario: Scenario, dynamics: WealthDynamics, dt: float):
+    def __init__(self, scenario: Scenario, dt: float):
         self.scenario = scenario
         self.chol = scenario.chol()
         self.drift = np.asarray(scenario.drift, dtype=float)
@@ -338,7 +326,6 @@ class _Segment:
             self.jump_kind = "ld"
             self.atom_vecs = np.asarray(jump.atoms, dtype=float)
             self.lam_dt = np.asarray(jump.weights, dtype=float) * dt
-            self.small = np.linalg.norm(self.atom_vecs, axis=1) < 1.0
             self.n_streams = jump.weights.size
         else:
             self.jump_kind = "none"
@@ -447,7 +434,7 @@ class _Shocks:
 def simulate_paths(
     dynamics: WealthDynamics,
     strategy,
-    scenario,
+    scenario: Scenario | SplicedScenario,
     cfg: SimConfig,
     t0: float,
     horizon: float,
@@ -457,43 +444,34 @@ def simulate_paths(
 ) -> PathBatch:
     """Euler paths of the controlled state under (strategy, scenario).
 
-    ``scenario`` may be a bare Scenario or a timeline (``ConstantScenario``
-    / ``SplicedScenario``).  Under terminal-wealth jump dynamics,
-    admissible constant strategies must keep every per-type exposure in
-    [0, 1]; a path whose wealth still hits zero aborts the run.
+    ``scenario`` is a bare Scenario or a ``SplicedScenario``.  The steps
+    are cut into segments at every switch of the scenario and of the
+    strategy, so each segment has one scenario and one strategy regime.
+    ``strategy.values(t, x)`` returns alpha as (n,) when it is constant up
+    to its next switch, so it is asked once per segment and chunk, or as
+    (paths, n) when it depends on the state, so it is asked every step.
+    Under terminal-wealth jump dynamics, admissible constant strategies
+    must keep every per-type exposure in [0, 1]; a path whose wealth
+    still hits zero aborts the run.
     """
-    timeline = ConstantScenario(scenario) if isinstance(scenario, Scenario) else scenario
     n_steps, dt = cfg.steps_for(horizon - t0)
     t_nodes = t0 + dt * np.arange(n_steps)
 
-    # build splice segments: consecutive step ranges sharing a scenario
+    cuts = {0, n_steps}
+    for part in (scenario, strategy):
+        if isinstance(part, (SplicedScenario, SplicedStrategy)):
+            cuts.add(int(np.count_nonzero(t_nodes < part.switch - 1e-12)))
+    cuts = sorted(cuts)
     segments: list[tuple[_Segment, int, int]] = []
-    s = 0
-    while s < n_steps:
-        scen = timeline.at(t_nodes[s])
-        e = s + 1
-        while e < n_steps and timeline.at(t_nodes[e]) is scen:
-            e += 1
-        segments.append((_Segment(scen, dynamics, dt), s, e))
-        s = e
+    for lo, hi in zip(cuts, cuts[1:]):
+        scen = scenario.at(t_nodes[lo]) if isinstance(scenario, SplicedScenario) else scenario
+        segments.append((_Segment(scen, dt), lo, hi))
 
     n_assets = segments[0][0].drift.size
     n_streams = max(seg.n_streams for seg, _, _ in segments)
-    has_jumps = n_streams > 0
-    guard_wealth = has_jumps and dynamics.kind in ("terminal_wealth", "wealth_scaled")
-
-    if enforce_admissibility and has_jumps and dynamics.kind == "terminal_wealth":
-        for seg, lo, _ in segments:
-            if seg.jump_kind != "cp":
-                continue
-            vec = strategy.constant_at(t_nodes[lo])
-            if vec is not None:
-                bad = nonbankruptcy_violations(vec, seg.scenario.jump)
-                if bad:
-                    raise NonBankruptcyViolated(
-                        f"strategy exposure alpha.J outside [0, 1] for jump types {bad}; "
-                        "refusing to simulate jump dynamics"
-                    )
+    log_state = dynamics.state_is_log
+    guard_wealth = n_streams > 0 and not log_state
+    check_exposure = enforce_admissibility and dynamics.kind == "terminal_wealth"
 
     chunk = _effective_chunk(cfg.chunk_paths, n_steps, max(n_assets, n_streams))
     terminal = np.empty(cfg.n_paths)
@@ -514,36 +492,38 @@ def simulate_paths(
                 counts = np.empty((hi - lo, seg.n_streams, size), dtype=np.int64)
                 for l in range(seg.n_streams):
                     counts[:, l] = _poisson_counts(u[lo:hi, l], float(seg.lam_dt[l]))
-            # strategies constant across the segment take a precomputed path
-            const_vec = strategy.constant_at(t_nodes[lo])
-            if const_vec is not None:
-                tail_vec = strategy.constant_at(t_nodes[hi - 1])
-                if tail_vec is None or not np.array_equal(const_vec, tail_vec):
-                    const_vec = None
-            pre = _ConstPrep(dynamics, seg, const_vec) if const_vec is not None else None
-            for s_rel, s_abs in enumerate(range(lo, hi)):
-                t = t_nodes[s_abs]
-                jumps = None if counts is None else _StepJumps(
-                    counts[s_rel], v[s_abs], shocks, start, s_abs)
-                if pre is not None:
-                    x = x + pre.drift_dt + _dot(pre.vol_vec, z[s_abs]) * sqrt_dt
-                    if jumps is not None:
-                        x = x + pre.jump_increment(jumps)
-                else:
-                    x = _advance(dynamics, strategy, seg, t, x, z[s_abs], jumps)
-                if guard_wealth and dynamics.kind != "log_return" and np.any(x <= 0.0):
+            coef = None
+            for s in range(lo, hi):
+                if coef is None or coef.per_path:
+                    coef = _Coefficients(seg, strategy.values(t_nodes[s], x), log_state)
+                    if check_exposure and not coef.per_path:
+                        _require_admissible(coef.alpha, seg)
+                x = x + coef.drift_dt + _dot(coef.vol, z[s]) * sqrt_dt
+                if counts is not None:
+                    x = x + coef.jump_increment(_StepJumps(counts[s - lo], v[s], shocks, start, s))
+                if guard_wealth and np.any(x <= 0.0):
                     bad = int(np.argmax(x <= 0.0)) + start
                     raise NonBankruptcyViolated(
-                        f"wealth hit zero on path {bad} at t = {t + dt:.6g} under jump dynamics"
+                        f"wealth hit zero on path {bad} at t = {t_nodes[s] + dt:.6g} under jump dynamics"
                     )
                 if cfg.keep_paths:
-                    paths[start:start + size, s_abs + 1] = x
+                    paths[start:start + size, s + 1] = x
         terminal[start:start + size] = x
 
     return PathBatch(
         terminal=terminal, t0=t0, horizon=horizon, dt=dt, n_steps=n_steps,
         seed=cfg.seed, kind=dynamics.kind, x0=float(x0), paths=paths,
     )
+
+
+def _require_admissible(alpha: np.ndarray, seg: _Segment) -> None:
+    if seg.jump_kind == "cp":
+        bad = nonbankruptcy_violations(alpha, seg.scenario.jump)
+        if bad:
+            raise NonBankruptcyViolated(
+                f"strategy exposure alpha.J outside [0, 1] for jump types {bad}; "
+                "refusing to simulate jump dynamics"
+            )
 
 
 def _effective_chunk(requested: int, n_steps: int, width: int) -> int:
@@ -570,57 +550,46 @@ def _mix(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     return _dot(m[:, :, None], a[:, None, :])
 
 
-class _ConstPrep:
-    """Per-segment constants for strategies constant over the segment."""
+def _lin(m: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """``m.T @ alpha`` for a constant alpha (n,), or per path in the order
+    of ``_mix`` for alpha (n, paths)."""
+    return m.T @ alpha if alpha.ndim == 1 else _mix(m, alpha)
 
-    def __init__(self, dynamics: WealthDynamics, seg: _Segment, vec: np.ndarray):
-        self.seg = seg
-        self.vec = np.asarray(vec, dtype=float)
-        drift = float(self.vec @ seg.drift)
-        if dynamics.state_is_log:
-            drift -= 0.5 * float(self.vec @ seg.cov @ self.vec)
+
+class _Coefficients:
+    """Step coefficients of one segment under one strategy value: alpha
+    (n,) for a strategy constant over the segment, or (paths, n) per path.
+    Holds the drift times dt, the volatility loadings, and the jump
+    exposures alpha.J per type (compound Poisson) or the per-atom state
+    moves (discrete Levy, added uncompensated: the compensated-small-jump
+    drift adds back exactly what the compensator subtracts)."""
+
+    def __init__(self, seg: _Segment, alpha: np.ndarray, log_state: bool):
+        alpha = np.asarray(alpha, dtype=float)
+        self.seg, self.log_state = seg, log_state
+        self.per_path = alpha.ndim == 2
+        if self.per_path:
+            alpha = alpha.T  # (assets, paths)
+            drift = _dot(alpha, seg.drift)
+            if log_state:
+                drift = drift - 0.5 * _dot(_mix(seg.cov, alpha), alpha)
+        else:
+            drift = float(alpha @ seg.drift)
+            if log_state:
+                drift -= 0.5 * float(alpha @ seg.cov @ alpha)
+        self.alpha = alpha
         self.drift_dt = drift * seg.dt
-        self.vol_vec = seg.chol.T @ self.vec
-        self.log_state = dynamics.state_is_log
+        self.vol = _lin(seg.chol, alpha)
         if seg.jump_kind == "cp":
-            self.expos = self.vec @ seg.loadings  # (k,)
+            self.expos = _lin(seg.loadings, alpha)
         elif seg.jump_kind == "ld":
-            # compensated-small-jump form: the drift carries the expected
-            # flow of small atoms, which the jump increment subtracts back
-            moves = seg.atom_vecs @ self.vec
-            self.zeta = np.log1p(moves) if self.log_state else moves
-            small = seg.small
-            self.comp_dt = float(np.sum(seg.lam_dt[small] * self.zeta[small])) if np.any(small) else 0.0
-            self.drift_dt += self.comp_dt
+            moves = _lin(seg.atom_vecs.T, alpha)
+            self.zeta = np.log1p(moves) if log_state else moves
 
     def jump_increment(self, jumps: _StepJumps) -> np.ndarray:
         if self.seg.jump_kind == "ld":
-            return _dot(jumps.counts, self.zeta) - self.comp_dt
+            return _dot(jumps.counts, self.zeta)
         return _cp_jump_increment(self.seg, self.expos, jumps, self.log_state)
-
-
-def _advance(dynamics, strategy, seg: _Segment, t, x, z_step, jumps):
-    dt = seg.dt
-    alpha = strategy.values(t, x)
-    log_state = dynamics.state_is_log
-    if alpha.ndim == 1:
-        drift = float(alpha @ seg.drift)
-        if log_state:
-            drift -= 0.5 * float(alpha @ seg.cov @ alpha)
-        inc = drift * dt + _dot(seg.chol.T @ alpha, z_step) * math.sqrt(dt)
-    else:
-        alpha = alpha.T  # (assets, paths)
-        drift = _dot(alpha, seg.drift)
-        if log_state:
-            drift = drift - 0.5 * _dot(_mix(seg.cov, alpha), alpha)
-        inc = drift * dt + _dot(_mix(seg.chol, alpha), z_step) * math.sqrt(dt)
-
-    if seg.jump_kind == "cp" and jumps is not None:
-        expos = alpha @ seg.loadings if alpha.ndim == 1 else _mix(seg.loadings, alpha)
-        inc = inc + _cp_jump_increment(seg, expos, jumps, log_state)
-    elif seg.jump_kind == "ld" and jumps is not None:
-        inc = inc + _ld_jump_increment(dynamics, seg, alpha, jumps.counts)
-    return x + inc
 
 
 @dataclass(frozen=True)
@@ -664,14 +633,6 @@ def _cp_jump_increment(seg: _Segment, expos: np.ndarray, jumps: _StepJumps,
             moves = np.log1p(moves)
         np.add.at(inc, owners, moves)
     return inc
-
-
-def _ld_jump_increment(dynamics, seg: _Segment, alpha, counts):
-    """Raw (uncompensated) jump increment of the discrete Levy atoms;
-    ``alpha`` is (assets,) or per path (assets, paths)."""
-    moves = seg.atom_vecs @ alpha if alpha.ndim == 1 else _mix(seg.atom_vecs.T, alpha)
-    zeta = np.log1p(moves) if dynamics.state_is_log else moves
-    return _dot(counts, zeta)
 
 
 def simulate_solution(sol: ClosedFormSolution, cfg: SimConfig,

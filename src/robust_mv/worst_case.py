@@ -606,8 +606,14 @@ def corner_scenarios(uset: UncertaintySet, fixed_jump: JumpSpec | None = None,
     total = math.prod(len(a) for a in axes)
     if total > cap:
         raise BudgetExceeded(f"{total} corners exceed the cap of {cap}")
-    combos = list(dict.fromkeys(itertools.product(*axes)))
-    return box.scenarios(np.array(combos, dtype=float))
+    pts = np.array(list(itertools.product(*axes)), dtype=float)
+    if uset.n > 2:
+        # stick-breaking corners map several-to-one onto the hull vertices
+        # (a weight coordinate of 1 uses up the stick): keep the first
+        drift, vols, sticks, jumps = box.split(pts)
+        keys = np.hstack([drift, vols, box.hull_weights(sticks), jumps])
+        pts = pts[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
+    return box.scenarios(pts)
 
 
 def sobol_scenarios(uset: UncertaintySet, count: int,

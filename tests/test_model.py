@@ -214,6 +214,26 @@ class TestJumpSpecs:
         )
         small.validate_compensation()
 
+    def test_non_finite_intensity_rejected(self):
+        with pytest.raises(rm.InvalidBounds, match="finite"):
+            rm.CompoundPoissonJumps(
+                loadings=np.array([[1.0]]),
+                intensity=np.array([np.inf]),
+                size_laws=(rm.JumpSizeLaw.two_point_from_moments(0.1, 0.02),),
+            )
+
+    def test_non_finite_two_point_value_rejected(self):
+        with pytest.raises(rm.InvalidBounds, match="finite"):
+            rm.JumpSizeLaw.two_point(np.nan, 0.1, 0.5)
+
+    def test_non_finite_uniform_bound_rejected(self):
+        with pytest.raises(rm.InvalidBounds, match="finite"):
+            rm.JumpSizeLaw.uniform(0.0, np.inf)
+
+    def test_non_finite_lognormal_location_rejected(self):
+        with pytest.raises(rm.InvalidBounds, match="finite"):
+            rm.JumpSizeLaw.shifted_lognormal(np.nan, 0.1)
+
     def test_atom_table_tags_small_jumps(self):
         jump = rm.DiscreteLevyJumps(np.array([[0.5, 0.0], [1.5, 0.2]]),
                                     np.array([0.3, 0.1]))
@@ -225,6 +245,14 @@ class TestScenarioAndSet:
     def test_scenario_requires_pd(self):
         with pytest.raises(rm.NotPositiveDefinite):
             rm.Scenario(np.array([0.1, 0.1]), np.array([[0.04, 0.05], [0.05, 0.04]]))
+
+    def test_non_finite_drift_rejected(self):
+        with pytest.raises(rm.InvalidBounds, match="finite"):
+            rm.Scenario(np.array([np.nan]), np.array([[0.04]]))
+
+    def test_non_finite_covariance_rejected(self):
+        with pytest.raises(rm.InvalidBounds, match="finite"):
+            rm.Scenario(np.array([0.1]), np.array([[np.inf]]))
 
     def test_membership_of_uniform_draws(self, short_second_set):
         scens = rm.sample_scenarios(short_second_set, 50, 123)

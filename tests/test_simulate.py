@@ -3,7 +3,7 @@
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from robust_mv.simulate import (
     _BLOCK,
     ConstantStrategy,
     ShockCache,
+    SolutionStrategy,
     SplicedScenario,
     SplicedStrategy,
     _cp_jump_increment,
@@ -139,9 +140,6 @@ class _Proportional:
 
     vec: np.ndarray
 
-    def constant_at(self, t):
-        return None
-
     def values(self, t, x):
         return np.outer(1.0 + x, self.vec)
 
@@ -223,7 +221,7 @@ class TestRngLayout:
     def test_jump_increment_matches_event_loop(self, log_state, per_path):
         jump = _busy_jumps()
         scen = rm.Scenario(np.array([0.08, 0.02]), np.diag([0.04, 0.09]), jump=jump)
-        seg = _Segment(scen, WealthDynamics("terminal_wealth"), 0.1)
+        seg = _Segment(scen, 0.1)
         shocks = _Shocks(5, 4, 2, 2, antithetic=False, cache=None)
         start, size, step = 1000, 300, 2
         _, u, v = shocks.chunk(start, size)
@@ -329,7 +327,48 @@ class TestJumpDynamics:
         assert np.array_equal(a.terminal, b.terminal)
 
 
+@dataclass(frozen=True)
+class _CountingSplice(SplicedStrategy):
+    """A spliced strategy that records the times it is asked for alpha."""
+
+    calls: list = field(default_factory=list)
+
+    def values(self, t, x):
+        self.calls.append(float(t))
+        return super().values(t, x)
+
+
 class TestCommonRandomNumbers:
+    @pytest.mark.parametrize("base_kind", ["solution", "doubled"])
+    def test_window_scenario_identity_does_not_matter(self, tw_solution, base_kind):
+        # theta-hat itself as window scenario must give the bits of an equal copy
+        crit = tw_solution.criterion
+        theta = tw_solution.worst_case.scenario
+        twin = rm.Scenario(theta.drift, theta.cov)
+        alpha = tw_solution.alpha_coef
+        if base_kind == "solution":
+            base = SolutionStrategy(tw_solution)
+        else:
+            base = ConstantStrategy(2.0 * alpha)
+        switch = 0.025
+        dyn = WealthDynamics("terminal_wealth")
+        cfg = rm.SimConfig(n_paths=20_000, dt=0.0125, seed=20250809)
+        cache = ShockCache()
+
+        def run(window, strategy, cfg=cfg, cache=cache):
+            return rm.simulate_paths(dyn, strategy, SplicedScenario(window, switch, theta),
+                                     cfg, crit.t0, crit.horizon, crit.x0,
+                                     shock_cache=cache).terminal
+
+        same = run(theta, SplicedStrategy(1.3 * alpha, switch, base))
+        copy = run(twin, SplicedStrategy(1.3 * alpha, switch, base))
+        assert np.array_equal(same, copy)
+        # alpha is asked once per constant segment and chunk, not every step
+        counting = _CountingSplice(1.3 * alpha, switch, base)
+        chunked = run(theta, counting, cfg=replace(cfg, chunk_paths=5000), cache=None)
+        assert np.array_equal(chunked, same)
+        assert counting.calls == pytest.approx([0.0, switch] * 4, abs=1e-15)
+
     def test_unperturbed_splice_is_bitwise_zero(self, tw_solution):
         crit = tw_solution.criterion
         theta = tw_solution.worst_case.scenario

@@ -1,10 +1,13 @@
 """Worst-case solvers: case split, numeric search, optimality slack."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import robust_mv as rm
 from conftest import random_ordered_two_asset
+from robust_mv.worst_case import _CoordBox
 
 
 def two_by_two_premium_oracle(b, sigma):
@@ -242,3 +245,58 @@ class TestInvariances:
                 assert abs(alpha[1]) <= 1e-12 * max(1.0, abs(alpha[0]))
         assert "ShortSecond" in seen or "IgnoreSecond" in seen
         assert "LongBoth" in seen
+
+
+def _corners_with_repeats(uset):
+    """Every coordinate-box corner mapped to its scenario, repeats kept."""
+    box = _CoordBox.build(uset, None)
+    axes = [(lo,) if lo == hi else (lo, hi) for lo, hi in zip(box.lo, box.hi)]
+    return box.scenarios(np.array(list(itertools.product(*axes)), dtype=float))
+
+
+def _first_of_each(scenarios):
+    out, seen = [], set()
+    for s in scenarios:
+        key = (s.drift.tobytes(), s.cov.tobytes())
+        if key not in seen:
+            seen.add(key)
+            out.append(s)
+    return out
+
+
+_HULL_VERTICES = (
+    np.eye(3),
+    np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]]),
+    np.array([[1.0, -0.2, 0.4], [-0.2, 1.0, 0.0], [0.4, 0.0, 1.0]]),
+)
+
+
+class TestCornerScenarios:
+    def _assert_same(self, got, want):
+        assert len(got) == len(want)
+        for s, t in zip(got, want):
+            assert np.array_equal(s.drift, t.drift) and np.array_equal(s.cov, t.cov)
+
+    def test_hull_corners_are_distinct_in_first_occurrence_order(self):
+        uset = rm.UncertaintySet.hull([0.08, 0.06, 0.05], [0.09, 0.06, 0.05],
+                                      [0.15, 0.2, 0.25], [0.2, 0.25, 0.25], _HULL_VERTICES)
+        raw = _corners_with_repeats(uset)
+        want = _first_of_each(raw)
+        assert (len(raw), len(want)) == (32, 24)
+        self._assert_same(rm.corner_scenarios(uset), want)
+
+    def test_pinned_hull_gives_one_corner_per_vertex(self):
+        uset = rm.UncertaintySet.hull([0.08, 0.06, 0.05], [0.08, 0.06, 0.05],
+                                      [0.2, 0.25, 0.3], [0.2, 0.25, 0.3], _HULL_VERTICES)
+        corners = rm.corner_scenarios(uset)
+        assert len(_corners_with_repeats(uset)) == 4
+        assert len(corners) == 3
+        vols = np.array([0.2, 0.25, 0.3])
+        for v in _HULL_VERTICES:
+            cov = np.outer(vols, vols) * v
+            assert sum(np.allclose(s.cov, cov, rtol=1e-15, atol=0.0) for s in corners) == 1
+
+    def test_box_corners_unchanged(self, short_second_set):
+        raw = _corners_with_repeats(short_second_set)
+        assert len(raw) == 32
+        self._assert_same(rm.corner_scenarios(short_second_set), _first_of_each(raw))
