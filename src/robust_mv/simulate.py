@@ -28,13 +28,24 @@ window is an equal copy.
 The perturbation operations realize the local-variation definitions of
 worst-case scenario and equilibrium at desk scale: constant splices on
 [t0, t0 + h) with common random numbers across the spliced and
-unspliced runs, reported as difference quotients with error bars.
+unspliced runs, reported as difference quotients with error bars.  The
+base run is simulated once, and its J and influence function are paired
+against every splice.  When the base strategy is constant, the dynamics
+are terminal wealth or log return, and neither theta_hat nor any window
+scenario has jumps, a splice changes only the window increment, so its
+terminal is the base terminal plus the change of that increment, found
+from per-path sums of the window's normals (splices by linearity).
+Wealth-scaled strategies and splices with jumps step through
+``simulate_paths`` on the cached shocks.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 import struct
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,6 +64,8 @@ from .model import (
 )
 from .closed_form import ClosedFormSolution
 from .worst_case import corner_scenarios, sobol_scenarios
+
+_log = logging.getLogger(__name__)
 
 RNG_LAYOUT = 2
 _BLOCK = 1024  # stream indices per Philox stream; part of the RNG layout
@@ -227,14 +240,29 @@ def estimate_J(batch: PathBatch, criterion: Criterion) -> JEstimate:
     )
 
 
+def _j_hat(x: np.ndarray, lam: float) -> float:
+    return float(np.mean(x)) - lam * float(np.var(x, ddof=1))
+
+
+class _PairedBase:
+    """J and influence function of a base run, computed once and paired
+    against any number of CRN runs."""
+
+    def __init__(self, terminal: np.ndarray, criterion: Criterion):
+        self.lam = criterion.risk_aversion_at(criterion.x0)
+        self.j_hat = _j_hat(terminal, self.lam)
+        self.psi = _influence(terminal, self.lam)
+
+    def difference(self, terminal: np.ndarray) -> tuple[float, float]:
+        """J(base) - J(run) with the standard error of the paired difference."""
+        psi = self.psi - _influence(terminal, self.lam)
+        se = float(np.std(psi, ddof=1) / math.sqrt(terminal.size))
+        return self.j_hat - _j_hat(terminal, self.lam), max(se, _SE_FLOOR)
+
+
 def paired_difference(a: PathBatch, b: PathBatch, criterion: Criterion) -> tuple[float, float]:
     """J(a) - J(b) with the standard error of the paired (CRN) difference."""
-    lam = criterion.risk_aversion_at(criterion.x0)
-    ja = estimate_J(a, criterion).j_hat
-    jb = estimate_J(b, criterion).j_hat
-    psi = _influence(a.terminal, lam) - _influence(b.terminal, lam)
-    se = float(np.std(psi, ddof=1) / math.sqrt(a.terminal.size))
-    return ja - jb, max(se, _SE_FLOOR)
+    return _PairedBase(a.terminal, criterion).difference(b.terminal)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +488,7 @@ def simulate_paths(
     cuts = {0, n_steps}
     for part in (scenario, strategy):
         if isinstance(part, (SplicedScenario, SplicedStrategy)):
-            cuts.add(int(np.count_nonzero(t_nodes < part.switch - 1e-12)))
+            cuts.add(_switch_step(t_nodes, part.switch))
     cuts = sorted(cuts)
     segments: list[tuple[_Segment, int, int]] = []
     for lo, hi in zip(cuts, cuts[1:]):
@@ -514,6 +542,11 @@ def simulate_paths(
         terminal=terminal, t0=t0, horizon=horizon, dt=dt, n_steps=n_steps,
         seed=cfg.seed, kind=dynamics.kind, x0=float(x0), paths=paths,
     )
+
+
+def _switch_step(t_nodes: np.ndarray, switch: float) -> int:
+    """Number of steps that start before ``switch``: the steps of a window."""
+    return int(np.count_nonzero(t_nodes < switch - 1e-12))
 
 
 def _require_admissible(alpha: np.ndarray, seg: _Segment) -> None:
@@ -641,14 +674,18 @@ def simulate_solution(sol: ClosedFormSolution, cfg: SimConfig,
     dynamics = WealthDynamics.for_criterion(sol.criterion)
     strategy = SolutionStrategy(sol)
     timeline = scenario if scenario is not None else sol.worst_case.scenario
+    _require_simulable(sol)
+    return simulate_paths(dynamics, strategy, timeline, cfg,
+                          sol.criterion.t0, sol.criterion.horizon, sol.criterion.x0,
+                          shock_cache=shock_cache)
+
+
+def _require_simulable(sol: ClosedFormSolution) -> None:
     if sol.nonbankruptcy is not None and not sol.nonbankruptcy.ok:
         raise NonBankruptcyViolated(
             "solution is flagged inadmissible for jump dynamics "
             f"(types {sol.nonbankruptcy.violating_types})"
         )
-    return simulate_paths(dynamics, strategy, timeline, cfg,
-                          sol.criterion.t0, sol.criterion.horizon, sol.criterion.x0,
-                          shock_cache=shock_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -726,16 +763,19 @@ def scenario_candidates(uset: UncertaintySet, count: int,
 
     out: list[Scenario] = [theta_hat]
     seen = {key(theta_hat)}
-    pool = corner_scenarios(uset, fixed_jump=fixed_jump)
-    if len(out) + len(pool) < count:
-        pool = pool + sobol_scenarios(uset, 2 * count, fixed_jump=fixed_jump)
-    for s in pool:
-        if len(out) >= count:
-            break
-        k = key(s)
-        if k not in seen:
-            seen.add(k)
-            out.append(s)
+
+    def take(pool: list[Scenario]) -> None:
+        for s in pool:
+            if len(out) >= count:
+                break
+            k = key(s)
+            if k not in seen:
+                seen.add(k)
+                out.append(s)
+
+    take(corner_scenarios(uset, fixed_jump=fixed_jump))
+    if len(out) < count:  # decided after deduplication: theta_hat may be a corner
+        take(sobol_scenarios(uset, 2 * count, fixed_jump=fixed_jump))
     return out
 
 
@@ -764,6 +804,96 @@ def _aligned_h(h: float, dt: float) -> float:
     return steps * dt
 
 
+def _window_sums(cache: ShockCache, k: int, n_assets: int, n_paths: int) -> np.ndarray:
+    """Per-path sums of the normals of the first k steps, (assets, paths),
+    from a cache filled by a full run.  Each path's sum is added in step
+    order, so its bits do not depend on the chunking."""
+    sums = np.zeros((n_assets, n_paths))
+    for start, (z, _, _) in cache.store.items():
+        part = sums[:, start:start + z.shape[2]]
+        for s in range(k):
+            part += z[s]
+    return sums
+
+
+class _Ladder:
+    """The base run of a perturbation report and its CRN splices.
+
+    The base runs cold into a fresh shock cache, and its J and influence
+    function are computed once and paired against every splice.  With a
+    constant base strategy under jump-free, state-independent dynamics
+    (terminal wealth, or log return; neither theta_hat nor any window
+    scenario has jumps), a splice on [t0, t0 + h) keeps the base run's
+    post-window tail, because it uses the same shocks, theta_hat and base
+    alpha.  Only the window increment changes, so splices are done by
+    linearity:
+
+        terminal = base terminal + (inc(w, u) - inc(alpha_base, theta_hat)),
+        inc(w, u) = k drift_dt(w, u) + sqrt(dt) (chol_u' w) . S_k,
+
+    where the window has k steps and S_k is the per-path sum of their
+    normals, built once per window.  Every other splice steps through
+    ``simulate_paths`` on the cached shocks.
+    """
+
+    def __init__(self, dynamics: WealthDynamics, base_strat, theta_hat: Scenario,
+                 us: list[Scenario], cfg: SimConfig, criterion: Criterion):
+        self.base_strat, self.theta_hat, self.us = base_strat, theta_hat, us
+        self.cache = ShockCache()
+        self.run = functools.partial(simulate_paths, dynamics, cfg=cfg, t0=criterion.t0,
+                                     horizon=criterion.horizon, x0=criterion.x0,
+                                     shock_cache=self.cache)
+        self.base = self.run(base_strat, theta_hat)
+        self.paired = _PairedBase(self.base.terminal, criterion)
+        self.linear = (dynamics.kind in ("terminal_wealth", "log_return")
+                       and all(u.jump is None for u in (theta_hat, *us)))
+        if self.linear:
+            self.log_state = dynamics.state_is_log
+            self.alpha_base = base_strat.values(criterion.t0, np.full(1, criterion.x0))  # (n,)
+            self.theta_seg = _Segment(theta_hat, self.base.dt)
+            self.segs = [_Segment(u, self.base.dt) for u in us]
+        self.n_linear = self.n_stepped = 0
+        self.window_s = 0.0
+
+    def window(self, h: float):
+        """Splices on [t0, t0 + h): a function of the window strategy w
+        (None keeps the base strategy) and the index of the window
+        scenario in ``us``, returning the spliced terminal values."""
+        base = self.base
+        switch = base.t0 + h
+        if not self.linear:
+            def stepped(w, iu):
+                self.n_stepped += 1
+                strategy = self.base_strat
+                if w is not None:
+                    strategy = SplicedStrategy(w, switch, strategy)
+                timeline = SplicedScenario(self.us[iu], switch, self.theta_hat)
+                return self.run(strategy, timeline).terminal
+            return stepped
+
+        tic = time.perf_counter()
+        k = _switch_step(base.t0 + base.dt * np.arange(base.n_steps), switch)
+        sums = _window_sums(self.cache, k, self.theta_hat.drift.size, base.n_paths)
+        self.window_s += time.perf_counter() - tic
+        sqrt_dt = math.sqrt(base.dt)
+
+        def increment(w, seg):
+            coef = _Coefficients(seg, w, self.log_state)
+            return k * coef.drift_dt + _dot(coef.vol, sums) * sqrt_dt
+
+        base_inc = increment(self.alpha_base, self.theta_seg)
+
+        def linear(w, iu):
+            self.n_linear += 1
+            inc = increment(self.alpha_base if w is None else w, self.segs[iu])
+            return base.terminal + (inc - base_inc)
+        return linear
+
+    def log(self, kind: str) -> None:
+        _log.debug("%s report: %d splices by linearity, %d stepped, window sums %.3f ms",
+                   kind, self.n_linear, self.n_stepped, 1e3 * self.window_s)
+
+
 def perturb_worst_case(
     sol: ClosedFormSolution,
     uset: UncertaintySet,
@@ -779,19 +909,19 @@ def perturb_worst_case(
     criterion = sol.criterion
     theta_hat = sol.worst_case.scenario
     fixed_jump = theta_hat.jump if uset.jump_bounds is None else None
-    cache = ShockCache()
-    base = simulate_solution(sol, cfg, shock_cache=cache)
-    base_est = estimate_J(base, criterion)
+    _require_simulable(sol)
     us = scenario_candidates(uset, u_samples, theta_hat, fixed_jump=fixed_jump)
+    ladder = _Ladder(WealthDynamics.for_criterion(criterion), SolutionStrategy(sol),
+                     theta_hat, us, cfg, criterion)
+    base_est = estimate_J(ladder.base, criterion)
 
     rows: list[PerturbationRow] = []
     _, dt = cfg.steps_for(criterion.span)
     for h_raw in h_list:
         h = _aligned_h(float(h_raw), dt)
-        for iu, u in enumerate(us):
-            timeline = SplicedScenario(u, criterion.t0 + h, theta_hat)
-            run = simulate_solution(sol, cfg, scenario=timeline, shock_cache=cache)
-            diff, se = paired_difference(base, run, criterion)
+        splice = ladder.window(h)
+        for iu in range(len(us)):
+            diff, se = ladder.paired.difference(splice(None, iu))
             quotient = diff / h
             rows.append(
                 PerturbationRow(
@@ -800,6 +930,7 @@ def perturb_worst_case(
                     detail=f"u[{iu}]",
                 )
             )
+    ladder.log("worst_case")
     return PerturbationReport(
         kind="worst_case", rows=tuple(rows),
         j_base=base_est.j_hat, se_base=base_est.standard_error_j,
@@ -847,12 +978,9 @@ def perturb_equilibrium(
     else:
         base_strat = ConstantStrategy(np.asarray(base_strategy, dtype=float))
 
-    cache = ShockCache()
-    base = simulate_paths(dynamics, base_strat, theta_hat, cfg,
-                          criterion.t0, criterion.horizon, criterion.x0,
-                          shock_cache=cache)
-    base_est = estimate_J(base, criterion)
     us = scenario_candidates(uset, u_samples, theta_hat, fixed_jump=fixed_jump)
+    ladder = _Ladder(dynamics, base_strat, theta_hat, us, cfg, criterion)
+    base_est = estimate_J(ladder.base, criterion)
     ws = strategy_candidates(alpha_ref, w_samples, cfg.seed)
     if isinstance(theta_hat.jump, CompoundPoissonJumps) and dynamics.kind == "terminal_wealth":
         # only admissible window strategies are simulable under jump dynamics
@@ -862,16 +990,11 @@ def perturb_equilibrium(
     _, dt = cfg.steps_for(criterion.span)
     for h_raw in h_list:
         h = _aligned_h(float(h_raw), dt)
-        switch = criterion.t0 + h
+        splice = ladder.window(h)
         for iw, w in enumerate(ws):
-            strategy = SplicedStrategy(w, switch, base_strat)
             best: tuple[float, float, int] | None = None
-            for iu, u in enumerate(us):
-                timeline = SplicedScenario(u, switch, theta_hat)
-                run = simulate_paths(dynamics, strategy, timeline, cfg,
-                                     criterion.t0, criterion.horizon, criterion.x0,
-                                     shock_cache=cache)
-                diff, se = paired_difference(base, run, criterion)
+            for iu in range(len(us)):
+                diff, se = ladder.paired.difference(splice(w, iu))
                 if best is None or diff > best[0]:
                     # inner inf over u == max of (J_base - J_run)
                     best = (diff, se, iu)
@@ -883,6 +1006,7 @@ def perturb_equilibrium(
                     detail=f"w[{iw}] u*[{best[2]}]",
                 )
             )
+    ladder.log("equilibrium")
     return PerturbationReport(
         kind="equilibrium", rows=tuple(rows),
         j_base=base_est.j_hat, se_base=base_est.standard_error_j,

@@ -618,10 +618,12 @@ def corner_scenarios(uset: UncertaintySet, fixed_jump: JumpSpec | None = None,
 
 def sobol_scenarios(uset: UncertaintySet, count: int,
                     fixed_jump: JumpSpec | None = None) -> list[Scenario]:
-    """Deterministic low-discrepancy interior fill of the coordinate box."""
+    """Deterministic low-discrepancy interior fill of the coordinate box:
+    the first ``count`` points of the unscrambled Sobol sequence, drawn as
+    a power-of-two block so that scipy does not warn about balance."""
     box = _CoordBox.build(uset, fixed_jump)
     eng = qmc.Sobol(d=box.dim, scramble=False)
-    u = eng.random(count)
+    u = eng.random_base2((count - 1).bit_length())[:count]
     return box.scenarios(box.lo + u * (box.hi - box.lo))
 
 

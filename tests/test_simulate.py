@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -12,6 +13,7 @@ import robust_mv as rm
 from robust_mv.model import WealthDynamics
 from robust_mv.simulate import (
     _BLOCK,
+    _SE_FLOOR,
     ConstantStrategy,
     ShockCache,
     SolutionStrategy,
@@ -19,6 +21,7 @@ from robust_mv.simulate import (
     SplicedStrategy,
     _cp_jump_increment,
     _dot,
+    _Ladder,
     _mix,
     _poisson_counts,
     _Segment,
@@ -467,6 +470,25 @@ class TestPerturbations:
         rep = rm.perturb_worst_case(sol, short_second_set, [0.025], u_samples=8, cfg=cfg)
         assert not rep.ok
 
+    def test_candidate_count_is_exact_when_theta_hat_is_a_corner(self, short_second_set,
+                                                                tw_solution):
+        # theta_hat is one of the 32 box corners; the Sobol fill must make
+        # up for the corner dropped as its duplicate
+        theta = tw_solution.worst_case.scenario
+        corners = rm.corner_scenarios(short_second_set)
+        assert len(corners) == 32
+
+        def key(s):
+            return (tuple(np.round(s.drift, 12)), tuple(np.round(s.cov.ravel(), 12)))
+
+        assert key(theta) in {key(c) for c in corners}
+        longest = [key(s) for s in scenario_candidates(short_second_set, 40, theta)]
+        for count in range(30, 41):
+            got = scenario_candidates(short_second_set, count, theta)
+            assert len(got) == count and got[0] is theta
+            keys = [key(s) for s in got]
+            assert len(set(keys)) == count and keys == longest[:count]
+
     def test_report_serializes(self, tw_solution, short_second_set):
         cfg = rm.SimConfig(n_paths=2000, dt=0.025, seed=41)
         rep = rm.perturb_worst_case(tw_solution, short_second_set, [0.05],
@@ -475,3 +497,157 @@ class TestPerturbations:
         json.dumps(doc)
         assert doc["kind"] == "worst_case"
         assert len(doc["rows"]) == 3
+
+
+def _stepped_report(kind, sol, uset, h_list, cfg, w_samples=4, u_samples=4, base_strategy=None):
+    """The perturbation ladder with every splice stepped through
+    simulate_paths and paired by paired_difference."""
+    crit = sol.criterion
+    theta = sol.worst_case.scenario
+    fixed_jump = theta.jump if uset.jump_bounds is None else None
+    dyn = WealthDynamics.for_criterion(crit)
+    if base_strategy is None:
+        base_strat = SolutionStrategy(sol)
+    else:
+        base_strat = ConstantStrategy(base_strategy)
+    cache = ShockCache()
+
+    def run(strategy, scenario):
+        return rm.simulate_paths(dyn, strategy, scenario, cfg, crit.t0, crit.horizon, crit.x0,
+                                 shock_cache=cache)
+
+    base = run(base_strat, theta)
+    us = scenario_candidates(uset, u_samples, theta, fixed_jump=fixed_jump)
+    if kind == "worst_case":
+        ws = [None]
+    else:
+        alpha_ref = (np.atleast_1d(sol.alpha_hat(crit.t0, crit.x0))
+                     if sol.kind == "wealth_scaled" else sol.alpha_coef)
+        ws = strategy_candidates(alpha_ref, w_samples, cfg.seed)
+        if isinstance(theta.jump, rm.CompoundPoissonJumps):
+            ws = [w for w in ws if not rm.nonbankruptcy_violations(w, theta.jump)]
+    _, dt = cfg.steps_for(crit.span)
+    rows = []
+    for h in h_list:
+        h = max(1, round(h / dt)) * dt
+        for w in ws:
+            strategy = base_strat if w is None else SplicedStrategy(w, crit.t0 + h, base_strat)
+            pairs = [paired_difference(base, run(strategy, SplicedScenario(u, crit.t0 + h, theta)),
+                                       crit) for u in us]
+            if w is None:
+                rows += [(d / h, se) for d, se in pairs]
+            else:
+                d, se = max(pairs, key=lambda p: p[0])  # first of ties, as the report
+                rows.append((d / h, se))
+    return rows
+
+
+def _rows(report):
+    return [(r.quotient, r.se) for r in report.rows]
+
+
+def _log_line(caplog):
+    lines = [r.getMessage() for r in caplog.records if r.name == "robust_mv.simulate"]
+    assert len(lines) == 1
+    return lines[0]
+
+
+class TestLinearSplices:
+    """Splices of a constant strategy under jump-free, state-independent
+    dynamics are done by linearity from per-path window sums."""
+
+    @pytest.mark.parametrize("chunk", [1, 333, 65536])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("family", ["tw", "lr"])
+    def test_per_path_parity_with_stepped_splices(self, family, antithetic, chunk,
+                                                  tw_solution, lr_solution, short_second_set):
+        sol = tw_solution if family == "tw" else lr_solution
+        crit = sol.criterion
+        theta = sol.worst_case.scenario
+        dyn = WealthDynamics.for_criterion(crit)
+        base = SolutionStrategy(sol)
+        us = scenario_candidates(short_second_set, 36, theta)
+        picks = (0, 5, 35)  # theta_hat, a corner, a Sobol point
+        cfg = rm.SimConfig(n_paths=400, dt=0.05, seed=29, antithetic=antithetic,
+                           chunk_paths=chunk)
+        ladder = _Ladder(dyn, base, theta, us, cfg, crit)
+        ref_cfg = replace(cfg, chunk_paths=65536)
+        ref_cache = ShockCache()
+        alpha = sol.alpha_coef
+        ws = (None, 1.3 * alpha, strategy_candidates(alpha, 2, seed=3)[1])
+        # 0.12 is no whole number of steps: the window keeps the simulator's cut
+        for h in (0.05, 0.12, 0.25):
+            splice = ladder.window(h)
+            for w in ws:
+                strategy = base if w is None else SplicedStrategy(w, crit.t0 + h, base)
+                for iu in picks:
+                    want = rm.simulate_paths(dyn, strategy,
+                                             SplicedScenario(us[iu], crit.t0 + h, theta),
+                                             ref_cfg, crit.t0, crit.horizon, crit.x0,
+                                             shock_cache=ref_cache).terminal
+                    got = splice(w, iu)
+                    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (h, iu)
+        assert ladder.linear and ladder.n_stepped == 0 and ladder.n_linear == 27
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_trivial_rows_are_exactly_zero(self, antithetic, lr_solution, short_second_set):
+        cfg = rm.SimConfig(n_paths=3000, dt=0.0125, seed=31, antithetic=antithetic)
+        wc = rm.perturb_worst_case(lr_solution, short_second_set, [0.1, 0.025],
+                                   u_samples=5, cfg=cfg)
+        first = [r for r in wc.rows if r.index == 0]
+        assert all(r.quotient == 0.0 and r.se == _SE_FLOOR for r in first)
+        eq = rm.perturb_equilibrium(lr_solution, short_second_set, [0.05],
+                                    w_samples=3, u_samples=5, cfg=cfg)
+        assert eq.rows[0].quotient == 0.0
+        assert wc.ok and eq.ok
+
+    def test_reports_are_rerun_and_chunking_invariant(self, tw_solution, short_second_set):
+        cfg = rm.SimConfig(n_paths=3000, dt=0.0125, seed=43)
+
+        def reports(cfg):
+            return [rm.perturb_worst_case(tw_solution, short_second_set, [0.1, 0.025],
+                                          u_samples=6, cfg=cfg).to_json_dict(),
+                    rm.perturb_equilibrium(tw_solution, short_second_set, [0.05],
+                                           w_samples=4, u_samples=6, cfg=cfg).to_json_dict()]
+
+        ref = reports(cfg)
+        assert reports(cfg) == ref
+        assert reports(replace(cfg, chunk_paths=333)) == ref
+
+    def test_reports_match_stepped_splices(self, tw_solution, short_second_set):
+        cfg = rm.SimConfig(n_paths=4000, dt=0.0125, seed=47)
+        doubled = 2.0 * tw_solution.alpha_coef
+        cases = [
+            (rm.perturb_worst_case(tw_solution, short_second_set, [0.1, 0.025], 6, cfg),
+             _stepped_report("worst_case", tw_solution, short_second_set, [0.1, 0.025], cfg,
+                             u_samples=6)),
+            (rm.perturb_equilibrium(tw_solution, short_second_set, [0.025], 4, 6, cfg,
+                                    base_strategy=doubled),
+             _stepped_report("equilibrium", tw_solution, short_second_set, [0.025], cfg,
+                             u_samples=6, base_strategy=doubled)),
+        ]
+        for report, stepped in cases:
+            for (q, se), (q_ref, se_ref) in zip(_rows(report), stepped, strict=True):
+                assert q == pytest.approx(q_ref, rel=1e-10, abs=1e-12)
+                assert se == pytest.approx(se_ref, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["cp", "ws"])
+    def test_jump_and_wealth_scaled_reports_still_step(self, family, caplog, cp_solution,
+                                                       cp_set, ws_solution, ws_set):
+        # per-path strategies and jumps keep stepping, bit for bit as before
+        sol, uset = (cp_solution, cp_set) if family == "cp" else (ws_solution, ws_set)
+        cfg = rm.SimConfig(n_paths=1500, dt=0.025, seed=53)
+        with caplog.at_level(logging.DEBUG, logger="robust_mv.simulate"):
+            wc = rm.perturb_worst_case(sol, uset, [0.1, 0.05], u_samples=4, cfg=cfg)
+        assert _log_line(caplog).endswith("0 splices by linearity, 8 stepped, window sums 0.000 ms")
+        assert _rows(wc) == _stepped_report("worst_case", sol, uset, [0.1, 0.05], cfg)
+        eq = rm.perturb_equilibrium(sol, uset, [0.05], w_samples=3, u_samples=4, cfg=cfg)
+        assert _rows(eq) == _stepped_report("equilibrium", sol, uset, [0.05], cfg, w_samples=3)
+
+    def test_debug_line_counts_linear_splices(self, caplog, tw_solution, short_second_set):
+        cfg = rm.SimConfig(n_paths=2000, dt=0.0125, seed=59)
+        with caplog.at_level(logging.DEBUG, logger="robust_mv.simulate"):
+            rm.perturb_equilibrium(tw_solution, short_second_set, [0.1, 0.05],
+                                   w_samples=3, u_samples=4, cfg=cfg)
+        line = _log_line(caplog)
+        assert line.startswith("equilibrium report: 24 splices by linearity, 0 stepped")

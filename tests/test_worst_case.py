@@ -1,13 +1,15 @@
 """Worst-case solvers: case split, numeric search, optimality slack."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 import robust_mv as rm
 from conftest import random_ordered_two_asset
-from robust_mv.worst_case import _CoordBox
+from robust_mv.worst_case import _CoordBox, sobol_scenarios
+from scipy.stats import qmc
 
 
 def two_by_two_premium_oracle(b, sigma):
@@ -300,3 +302,20 @@ class TestCornerScenarios:
         raw = _corners_with_repeats(short_second_set)
         assert len(raw) == 32
         self._assert_same(rm.corner_scenarios(short_second_set), _first_of_each(raw))
+
+
+class TestSobolScenarios:
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 40, 66])
+    def test_power_of_two_draw_keeps_the_points_and_stays_silent(self, short_second_set, count):
+        # reference: random(count), which warns unless count is a power of two
+        box = _CoordBox.build(short_second_set, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            u = qmc.Sobol(d=box.dim, scramble=False).random(count)
+        want = box.scenarios(box.lo + u * (box.hi - box.lo))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sobol_scenarios(short_second_set, count)
+        assert len(got) == count
+        for s, t in zip(got, want):
+            assert np.array_equal(s.drift, t.drift) and np.array_equal(s.cov, t.cov)
