@@ -43,7 +43,13 @@ from .model import (
     UncertaintySet,
     atoms_near_unit_sphere,
 )
-from .worst_case import find_worst_case, worst_case_numeric, worst_case_two_asset
+from .worst_case import (
+    DEFAULT_REFINEMENTS,
+    DEFAULT_RESOLUTION,
+    find_worst_case,
+    worst_case_numeric,
+    worst_case_two_asset,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -224,6 +230,25 @@ def parse_criterion(doc: dict) -> Criterion:
         raise SchemaError(f"criterion: {exc}") from exc
 
 
+def _integer(obj: dict, key: str, default: int, least: int, where: str) -> int:
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise SchemaError(f"{where}.{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def parse_worst_case(doc: dict) -> tuple[str, int, int]:
+    """The optional ``worst_case`` block: method, grid resolution, refinements."""
+    block = doc.get("worst_case", {})
+    _no_extras(block, {"method", "grid_resolution", "refinements"}, "worst_case")
+    method = block.get("method", "auto")
+    if method not in ("closed", "numeric", "auto"):
+        raise SchemaError(f"worst_case.method must be closed|numeric|auto, got {method!r}")
+    return (method,
+            _integer(block, "grid_resolution", DEFAULT_RESOLUTION, 2, "worst_case"),
+            _integer(block, "refinements", DEFAULT_REFINEMENTS, 0, "worst_case"))
+
+
 def _block(doc: dict, name: str, allowed: set[str], required: set[str]) -> dict:
     obj = doc.get(name)
     if obj is None:
@@ -297,11 +322,7 @@ def cmd_worst_case(doc: dict, em: Emitter) -> int:
     uset = parse_uncertainty(doc)
     criterion = parse_criterion(doc)
     jumps = parse_jumps(doc, uset.n)
-    block = doc.get("worst_case", {})
-    _no_extras(block, {"method", "grid_resolution", "refinements"}, "worst_case")
-    method = block.get("method", "auto")
-    resolution = int(block.get("grid_resolution", 21))
-    refinements = int(block.get("refinements", 2))
+    method, resolution, refinements = parse_worst_case(doc)
     if method == "closed":
         if jumps is not None:
             raise InvalidBounds("closed method covers diffusion ambiguity; use numeric with jumps")
@@ -309,11 +330,9 @@ def cmd_worst_case(doc: dict, em: Emitter) -> int:
     elif method == "numeric":
         res = worst_case_numeric(uset, criterion, jump=jumps,
                                  resolution=resolution, refinements=refinements)
-    elif method == "auto":
+    else:
         res = find_worst_case(uset, criterion, jump=jumps,
                               resolution=resolution, refinements=refinements)
-    else:
-        raise SchemaError(f"worst_case.method must be closed|numeric|auto, got {method!r}")
     _print_worst_case(em, res)
     em.payload("worst-case", {"result": _worst_case_dict(res)})
     return EXIT_OK

@@ -10,7 +10,10 @@ are present).  Two solvers are provided:
   the minimizer is a whole manifold and a canonical point is returned);
 * `worst_case_numeric` - a grid search with coordinate-box refinement
   over drifts, volatilities, correlation (interval or hull weights) and
-  optional jump-ambiguity coordinates.
+  optional jump-ambiguity coordinates.  One broadcast kernel evaluates a
+  whole grid for any asset count: the covariance is factored and
+  inverted once per point of its own (vol, correlation, jump) axes, and
+  the quadratic form is broadcast against the drift axes.
 
 The minimizer never depends on the risk-aversion level or on whether
 the criterion targets wealth or log return; solvers accept the
@@ -19,6 +22,7 @@ criterion argument only for interface symmetry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -57,7 +61,6 @@ DEGENERATE = "Degenerate"
 DEFAULT_RESOLUTION = 21
 DEFAULT_REFINEMENTS = 2
 DEFAULT_MAX_EVALS = 6_000_000
-_CHUNK = 1 << 20
 
 
 def risk_premium(b: np.ndarray, sigma: np.ndarray) -> float:
@@ -308,153 +311,106 @@ class _CoordBox:
         return pts[:, :n], pts[:, n:2 * n], pts[:, 2 * n:i], pts[:, i:]
 
     def hull_weights(self, u: np.ndarray) -> np.ndarray:
-        """Stick-breaking map from the unit cube onto the weight simplex."""
-        batch = u.shape[0]
+        """Stick-breaking map from the unit cube onto the weight simplex,
+        over (..., n_corr) stick coordinates."""
         m = self.n_corr + 1
-        w = np.empty((batch, m))
-        rem = np.ones(batch)
+        w = np.empty(u.shape[:-1] + (m,))
+        rem = np.ones(u.shape[:-1])
         for j in range(self.n_corr):
-            w[:, j] = rem * u[:, j]
-            rem = rem * (1.0 - u[:, j])
-        w[:, m - 1] = rem
+            w[..., j] = rem * u[..., j]
+            rem = rem * (1.0 - u[..., j])
+        w[..., m - 1] = rem
         return w
 
-    def _jump_terms(self, jpts: np.ndarray, n: int):
-        """Per-point drift shift (batch, n) and covariance shift (batch, n, n)."""
+    def corr_matrices(self, corr: np.ndarray) -> np.ndarray:
+        """Correlation matrices (..., n, n) at (..., n_corr) coordinates."""
+        n = self.uset.n
+        if n == 1:
+            return np.ones(corr.shape[:-1] + (1, 1))
+        if n == 2:
+            mat = np.empty(corr.shape[:-1] + (2, 2))
+            mat[..., 0, 0] = mat[..., 1, 1] = 1.0
+            mat[..., 0, 1] = mat[..., 1, 0] = corr[..., 0]
+            return mat
+        return self.uset.corr_matrix_from_weights(self.hull_weights(corr))
+
+    def _jump_shifts(self, jc: list[np.ndarray]):
+        """Drift shift (..., n), covariance shift (..., n, n) and moment
+        consistency mask (...) from broadcasting jump coordinates, one
+        array per coordinate; each result spans only the coordinates it
+        depends on.  The shifts are constant without jump ambiguity; the
+        mask is None unless the ambiguity is compound-Poisson."""
         jb = self.uset.jump_bounds
-        batch = jpts.shape[0]
         if self.fixed_jump is not None:
-            d = np.broadcast_to(self.fixed_jump.drift_adjustment(), (batch, n))
-            m = np.broadcast_to(self.fixed_jump.covariance_adjustment(), (batch, n, n))
-            return d, m, None
+            return self.fixed_jump.drift_adjustment(), self.fixed_jump.covariance_adjustment(), None
         if jb is None:
-            return np.zeros((batch, n)), np.zeros((batch, n, n)), None
+            n = self.uset.n
+            return np.zeros(n), np.zeros((n, n)), None
+        ok = None
         if isinstance(jb, CompoundPoissonBounds):
             k = jb.loadings.shape[1]
-            mu, mean, second = jpts[:, :k], jpts[:, k:2 * k], jpts[:, 2 * k:3 * k]
-            d = (mu * mean) @ jb.loadings.T
-            m = np.einsum("bl,il,jl->bij", mu * second, jb.loadings, jb.loadings)
-            ok = np.all(second >= mean * mean - 1e-15, axis=1)
-            return d, m, ok
-        d = jpts @ jb.atoms
-        m = np.einsum("bj,ji,jk->bik", jpts, jb.atoms, jb.atoms)
-        return d, m, None
+            mu, mean, second = jc[:k], jc[k:2 * k], jc[2 * k:3 * k]
+            ok = functools.reduce(np.logical_and, [s >= e * e - 1e-15 for e, s in zip(mean, second)])
+            flow = [u * e for u, e in zip(mu, mean)]
+            quad = [u * s for u, s in zip(mu, second)]
+            vecs = jb.loadings.T
+        else:
+            flow = quad = jc
+            vecs = jb.atoms
+        d = m = 0.0
+        for f, q, v in zip(flow, quad, vecs):
+            d = d + f[..., None] * v
+            m = m + q[..., None, None] * np.outer(v, v)
+        return d, m, ok
 
-    def premiums(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Jump-adjusted premiums of (batch, dim) points plus a validity mask."""
+    def grid_premiums(self, axes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Jump-adjusted premiums b_F' Sigma_F^{-1} b_F on the full grid
+        product of ``axes`` (one per coordinate, so C order is the
+        lexicographic order of grid indices), plus a validity mask that
+        broadcasts against them; invalid points read +inf.
+
+        Each factor spans only the grid axes it depends on: b_i = drift_i
+        + d_i its drift axis and the jump-flow axes, Sigma_ij = vol_i vol_j
+        C_ij + M_ij the vol, correlation and jump-moment axes.  Sigma is
+        factored and inverted once per point of its own axes; the premium
+        sum_{i<=j} c_ij (b_i b_j) P_ij, with P = Sigma^{-1}, c_ii = 1 and
+        c_ij = 2, then broadcasts to the full grid.  A point is valid when
+        Sigma factorizes and, under compound-Poisson ambiguity,
+        second >= mean^2 - 1e-15 for every jump type.
+        """
         n = self.uset.n
-        drift, vols, corr, jpts = self.split(pts)
-        d, m, jump_ok = self._jump_terms(jpts, n)
-        b = drift + d
-        if n == 1:
-            s11 = vols[:, 0] ** 2 + m[:, 0, 0]
-            valid = s11 > 0
-            if jump_ok is not None:
-                valid = valid & jump_ok
-            with np.errstate(divide="ignore", invalid="ignore"):
-                prem = b[:, 0] ** 2 / s11
-            return prem, valid
-        if n == 2:
-            rho = corr[:, 0]
-            s11 = vols[:, 0] ** 2 + m[:, 0, 0]
-            s22 = vols[:, 1] ** 2 + m[:, 1, 1]
-            s12 = vols[:, 0] * vols[:, 1] * rho + m[:, 0, 1]
-            det = s11 * s22 - s12 * s12
-            valid = (s11 > 0) & (det > 0)
-            if jump_ok is not None:
-                valid = valid & jump_ok
-            with np.errstate(divide="ignore", invalid="ignore"):
-                prem = (s22 * b[:, 0] ** 2 + s11 * b[:, 1] ** 2
-                        - 2.0 * s12 * b[:, 0] * b[:, 1]) / det
-            return prem, valid
-        w = self.hull_weights(corr)
-        corr_mats = np.einsum("bm,mij->bij", w, np.stack(self.uset.corr_vertices))
-        sig = corr_mats * vols[:, :, None] * vols[:, None, :] + m
-        valid = np.ones(pts.shape[0], dtype=bool)
-        if jump_ok is not None:
-            valid = valid & jump_ok
-        prem = np.empty(pts.shape[0])
-        try:
-            x = np.linalg.solve(sig, b[..., None])[..., 0]
-            prem = np.einsum("bi,bi->b", b, x)
-        except np.linalg.LinAlgError:
-            for i in range(pts.shape[0]):
-                try:
-                    prem[i] = risk_premium(b[i], sig[i])
-                except NotPositiveDefinite:
-                    valid[i] = False
-                    prem[i] = np.inf
-        return prem, valid
-
-    def premiums_broadcast(self, axes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Premiums over the full grid product, one broadcast axis per
-        coordinate (n <= 2 only).  Returns flat C-order arrays, matching
-        the lexicographic tie-break of the chunked path."""
-        d = len(axes)
+        dim = len(axes)
         shape = tuple(len(a) for a in axes)
 
-        def bc(c: int) -> np.ndarray:
-            shp = [1] * d
-            shp[c] = len(axes[c])
-            return axes[c].reshape(shp)
+        def coord(c: int) -> np.ndarray:
+            return axes[c].reshape((1,) * c + (shape[c],) + (1,) * (dim - c - 1))
 
-        n = self.uset.n
-        jb = self.uset.jump_bounds
-        off = 2 * n + self.n_corr
-        jump_ok = None
-        if self.fixed_jump is not None:
-            dvec = self.fixed_jump.drift_adjustment()
-            mmat = self.fixed_jump.covariance_adjustment()
-            d1, d2 = dvec[0], (dvec[1] if n == 2 else 0.0)
-            m11, m12, m22 = mmat[0, 0], (mmat[0, 1] if n == 2 else 0.0), (mmat[1, 1] if n == 2 else 0.0)
-        elif isinstance(jb, CompoundPoissonBounds):
-            k = jb.loadings.shape[1]
-            d1 = d2 = m11 = m12 = m22 = 0.0
-            for l in range(k):
-                flow = bc(off + l) * bc(off + k + l)
-                quad = bc(off + l) * bc(off + 2 * k + l)
-                consistent = bc(off + 2 * k + l) >= bc(off + k + l) ** 2 - 1e-15
-                jump_ok = consistent if jump_ok is None else (jump_ok & consistent)
-                d1 = d1 + jb.loadings[0, l] * flow
-                m11 = m11 + jb.loadings[0, l] ** 2 * quad
-                if n == 2:
-                    d2 = d2 + jb.loadings[1, l] * flow
-                    m12 = m12 + jb.loadings[0, l] * jb.loadings[1, l] * quad
-                    m22 = m22 + jb.loadings[1, l] ** 2 * quad
-        elif isinstance(jb, DiscreteLevyBounds):
-            d1 = d2 = m11 = m12 = m22 = 0.0
-            for j in range(jb.atoms.shape[0]):
-                w = bc(off + j)
-                d1 = d1 + w * jb.atoms[j, 0]
-                m11 = m11 + w * jb.atoms[j, 0] ** 2
-                if n == 2:
-                    d2 = d2 + w * jb.atoms[j, 1]
-                    m12 = m12 + w * jb.atoms[j, 0] * jb.atoms[j, 1]
-                    m22 = m22 + w * jb.atoms[j, 1] ** 2
-        else:
-            d1 = d2 = m11 = m12 = m22 = 0.0
+        def group(c0: int, c1: int) -> np.ndarray:
+            # coordinates c0..c1-1 stacked on a last axis, (..., c1 - c0)
+            cols = np.broadcast_arrays(*(coord(c) for c in range(c0, c1)))
+            return np.stack(cols, axis=-1) if cols else np.empty((1,) * dim + (0,))
 
-        if n == 1:
-            b1 = bc(0) + d1
-            s11 = bc(1) ** 2 + m11
-            with np.errstate(divide="ignore", invalid="ignore"):
-                prem = b1 * b1 / s11
-            valid = s11 > 0
-        else:
-            b1 = bc(0) + d1
-            b2 = bc(1) + d2
-            s11 = bc(2) ** 2 + m11
-            s22 = bc(3) ** 2 + m22
-            s12 = bc(2) * bc(3) * bc(4) + m12
-            det = s11 * s22 - s12 * s12
-            valid = (s11 > 0) & (det > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                prem = (s22 * b1 * b1 + s11 * b2 * b2 - 2.0 * s12 * b1 * b2) / det
+        i0, i1 = 2 * n, 2 * n + self.n_corr
+        d, m, jump_ok = self._jump_shifts([coord(c) for c in range(i1, dim)])
+        b = [coord(i) + d[..., i] for i in range(n)]
+        vols = group(n, i0)
+        sigma = vols[..., :, None] * vols[..., None, :] * self.corr_matrices(group(i0, i1)) + m
+        valid = factorizes(sigma)
+        sigma[~valid] = np.eye(n)  # a stand-in; these points read +inf below
+        p = np.linalg.inv(sigma)
         if jump_ok is not None:
             valid = valid & jump_ok
-        prem = np.broadcast_to(prem, shape)
-        valid = np.broadcast_to(valid, shape)
-        return prem.ravel(), valid.ravel()
+
+        prem = 0.0
+        # diagonal terms first: each spans a single drift axis, so their sum
+        # is the first array as large as the grid
+        for i, j in [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2)):
+            # the small b_i b_j product first, then a contiguous copy of P_ij
+            pij = np.ascontiguousarray(p[..., i, j] if i == j else 2.0 * p[..., i, j])
+            prem = prem + (b[i] * b[j]) * pij
+        if not valid.all():
+            np.copyto(prem, np.inf, where=~valid)
+        return prem, valid
 
     def stack(self, pts: np.ndarray) -> tuple[ScenarioArrays, np.ndarray]:
         """Scenarios at (k, dim) points as one `ScenarioArrays` stack plus a
@@ -466,14 +422,7 @@ class _CoordBox:
         n = self.uset.n
         k = pts.shape[0]
         drift, vols, corr, jpts = self.split(pts)
-        if n == 1:
-            corr_mat = np.ones((k, 1, 1))
-        elif n == 2:
-            corr_mat = np.empty((k, 2, 2))
-            corr_mat[:, 0, 0] = corr_mat[:, 1, 1] = 1.0
-            corr_mat[:, 0, 1] = corr_mat[:, 1, 0] = corr[:, 0]
-        else:
-            corr_mat = self.uset.corr_matrix_from_weights(self.hull_weights(corr))
+        corr_mat = self.corr_matrices(corr)
         cov = vols[:, :, None] * vols[:, None, :] * corr_mat
         valid = (
             np.all(np.abs(corr_mat - corr_mat.swapaxes(1, 2))
@@ -643,20 +592,24 @@ def worst_case_numeric(
     """Grid search plus box refinement for the minimal risk premium.
 
     Each pass lays `resolution` points per non-degenerate coordinate
-    (auto-reduced to respect ``max_evals``), evaluates the jump-adjusted
-    premium on the full grid, then shrinks every coordinate interval to
-    a fifth of its width around the incumbent and repeats.  Ties keep
-    the lexicographically smallest grid index; the incumbent is only
+    (auto-reduced to respect ``max_evals``) and evaluates the
+    jump-adjusted premium on the full grid at once, for any asset count,
+    with the broadcast kernel `_CoordBox.grid_premiums`; it then shrinks
+    every coordinate interval to a fifth of its width around the
+    incumbent and repeats, ``refinements`` times.  Ties keep the
+    lexicographically smallest grid index; the incumbent is only
     replaced by a strictly better point, so results are deterministic.
     """
+    if resolution < 2:
+        raise InvalidBounds("grid resolution must be at least 2")
+    if refinements < 0:
+        raise InvalidBounds("refinements must be at least 0")
     box = _CoordBox.build(uset, jump)
     if uset.is_singleton:
         return _degenerate_result(uset, jump)
     free = box.hi > box.lo
     d = int(np.count_nonzero(free))
     res = resolution
-    if res < 2:
-        raise InvalidBounds("grid resolution must be at least 2")
     while res > 3 and res**d > max_evals:
         res -= 1
     if res**d > max_evals:
@@ -674,31 +627,15 @@ def worst_case_numeric(
 
     for _ in range(refinements + 1):
         axes = [np.linspace(a, b, res) if a < b else np.array([a]) for a, b in zip(lo, hi)]
-        shape = tuple(len(a) for a in axes)
-        total = math.prod(shape)
-        if uset.n <= 2:
-            prem, valid = box.premiums_broadcast(axes)
-            evals += total
-            skipped += int(np.count_nonzero(~valid))
-            prem = np.where(valid, prem, np.inf)
-            j = int(np.argmin(prem))
-            if prem[j] < best_val:
-                best_val = float(prem[j])
-                at = np.unravel_index(j, shape)
-                best_pt = np.array([axes[c][at[c]] for c in range(box.dim)])
-        else:
-            for start in range(0, total, _CHUNK):
-                idx = np.arange(start, min(start + _CHUNK, total))
-                unraveled = np.unravel_index(idx, shape)
-                pts = np.stack([axes[c][unraveled[c]] for c in range(box.dim)], axis=1)
-                prem, valid = box.premiums(pts)
-                evals += pts.shape[0]
-                skipped += int(np.count_nonzero(~valid))
-                prem = np.where(valid, prem, np.inf)
-                j = int(np.argmin(prem))
-                if prem[j] < best_val:
-                    best_val = float(prem[j])
-                    best_pt = pts[j]
+        prem, valid = box.grid_premiums(axes)
+        evals += prem.size
+        # each point of the mask's own axes stands for the same number of grid points
+        skipped += int(np.count_nonzero(~valid)) * (prem.size // valid.size)
+        j = int(np.argmin(prem))
+        if prem.flat[j] < best_val:
+            best_val = float(prem.flat[j])
+            at = np.unravel_index(j, prem.shape)
+            best_pt = np.array([axes[c][at[c]] for c in range(box.dim)])
         if best_pt is None:
             raise NotPositiveDefinite("every grid point failed factorization")
         width = (hi - lo) / 5.0

@@ -120,6 +120,17 @@ class TestSchema:
         path.write_text("{not json")
         assert run_cli(["worst-case", path])[0] == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("refinements", -1),
+        ("grid_resolution", "x"),
+        ("grid_resolution", 1),
+        ("refinements", 0.5),
+    ])
+    def test_bad_grid_setting_is_schema_error(self, tmp_path, capsys, key, value):
+        path = write_problem(tmp_path, worst_case={"method": "numeric", key: value})
+        assert run_cli(["worst-case", path])[0] == 2
+        assert f"worst_case.{key}" in capsys.readouterr().err
+
 
 class TestStrategyCommand:
     def test_single_asset_point(self, tmp_path):

@@ -190,6 +190,105 @@ class TestNumericSearch:
         assert a.risk_premium == b.risk_premium
 
 
+_HULL3 = rm.UncertaintySet.hull(
+    [0.05, 0.04, 0.03], [0.08, 0.06, 0.05], [0.15, 0.2, 0.25], [0.25, 0.3, 0.35],
+    (np.array([[1.0, 0.6, 0.5], [0.6, 1.0, 0.6], [0.5, 0.6, 1.0]]),
+     np.eye(3),
+     np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.3], [0.2, 0.3, 1.0]])),
+)
+_BOX2 = ((0.10, 0.12), (0.02, 0.03), (0.15, 0.2), (0.2, 0.3), (0.2, 0.6))
+
+
+def _kernel_cases():
+    cp_jump = rm.CompoundPoissonJumps(
+        loadings=np.array([[1.0], [0.0]]), intensity=np.array([0.5]),
+        size_laws=(rm.JumpSizeLaw.two_point_from_moments(0.1, 0.02),))
+    cp_bounds = rm.CompoundPoissonBounds(
+        loadings=np.array([[1.0, 0.3], [0.4, 1.0]]),
+        intensity_lo=np.array([0.2, 0.3]), intensity_hi=np.array([0.6, 0.5]),
+        # mean^2 exceeds the second moment on part of the box
+        mean_lo=np.array([0.05, -0.1]), mean_hi=np.array([0.2, 0.15]),
+        second_lo=np.array([0.01, 0.005]), second_hi=np.array([0.05, 0.03]))
+    levy_bounds = rm.DiscreteLevyBounds(
+        atoms=np.array([[-0.05, 0.02], [0.08, -0.03]]),
+        weight_lo=np.array([0.2, 0.1]), weight_hi=np.array([0.5, 0.4]))
+    levy_jump = rm.DiscreteLevyJumps(atoms=np.array([[-0.05], [0.08]]), weights=np.array([0.4, 0.3]))
+    one = rm.UncertaintySet.single_asset((0.10, 0.12), (0.2, 0.25))
+    return {
+        "n1": (one, None),
+        "n1-levy-fixed": (one, levy_jump),
+        "n2": (rm.UncertaintySet.two_asset(*_BOX2), None),
+        "n2-cp-fixed": (rm.UncertaintySet.two_asset(*_BOX2), cp_jump),
+        "n2-cp-bounds": (rm.UncertaintySet.two_asset(*_BOX2, jump_bounds=cp_bounds), None),
+        "n2-levy-bounds": (rm.UncertaintySet.two_asset(*_BOX2, jump_bounds=levy_bounds), None),
+        "hull3": (_HULL3, None),
+    }
+
+
+def _random_axes(box, rng, max_points=3000):
+    """Sorted random points per coordinate: three while the grid stays
+    under ``max_points``, else two; one on a pinned coordinate."""
+    axes, total = [], 1
+    for lo, hi in zip(box.lo, box.hi):
+        k = 1 if lo == hi else (3 if total * 3 * 2 ** (box.dim - len(axes) - 1) <= max_points else 2)
+        axes.append(np.sort(rng.uniform(lo, hi, k)))
+        total *= k
+    return axes
+
+
+class TestGridKernel:
+    @pytest.mark.parametrize("case", list(_kernel_cases()))
+    def test_matches_cholesky_reference_at_every_point(self, case):
+        uset, jump = _kernel_cases()[case]
+        box = _CoordBox.build(uset, jump)
+        axes = _random_axes(box, np.random.default_rng(sum(map(ord, case))))
+        prem, valid = box.grid_premiums(axes)
+        shape = tuple(len(a) for a in axes)
+        assert prem.shape == shape
+        valid = np.broadcast_to(valid, shape)
+        cp = isinstance(uset.jump_bounds, rm.CompoundPoissonBounds)
+        k = uset.jump_bounds.loadings.shape[1] if cp else 0
+        for at in itertools.product(*(range(len(a)) for a in axes)):
+            pt = np.array([axes[c][i] for c, i in enumerate(at)])
+            jpts = box.split(pt[None, :])[3][0]
+            mean, second = jpts[k:2 * k], jpts[2 * k:3 * k]
+            consistent = bool(np.all(second >= mean * mean - 1e-15))
+            assert valid[at] == consistent, at
+            if consistent:
+                assert prem[at] == pytest.approx(rm.scenario_premium(box.scenario_at(pt)), rel=1e-12)
+            else:
+                assert prem[at] == np.inf
+        if cp:
+            assert 0 < np.count_nonzero(~valid) < valid.size
+
+    def test_hull_tie_break_is_the_first_in_product_order(self):
+        # the third asset has zero drift and no correlation in any vertex,
+        # so its volatility leaves every premium bit unchanged: exact ties
+        # between different scenarios
+        uset = rm.UncertaintySet.hull(
+            [0.05, 0.04, 0.0], [0.08, 0.06, 0.0], [0.15, 0.2, 0.1], [0.25, 0.3, 0.3],
+            (np.eye(3),
+             np.array([[1.0, 0.6, 0.0], [0.6, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+             np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]])))
+        box = _CoordBox.build(uset, None)
+        axes = [np.linspace(a, b, 3) if a < b else np.array([a]) for a, b in zip(box.lo, box.hi)]
+        scens = box.scenarios(np.array(list(itertools.product(*axes))))
+        ref = [rm.scenario_premium(s) for s in scens]
+        assert len(ref) == 3 ** (box.dim - 1)
+        first = int(np.argmin(ref))
+        tied = [s for s, p in zip(scens, ref) if p == ref[first]]
+        assert len({s.cov.tobytes() for s in tied}) > 1
+        res = rm.worst_case_numeric(uset, resolution=3, refinements=0)
+        assert np.array_equal(res.scenario.drift, scens[first].drift)
+        assert np.array_equal(res.scenario.cov, scens[first].cov)
+        assert res.evaluations == len(ref) and res.skipped == 0
+
+    @pytest.mark.parametrize("kwargs", [{"resolution": 1}, {"refinements": -1}])
+    def test_bad_grid_arguments_raise(self, short_second_set, kwargs):
+        with pytest.raises(rm.InvalidBounds):
+            rm.worst_case_numeric(short_second_set, **kwargs)
+
+
 class TestOptimalitySlack:
     def test_zero_at_the_minimizer(self, short_second_set):
         res = rm.worst_case_two_asset(short_second_set)
