@@ -62,7 +62,6 @@ from .closed_form import (
     solve_wealth_scaled,
 )
 from .pde_check import (
-    FdSteps,
     OperatorSet,
     ResidualTable,
     SaddleReport,

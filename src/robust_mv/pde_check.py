@@ -36,14 +36,14 @@ from .model import (
 )
 from .worst_case import sample_scenario_arrays
 
-
-@dataclass(frozen=True)
-class FdSteps:
-    """Finite-difference stencil widths: x step 1e-5 (1 + |x|), t step
-    1e-6 times the horizon length.  Fourth-order central stencils."""
-
-    x_rel: float = 1e-5
-    t_rel: float = 1e-6
+# widths of the fourth-order central stencils: the x step is
+# _FD_X_REL (1 + |x|), the t step _FD_T_REL times the horizon length
+_FD_X_REL = 1e-5
+_FD_T_REL = 1e-6
+# saddle_check draws strategies from a ball of _SADDLE_RADIUS |alpha_hat|
+# around alpha_hat, with tolerance _SADDLE_EPS_REL (1 + premium)(1 + |x|)
+_SADDLE_RADIUS = 10.0
+_SADDLE_EPS_REL = 1e-9
 
 
 def _fd4_first(f: Callable, z, h):
@@ -73,11 +73,9 @@ class OperatorSet:
     surrogates).
     """
 
-    def __init__(self, dynamics: WealthDynamics, span: float,
-                 fd: FdSteps = FdSteps(), use_analytic: bool = True):
+    def __init__(self, dynamics: WealthDynamics, span: float, use_analytic: bool = True):
         self.dynamics = dynamics
         self.span = span
-        self.fd = fd
         self.use_analytic = use_analytic
 
     # --- derivatives --------------------------------------------------------
@@ -86,8 +84,8 @@ class OperatorSet:
         """(psi_t, psi_x, psi_xx) at (t, x)."""
         if self.use_analytic and field.has_analytic:
             return field.dt(t, x), field.dx(t, x), field.dxx(t, x)
-        h_x = self.fd.x_rel * (1.0 + np.abs(x))
-        h_t = self.fd.t_rel * self.span
+        h_x = _FD_X_REL * (1.0 + np.abs(x))
+        h_t = _FD_T_REL * self.span
         if np.any(x + 2 * h_x == x) or np.any(t + 2 * h_t == t):
             raise DerivativeFailure(f"stencil width underflowed at (t={t}, x={x})")
         ft = _fd4_first(lambda s: field.value(s, x), t, h_t)
@@ -333,15 +331,14 @@ class SaddleReport:
         return not self.violations and abs(self.saddle_value) <= self.saddle_eps
 
 
-def saddle_check(sol, uset: UncertaintySet, samples: int = 1000, seed: int = 0,
-                 radius_scale: float = 10.0, eps_rel: float = 1e-9) -> SaddleReport:
+def saddle_check(sol, uset: UncertaintySet, samples: int = 1000, seed: int = 0) -> SaddleReport:
     """Randomized saddle-structure verification.
 
-    Strategies are drawn from a ball of radius ``radius_scale`` times
-    |alpha_hat| around alpha_hat, scenarios uniformly from the set (the
-    worst case's own jump spec is attached when the set itself carries
-    no jump ambiguity).  Points (t, x) are sampled per draw; the
-    tolerance scales with (1 + premium)(1 + |x|).
+    Strategies are drawn from a ball of radius 10 |alpha_hat| around
+    alpha_hat, scenarios uniformly from the set (the worst case's own
+    jump spec is attached when the set itself carries no jump
+    ambiguity).  Points (t, x) are sampled per draw; the tolerance is
+    1e-9 (1 + premium)(1 + |x|).
     """
     criterion = sol.criterion
     rng = np.random.default_rng([int(seed), 0x5A])
@@ -360,7 +357,7 @@ def saddle_check(sol, uset: UncertaintySet, samples: int = 1000, seed: int = 0,
         x_lo, x_hi = criterion.x0 - 0.5 * s, criterion.x0 + 1.0 * s
 
     def eps_at(x):
-        return eps_rel * (1.0 + sol.premium) * (1.0 + np.abs(x))
+        return _SADDLE_EPS_REL * (1.0 + sol.premium) * (1.0 + np.abs(x))
 
     t_mid = 0.5 * (t_lo + t_hi)
     x_mid = 0.5 * (x_lo + x_hi)
@@ -386,7 +383,7 @@ def saddle_check(sol, uset: UncertaintySet, samples: int = 1000, seed: int = 0,
 
     eps = eps_at(x)
     a_hat = np.reshape(sol.alpha_hat(t, x), (samples, n))
-    radius = radius_scale * np.maximum(np.linalg.norm(a_hat, axis=1), 1e-12)
+    radius = _SADDLE_RADIUS * np.maximum(np.linalg.norm(a_hat, axis=1), 1e-12)
     alpha = a_hat + unit * radius[:, None] * shrink[:, None]
     f_alpha = saddle_objective(sol, ops, alpha, theta_hat, t, x)
     f_theta = saddle_objective(sol, ops, a_hat, thetas, t, x)

@@ -25,18 +25,22 @@ scenarios and strategies, not on object identity: a splice whose window
 scenario is the base scenario itself gives the same bits as one whose
 window is an equal copy.
 
-The perturbation operations realize the local-variation definitions of
+The perturbation reports realize the local-variation definitions of
 worst-case scenario and equilibrium at desk scale: constant splices on
 [t0, t0 + h) with common random numbers across the spliced and
-unspliced runs, reported as difference quotients with error bars.  The
-base run is simulated once, and its J and influence function are paired
-against every splice.  When the base strategy is constant, the dynamics
-are terminal wealth or log return, and neither theta_hat nor any window
-scenario has jumps, a splice changes only the window increment, so its
-terminal is the base terminal plus the change of that increment, found
-from per-path sums of the window's normals (splices by linearity).
-Wealth-scaled strategies and splices with jumps step through
-``simulate_paths`` on the cached shocks.
+unspliced runs, reported as difference quotients with error bars.  One
+driver serves both reports.  It simulates the base run once, estimates
+its J and influence function once, and pairs them against every splice
+of every window strategy w (None keeps the base strategy) with every
+scenario candidate u, at every h snapped to whole steps.  The
+worst-case report writes one row per u; the equilibrium report one row
+per w, at its worst u.  When the base strategy is constant, the
+dynamics are terminal wealth or log return, and neither theta_hat nor
+any window scenario has jumps, a splice changes only the window
+increment, so its terminal is the base terminal plus the change of that
+increment, found from per-path sums of the window's normals (splices by
+linearity).  Wealth-scaled strategies and splices with jumps step
+through ``simulate_paths`` on the cached shocks.
 """
 
 from __future__ import annotations
@@ -116,7 +120,6 @@ class SimConfig:
     n_paths: int
     dt: float
     seed: int
-    scheme: str = "euler"
     antithetic: bool = False
     keep_paths: bool = False
     chunk_paths: int = 65536
@@ -128,8 +131,6 @@ class SimConfig:
             raise InvalidBounds("dt must be positive and finite")
         if self.chunk_paths < 1:
             raise InvalidBounds("chunk_paths must be at least 1")
-        if self.scheme != "euler":
-            raise InvalidBounds(f"unknown scheme {self.scheme!r}")
         if self.seed < 0 or self.seed >= 2**64:
             raise InvalidBounds("seed must fit in 64 bits")
         if self.antithetic and self.n_paths % 2:
@@ -220,54 +221,57 @@ def _influence(x: np.ndarray, lam: float) -> np.ndarray:
     return c - lam * (c * c - v)
 
 
-def estimate_J(batch: PathBatch, criterion: Criterion) -> JEstimate:
-    """Sample mean minus lam(x0) times the unbiased sample variance."""
-    x = batch.terminal
-    n = x.size
-    lam = criterion.risk_aversion_at(criterion.x0)
-    m = float(np.mean(x))
-    v = float(np.var(x, ddof=1))
-    psi = _influence(x, lam)
-    se = float(np.std(psi, ddof=1) / math.sqrt(n))
-    se_mean = float(np.std(x, ddof=1) / math.sqrt(n))
-    return JEstimate(
-        j_hat=m - lam * v,
-        mean_hat=m,
-        var_hat=v,
-        standard_error_j=max(se, _SE_FLOOR),
-        n_paths=n,
-        standard_error_mean=max(se_mean, _SE_FLOOR),
-    )
-
-
 def _j_hat(x: np.ndarray, lam: float) -> float:
     return float(np.mean(x)) - lam * float(np.var(x, ddof=1))
 
 
 class _PairedBase:
-    """J and influence function of a base run, computed once and paired
-    against any number of CRN runs."""
+    """J estimate and influence function of a base run, computed once and
+    paired against any number of CRN runs."""
 
-    def __init__(self, terminal: np.ndarray, criterion: Criterion):
+    def __init__(self, batch: PathBatch, criterion: Criterion):
+        x = batch.terminal
+        n = x.size
         self.lam = criterion.risk_aversion_at(criterion.x0)
-        self.j_hat = _j_hat(terminal, self.lam)
-        self.psi = _influence(terminal, self.lam)
+        self.psi = _influence(x, self.lam)
+        se = float(np.std(self.psi, ddof=1) / math.sqrt(n))
+        se_mean = float(np.std(x, ddof=1) / math.sqrt(n))
+        m, v = float(np.mean(x)), float(np.var(x, ddof=1))
+        self.est = JEstimate(
+            j_hat=m - self.lam * v,
+            mean_hat=m,
+            var_hat=v,
+            standard_error_j=max(se, _SE_FLOOR),
+            n_paths=n,
+            standard_error_mean=max(se_mean, _SE_FLOOR),
+        )
 
     def difference(self, terminal: np.ndarray) -> tuple[float, float]:
         """J(base) - J(run) with the standard error of the paired difference."""
         psi = self.psi - _influence(terminal, self.lam)
         se = float(np.std(psi, ddof=1) / math.sqrt(terminal.size))
-        return self.j_hat - _j_hat(terminal, self.lam), max(se, _SE_FLOOR)
+        return self.est.j_hat - _j_hat(terminal, self.lam), max(se, _SE_FLOOR)
+
+
+def estimate_J(batch: PathBatch, criterion: Criterion) -> JEstimate:
+    """Sample mean minus lam(x0) times the unbiased sample variance."""
+    return _PairedBase(batch, criterion).est
 
 
 def paired_difference(a: PathBatch, b: PathBatch, criterion: Criterion) -> tuple[float, float]:
     """J(a) - J(b) with the standard error of the paired (CRN) difference."""
-    return _PairedBase(a.terminal, criterion).difference(b.terminal)
+    return _PairedBase(a, criterion).difference(b.terminal)
 
 
 # ---------------------------------------------------------------------------
 # strategies and scenario timelines
 # ---------------------------------------------------------------------------
+
+
+def _in_window(t, switch: float):
+    """Whether time t (a float or an array of step starts) lies in a
+    splice window that ends at ``switch``."""
+    return t < switch - 1e-12
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,7 @@ class SplicedStrategy:
         object.__setattr__(self, "window_vec", v)
 
     def values(self, t: float, x: np.ndarray) -> np.ndarray:
-        if t < self.switch - 1e-12:
+        if _in_window(t, self.switch):
             return self.window_vec
         return self.base.values(t, x)
 
@@ -324,7 +328,7 @@ class SplicedScenario:
     base: Scenario
 
     def at(self, t: float) -> Scenario:
-        if t < self.switch - 1e-12:
+        if _in_window(t, self.switch):
             return self.window
         return self.base
 
@@ -468,7 +472,6 @@ def simulate_paths(
     horizon: float,
     x0: float,
     shock_cache: ShockCache | None = None,
-    enforce_admissibility: bool = True,
 ) -> PathBatch:
     """Euler paths of the controlled state under (strategy, scenario).
 
@@ -499,7 +502,7 @@ def simulate_paths(
     n_streams = max(seg.n_streams for seg, _, _ in segments)
     log_state = dynamics.state_is_log
     guard_wealth = n_streams > 0 and not log_state
-    check_exposure = enforce_admissibility and dynamics.kind == "terminal_wealth"
+    check_exposure = dynamics.kind == "terminal_wealth"
 
     chunk = _effective_chunk(cfg.chunk_paths, n_steps, max(n_assets, n_streams))
     terminal = np.empty(cfg.n_paths)
@@ -546,7 +549,7 @@ def simulate_paths(
 
 def _switch_step(t_nodes: np.ndarray, switch: float) -> int:
     """Number of steps that start before ``switch``: the steps of a window."""
-    return int(np.count_nonzero(t_nodes < switch - 1e-12))
+    return int(np.count_nonzero(_in_window(t_nodes, switch)))
 
 
 def _require_admissible(alpha: np.ndarray, seg: _Segment) -> None:
@@ -779,15 +782,13 @@ def scenario_candidates(uset: UncertaintySet, count: int,
     return out
 
 
-def strategy_candidates(alpha_hat: np.ndarray, count: int, seed: int,
-                        radius_scale: float = 1.0) -> list[np.ndarray]:
-    """The strategy itself plus uniform draws from a ball around it."""
+def strategy_candidates(alpha_hat: np.ndarray, count: int, seed: int) -> list[np.ndarray]:
+    """The strategy itself plus uniform draws from a ball around it, of
+    radius |alpha_hat| (1 when alpha_hat is zero)."""
     rng = np.random.default_rng([int(seed), 0x77])
     out = [np.array(alpha_hat, dtype=float)]
     n = out[0].size
-    radius = radius_scale * float(np.linalg.norm(out[0]))
-    if radius == 0.0:
-        radius = radius_scale
+    radius = float(np.linalg.norm(out[0])) or 1.0
     while len(out) < count:
         direction = rng.standard_normal(n)
         norm = float(np.linalg.norm(direction))
@@ -796,12 +797,6 @@ def strategy_candidates(alpha_hat: np.ndarray, count: int, seed: int,
         r = radius * rng.random() ** (1.0 / n)
         out.append(out[0] + direction / norm * r)
     return out
-
-
-def _aligned_h(h: float, dt: float) -> float:
-    """Snap the splice length to a whole number of steps."""
-    steps = max(1, round(h / dt))
-    return steps * dt
 
 
 def _window_sums(cache: ShockCache, k: int, n_assets: int, n_paths: int) -> np.ndarray:
@@ -844,7 +839,7 @@ class _Ladder:
                                      horizon=criterion.horizon, x0=criterion.x0,
                                      shock_cache=self.cache)
         self.base = self.run(base_strat, theta_hat)
-        self.paired = _PairedBase(self.base.terminal, criterion)
+        self.paired = _PairedBase(self.base, criterion)
         self.linear = (dynamics.kind in ("terminal_wealth", "log_return")
                        and all(u.jump is None for u in (theta_hat, *us)))
         if self.linear:
@@ -894,6 +889,47 @@ class _Ladder:
                    kind, self.n_linear, self.n_stepped, 1e3 * self.window_s)
 
 
+def _perturb(kind: str, sol: ClosedFormSolution, uset: UncertaintySet,
+             h_list: Sequence[float], u_samples: int, cfg: SimConfig,
+             base_strat, ws: Sequence[np.ndarray | None]) -> PerturbationReport:
+    """The splice ladder of both reports.  At every h, snapped to whole
+    steps, each window strategy in ``ws`` (None keeps the base strategy)
+    runs against each u candidate.  The worst-case report writes one row
+    per u; the equilibrium report one row per w, at its worst u: the inner
+    inf over u of J(run) is the max of J(base) - J(run), and the first u
+    among ties is kept."""
+    criterion = sol.criterion
+    theta_hat = sol.worst_case.scenario
+    fixed_jump = theta_hat.jump if uset.jump_bounds is None else None
+    us = scenario_candidates(uset, u_samples, theta_hat, fixed_jump=fixed_jump)
+    ladder = _Ladder(WealthDynamics.for_criterion(criterion), base_strat,
+                     theta_hat, us, cfg, criterion)
+    _, dt = cfg.steps_for(criterion.span)
+    hs = tuple(max(1, round(float(h) / dt)) * dt for h in h_list)  # whole steps
+
+    def row(h: float, index: int, diff_se: tuple[float, float], detail: str) -> PerturbationRow:
+        diff, se = diff_se
+        quotient, bound = diff / h, 3.0 * se / h
+        violated = quotient > bound if kind == "worst_case" else quotient < -bound
+        return PerturbationRow(h=h, index=index, quotient=quotient, se=se,
+                               violated=bool(violated), detail=detail)
+
+    rows: list[PerturbationRow] = []
+    for h in hs:
+        splice = ladder.window(h)
+        for iw, w in enumerate(ws):
+            diffs = [ladder.paired.difference(splice(w, iu)) for iu in range(len(us))]
+            if kind == "worst_case":
+                rows += [row(h, iu, diffs[iu], f"u[{iu}]") for iu in range(len(us))]
+            else:
+                iu = max(range(len(us)), key=lambda i: diffs[i][0])
+                rows.append(row(h, iw, diffs[iu], f"w[{iw}] u*[{iu}]"))
+    ladder.log(kind)
+    base = ladder.paired.est
+    return PerturbationReport(kind=kind, rows=tuple(rows), j_base=base.j_hat,
+                              se_base=base.standard_error_j, h_list=hs)
+
+
 def perturb_worst_case(
     sol: ClosedFormSolution,
     uset: UncertaintySet,
@@ -906,36 +942,9 @@ def perturb_worst_case(
     A true worst case keeps every quotient below +3 se/h (se from the
     CRN-paired difference).
     """
-    criterion = sol.criterion
-    theta_hat = sol.worst_case.scenario
-    fixed_jump = theta_hat.jump if uset.jump_bounds is None else None
     _require_simulable(sol)
-    us = scenario_candidates(uset, u_samples, theta_hat, fixed_jump=fixed_jump)
-    ladder = _Ladder(WealthDynamics.for_criterion(criterion), SolutionStrategy(sol),
-                     theta_hat, us, cfg, criterion)
-    base_est = estimate_J(ladder.base, criterion)
-
-    rows: list[PerturbationRow] = []
-    _, dt = cfg.steps_for(criterion.span)
-    for h_raw in h_list:
-        h = _aligned_h(float(h_raw), dt)
-        splice = ladder.window(h)
-        for iu in range(len(us)):
-            diff, se = ladder.paired.difference(splice(None, iu))
-            quotient = diff / h
-            rows.append(
-                PerturbationRow(
-                    h=h, index=iu, quotient=quotient, se=se,
-                    violated=bool(quotient > 3.0 * se / h),
-                    detail=f"u[{iu}]",
-                )
-            )
-    ladder.log("worst_case")
-    return PerturbationReport(
-        kind="worst_case", rows=tuple(rows),
-        j_base=base_est.j_hat, se_base=base_est.standard_error_j,
-        h_list=tuple(_aligned_h(float(h), dt) for h in h_list),
-    )
+    return _perturb("worst_case", sol, uset, h_list, u_samples, cfg,
+                    SolutionStrategy(sol), [None])
 
 
 def perturb_equilibrium(
@@ -966,49 +975,11 @@ def perturb_equilibrium(
     simulable.
     """
     criterion = sol.criterion
-    theta_hat = sol.worst_case.scenario
-    fixed_jump = theta_hat.jump if uset.jump_bounds is None else None
-    dynamics = WealthDynamics.for_criterion(criterion)
-    if sol.kind == "wealth_scaled":
-        alpha_ref = np.atleast_1d(np.asarray(sol.alpha_hat(criterion.t0, criterion.x0)))
-    else:
-        alpha_ref = sol.alpha_coef
-    if base_strategy is None:
-        base_strat = SolutionStrategy(sol)
-    else:
-        base_strat = ConstantStrategy(np.asarray(base_strategy, dtype=float))
-
-    us = scenario_candidates(uset, u_samples, theta_hat, fixed_jump=fixed_jump)
-    ladder = _Ladder(dynamics, base_strat, theta_hat, us, cfg, criterion)
-    base_est = estimate_J(ladder.base, criterion)
+    jump = sol.worst_case.scenario.jump
+    alpha_ref = np.atleast_1d(sol.alpha_hat(criterion.t0, criterion.x0))
     ws = strategy_candidates(alpha_ref, w_samples, cfg.seed)
-    if isinstance(theta_hat.jump, CompoundPoissonJumps) and dynamics.kind == "terminal_wealth":
+    if isinstance(jump, CompoundPoissonJumps) and criterion.kind == "terminal_wealth":
         # only admissible window strategies are simulable under jump dynamics
-        ws = [w for w in ws if not nonbankruptcy_violations(w, theta_hat.jump)]
-
-    rows: list[PerturbationRow] = []
-    _, dt = cfg.steps_for(criterion.span)
-    for h_raw in h_list:
-        h = _aligned_h(float(h_raw), dt)
-        splice = ladder.window(h)
-        for iw, w in enumerate(ws):
-            best: tuple[float, float, int] | None = None
-            for iu in range(len(us)):
-                diff, se = ladder.paired.difference(splice(w, iu))
-                if best is None or diff > best[0]:
-                    # inner inf over u == max of (J_base - J_run)
-                    best = (diff, se, iu)
-            quotient = best[0] / h
-            rows.append(
-                PerturbationRow(
-                    h=h, index=iw, quotient=quotient, se=best[1],
-                    violated=bool(quotient < -3.0 * best[1] / h),
-                    detail=f"w[{iw}] u*[{best[2]}]",
-                )
-            )
-    ladder.log("equilibrium")
-    return PerturbationReport(
-        kind="equilibrium", rows=tuple(rows),
-        j_base=base_est.j_hat, se_base=base_est.standard_error_j,
-        h_list=tuple(_aligned_h(float(h), dt) for h in h_list),
-    )
+        ws = [w for w in ws if not nonbankruptcy_violations(w, jump)]
+    base_strat = SolutionStrategy(sol) if base_strategy is None else ConstantStrategy(base_strategy)
+    return _perturb("equilibrium", sol, uset, h_list, u_samples, cfg, base_strat, ws)

@@ -61,6 +61,7 @@ DEGENERATE = "Degenerate"
 DEFAULT_RESOLUTION = 21
 DEFAULT_REFINEMENTS = 2
 DEFAULT_MAX_EVALS = 6_000_000
+_CORNER_CAP = 4096  # most corners `corner_scenarios` enumerates
 
 
 def risk_premium(b: np.ndarray, sigma: np.ndarray) -> float:
@@ -98,7 +99,8 @@ class WorstCaseResult:
     ``manifold`` marks the regime where the minimizer is non-unique and
     ``scenario`` is a canonical representative attaining the same
     premium.  ``evaluations``/``skipped`` report numeric-search effort
-    (skipped = grid points whose covariance failed factorization).
+    (skipped = grid points whose covariance failed factorization or whose
+    compound-Poisson jump moments are invalid, see `_cp_surrogate`).
     """
 
     scenario: Scenario
@@ -258,6 +260,17 @@ def _manifold_result(b1l, b2l, b2h, v1h, v2l, v2h, rho_lo, rho_hi, th_lo, th_hi,
 # ---------------------------------------------------------------------------
 
 
+def _cp_surrogate(mean, second):
+    """Half-width s and validity mask of the moment-matching two-point
+    surrogate (atoms mean -+ s, probability 1/2 each) of compound-Poisson
+    jump sizes with these first and second moments, elementwise.  Valid
+    moments have variance second - mean^2 >= -_MOMENT_TOL and a lower
+    atom mean - s above -1.  The grid mask and `stack` share this rule."""
+    var = second - mean * mean
+    s = np.sqrt(np.maximum(var, 0.0))
+    return s, (var >= -_MOMENT_TOL) & (mean - s > -1.0)
+
+
 @dataclass(frozen=True)
 class _CoordBox:
     """Flat coordinate view of an uncertainty set (plus jump ambiguity).
@@ -350,7 +363,7 @@ class _CoordBox:
         if isinstance(jb, CompoundPoissonBounds):
             k = jb.loadings.shape[1]
             mu, mean, second = jc[:k], jc[k:2 * k], jc[2 * k:3 * k]
-            ok = functools.reduce(np.logical_and, [s >= e * e - 1e-15 for e, s in zip(mean, second)])
+            ok = functools.reduce(np.logical_and, [_cp_surrogate(e, s)[1] for e, s in zip(mean, second)])
             flow = [u * e for u, e in zip(mu, mean)]
             quad = [u * s for u, s in zip(mu, second)]
             vecs = jb.loadings.T
@@ -375,8 +388,8 @@ class _CoordBox:
         factored and inverted once per point of its own axes; the premium
         sum_{i<=j} c_ij (b_i b_j) P_ij, with P = Sigma^{-1}, c_ii = 1 and
         c_ij = 2, then broadcasts to the full grid.  A point is valid when
-        Sigma factorizes and, under compound-Poisson ambiguity,
-        second >= mean^2 - 1e-15 for every jump type.
+        Sigma factorizes and, under compound-Poisson ambiguity, the jump
+        moments of every type pass `_cp_surrogate`.
         """
         n = self.uset.n
         dim = len(axes)
@@ -444,9 +457,8 @@ class _CoordBox:
             n_types = jb.loadings.shape[1]
             mu, mean, second = (jpts[:, :n_types], jpts[:, n_types:2 * n_types],
                                 jpts[:, 2 * n_types:3 * n_types])
-            var = second - mean * mean
-            s = np.sqrt(np.maximum(var, 0.0))
-            valid &= np.all((var >= -_MOMENT_TOL) & (mean - s > -1.0), axis=1)
+            s, ok = _cp_surrogate(mean, second)
+            valid &= np.all(ok, axis=1)
             sizes = np.stack([mean - s, mean + s], axis=-1).reshape(k, 2 * n_types).T
             types = np.repeat(np.arange(n_types), 2)
             vec = sizes[:, :, None] * jb.loadings.T[types][:, None, :]
@@ -544,8 +556,7 @@ def sample_scenario_arrays(uset: UncertaintySet, count: int,
     return box.stack(box.sample(count, _as_generator(rng)))[0]
 
 
-def corner_scenarios(uset: UncertaintySet, fixed_jump: JumpSpec | None = None,
-                     cap: int = 4096) -> list[Scenario]:
+def corner_scenarios(uset: UncertaintySet, fixed_jump: JumpSpec | None = None) -> list[Scenario]:
     """Scenarios at every corner of the coordinate box (hull corners are
     the vertices themselves).  Deduplicated, deterministic order."""
     box = _CoordBox.build(uset, fixed_jump)
@@ -553,8 +564,8 @@ def corner_scenarios(uset: UncertaintySet, fixed_jump: JumpSpec | None = None,
     for lo, hi in zip(box.lo, box.hi):
         axes.append((lo,) if lo == hi else (lo, hi))
     total = math.prod(len(a) for a in axes)
-    if total > cap:
-        raise BudgetExceeded(f"{total} corners exceed the cap of {cap}")
+    if total > _CORNER_CAP:
+        raise BudgetExceeded(f"{total} corners exceed the cap of {_CORNER_CAP}")
     pts = np.array(list(itertools.product(*axes)), dtype=float)
     if uset.n > 2:
         # stick-breaking corners map several-to-one onto the hull vertices
@@ -637,7 +648,8 @@ def worst_case_numeric(
             at = np.unravel_index(j, prem.shape)
             best_pt = np.array([axes[c][at[c]] for c in range(box.dim)])
         if best_pt is None:
-            raise NotPositiveDefinite("every grid point failed factorization")
+            raise NotPositiveDefinite(
+                "every grid point failed factorization or has invalid jump moments")
         width = (hi - lo) / 5.0
         lo = np.maximum(box.lo, best_pt - 0.5 * width)
         hi = np.minimum(box.hi, best_pt + 0.5 * width)

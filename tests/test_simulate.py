@@ -23,6 +23,7 @@ from robust_mv.simulate import (
     _dot,
     _Ladder,
     _mix,
+    _PairedBase,
     _poisson_counts,
     _Segment,
     _Shocks,
@@ -501,7 +502,8 @@ class TestPerturbations:
 
 def _stepped_report(kind, sol, uset, h_list, cfg, w_samples=4, u_samples=4, base_strategy=None):
     """The perturbation ladder with every splice stepped through
-    simulate_paths and paired by paired_difference."""
+    simulate_paths and paired by paired_difference: per row the quotient,
+    its se, the index of the picked u and the violation flag."""
     crit = sol.criterion
     theta = sol.worst_case.scenario
     fixed_jump = theta.jump if uset.jump_bounds is None else None
@@ -535,15 +537,33 @@ def _stepped_report(kind, sol, uset, h_list, cfg, w_samples=4, u_samples=4, base
             pairs = [paired_difference(base, run(strategy, SplicedScenario(u, crit.t0 + h, theta)),
                                        crit) for u in us]
             if w is None:
-                rows += [(d / h, se) for d, se in pairs]
+                rows += [(d / h, se, iu, d / h > 3.0 * se / h) for iu, (d, se) in enumerate(pairs)]
             else:
-                d, se = max(pairs, key=lambda p: p[0])  # first of ties, as the report
-                rows.append((d / h, se))
+                best = 0
+                for iu, (d, _) in enumerate(pairs):
+                    if d > pairs[best][0]:  # the first of ties stays
+                        best = iu
+                d, se = pairs[best]
+                rows.append((d / h, se, best, d / h < -3.0 * se / h))
     return rows
 
 
-def _rows(report):
-    return [(r.quotient, r.se) for r in report.rows]
+def _assert_rows_match(report, stepped, exact):
+    """Report rows against ``_stepped_report``: the picked u (read from the
+    detail string), the violation flag and, bit for bit or within
+    rounding, the quotient and its se."""
+    assert len(report.rows) == len(stepped)
+    for row, (q, se, iu, violated) in zip(report.rows, stepped):
+        if report.kind == "worst_case":
+            assert (row.index, row.detail) == (iu, f"u[{iu}]")
+        else:
+            assert row.detail == f"w[{row.index}] u*[{iu}]"
+        assert row.violated == violated
+        if exact:
+            assert (row.quotient, row.se) == (q, se)
+        else:
+            assert row.quotient == pytest.approx(q, rel=1e-10, abs=1e-12)
+            assert row.se == pytest.approx(se, rel=1e-10, abs=1e-12)
 
 
 def _log_line(caplog):
@@ -621,15 +641,17 @@ class TestLinearSplices:
             (rm.perturb_worst_case(tw_solution, short_second_set, [0.1, 0.025], 6, cfg),
              _stepped_report("worst_case", tw_solution, short_second_set, [0.1, 0.025], cfg,
                              u_samples=6)),
+            # w[1] and w[3] lie above +3 se/h: a flipped violation test flags them
+            (rm.perturb_equilibrium(tw_solution, short_second_set, [0.1, 0.025], 4, 6, cfg),
+             _stepped_report("equilibrium", tw_solution, short_second_set, [0.1, 0.025], cfg,
+                             u_samples=6)),
             (rm.perturb_equilibrium(tw_solution, short_second_set, [0.025], 4, 6, cfg,
                                     base_strategy=doubled),
              _stepped_report("equilibrium", tw_solution, short_second_set, [0.025], cfg,
                              u_samples=6, base_strategy=doubled)),
         ]
         for report, stepped in cases:
-            for (q, se), (q_ref, se_ref) in zip(_rows(report), stepped, strict=True):
-                assert q == pytest.approx(q_ref, rel=1e-10, abs=1e-12)
-                assert se == pytest.approx(se_ref, rel=1e-10, abs=1e-12)
+            _assert_rows_match(report, stepped, exact=False)
 
     @pytest.mark.parametrize("family", ["cp", "ws"])
     def test_jump_and_wealth_scaled_reports_still_step(self, family, caplog, cp_solution,
@@ -640,9 +662,20 @@ class TestLinearSplices:
         with caplog.at_level(logging.DEBUG, logger="robust_mv.simulate"):
             wc = rm.perturb_worst_case(sol, uset, [0.1, 0.05], u_samples=4, cfg=cfg)
         assert _log_line(caplog).endswith("0 splices by linearity, 8 stepped, window sums 0.000 ms")
-        assert _rows(wc) == _stepped_report("worst_case", sol, uset, [0.1, 0.05], cfg)
+        _assert_rows_match(wc, _stepped_report("worst_case", sol, uset, [0.1, 0.05], cfg),
+                           exact=True)
         eq = rm.perturb_equilibrium(sol, uset, [0.05], w_samples=3, u_samples=4, cfg=cfg)
-        assert _rows(eq) == _stepped_report("equilibrium", sol, uset, [0.05], cfg, w_samples=3)
+        _assert_rows_match(eq, _stepped_report("equilibrium", sol, uset, [0.05], cfg, w_samples=3),
+                           exact=True)
+
+    def test_equilibrium_keeps_the_first_of_tied_u(self, monkeypatch, tw_solution,
+                                                    short_second_set):
+        # every splice pairs to the same difference: each w's worst u is u[0]
+        monkeypatch.setattr(_PairedBase, "difference", lambda self, terminal: (0.0, 1.0))
+        cfg = rm.SimConfig(n_paths=500, dt=0.0125, seed=61)
+        eq = rm.perturb_equilibrium(tw_solution, short_second_set, [0.05],
+                                    w_samples=3, u_samples=4, cfg=cfg)
+        assert [r.detail for r in eq.rows] == ["w[0] u*[0]", "w[1] u*[0]", "w[2] u*[0]"]
 
     def test_debug_line_counts_linear_splices(self, caplog, tw_solution, short_second_set):
         cfg = rm.SimConfig(n_paths=2000, dt=0.0125, seed=59)

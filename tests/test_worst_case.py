@@ -209,6 +209,12 @@ def _kernel_cases():
         # mean^2 exceeds the second moment on part of the box
         mean_lo=np.array([0.05, -0.1]), mean_hi=np.array([0.2, 0.15]),
         second_lo=np.array([0.01, 0.005]), second_hi=np.array([0.05, 0.03]))
+    # here the lower atom mean - sqrt(second - mean^2) of the two-point
+    # surrogate falls to -1 or below on part of the box
+    cp_low_mean = rm.CompoundPoissonBounds(
+        loadings=np.array([[1.0], [0.5]]), intensity_lo=np.array([0.2]), intensity_hi=np.array([0.5]),
+        mean_lo=np.array([-0.6]), mean_hi=np.array([-0.2]),
+        second_lo=np.array([0.1]), second_hi=np.array([0.8]))
     levy_bounds = rm.DiscreteLevyBounds(
         atoms=np.array([[-0.05, 0.02], [0.08, -0.03]]),
         weight_lo=np.array([0.2, 0.1]), weight_hi=np.array([0.5, 0.4]))
@@ -220,6 +226,7 @@ def _kernel_cases():
         "n2": (rm.UncertaintySet.two_asset(*_BOX2), None),
         "n2-cp-fixed": (rm.UncertaintySet.two_asset(*_BOX2), cp_jump),
         "n2-cp-bounds": (rm.UncertaintySet.two_asset(*_BOX2, jump_bounds=cp_bounds), None),
+        "n2-cp-low-mean": (rm.UncertaintySet.two_asset(*_BOX2, jump_bounds=cp_low_mean), None),
         "n2-levy-bounds": (rm.UncertaintySet.two_asset(*_BOX2, jump_bounds=levy_bounds), None),
         "hull3": (_HULL3, None),
     }
@@ -252,7 +259,10 @@ class TestGridKernel:
             pt = np.array([axes[c][i] for c, i in enumerate(at)])
             jpts = box.split(pt[None, :])[3][0]
             mean, second = jpts[k:2 * k], jpts[2 * k:3 * k]
-            consistent = bool(np.all(second >= mean * mean - 1e-15))
+            # the moment rule of `stack`: variance not below -1e-12 and the
+            # surrogate's lower atom above -1
+            var = second - mean * mean
+            consistent = bool(np.all((var >= -1e-12) & (mean - np.sqrt(np.maximum(var, 0.0)) > -1.0)))
             assert valid[at] == consistent, at
             if consistent:
                 assert prem[at] == pytest.approx(rm.scenario_premium(box.scenario_at(pt)), rel=1e-12)
@@ -287,6 +297,27 @@ class TestGridKernel:
     def test_bad_grid_arguments_raise(self, short_second_set, kwargs):
         with pytest.raises(rm.InvalidBounds):
             rm.worst_case_numeric(short_second_set, **kwargs)
+
+    @pytest.mark.parametrize("second", [(0.3, 0.5), (0.3, 0.7), (0.3, 0.9),
+                                        (0.5, 0.7), (0.5, 0.9), (0.7, 0.9)])
+    @pytest.mark.parametrize("mean", [-0.3, -0.5, -0.6])
+    def test_negative_mean_jump_boxes(self, mean, second):
+        # the grid minimum sits where the two-point surrogate's lower atom
+        # mean - sqrt(second - mean^2) reaches -1, so the grid mask must
+        # reject what the scenario constructor rejects
+        bounds = rm.CompoundPoissonBounds(
+            loadings=np.array([[1.0], [0.5]]), intensity_lo=np.array([0.2]),
+            intensity_hi=np.array([0.5]), mean_lo=np.array([mean]), mean_hi=np.array([mean]),
+            second_lo=np.array([second[0]]), second_hi=np.array([second[1]]))
+        uset = rm.UncertaintySet.two_asset(*_BOX2, jump_bounds=bounds)
+        # valid seconds: mean^2 <= second < 1 + 2 mean + 2 mean^2
+        if second[0] >= 1.0 + 2.0 * mean + 2.0 * mean * mean:
+            with pytest.raises(rm.NotPositiveDefinite, match="invalid jump moments"):
+                rm.worst_case_numeric(uset, resolution=5, refinements=1)
+            return
+        res = rm.worst_case_numeric(uset, resolution=5, refinements=1)
+        assert res.risk_premium == pytest.approx(rm.scenario_premium(res.scenario), rel=1e-12)
+        assert min(res.scenario.jump.size_laws[0].params[:2]) > -1.0
 
 
 class TestOptimalitySlack:
