@@ -300,6 +300,8 @@ def _worst_case_dict(res) -> dict:
     if res.evaluations:
         out["evaluations"] = res.evaluations
         out["skipped"] = res.skipped
+    if res.gap is not None:
+        out["gap"] = res.gap
     return out
 
 
@@ -307,6 +309,8 @@ def _print_worst_case(em: Emitter, res) -> None:
     scen = res.scenario
     em.say(f"worst case           {res.case_label}" + ("  (manifold: minimizer not unique)" if res.manifold else ""))
     em.say(f"risk premium         {res.risk_premium:.10g}")
+    if res.gap is not None:
+        em.say(f"certified gap        {res.gap:.3g}  (premium - minimum <= gap)")
     em.say(f"drift                {np.array2string(scen.drift, precision=6)}")
     em.say(f"vols                 {np.array2string(scen.vols, precision=6)}")
     if scen.n == 2:
@@ -392,6 +396,7 @@ def cmd_verify(doc: dict, em: Emitter) -> int:
     res_ok = table.max_abs <= tol
     ok = res_ok and saddle.ok
 
+    _print_worst_case(em, sol.worst_case)
     em.say(f"residual grid        max |residual| {table.max_abs:.3e} "
            f"(tolerance {tol:.1e})  {'PASS' if res_ok else 'FAIL'}")
     for eq, val in sorted(table.max_by_equation().items()):

@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import InvalidBounds, OdeBlowup, StepTooLarge
 from .fields import ScalarField
@@ -93,6 +92,9 @@ class OdeGrids:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # imported here: scipy.interpolate costs a third of a second at import
+        from scipy.interpolate import CubicHermiteSpline
+
         a_spl = CubicHermiteSpline(self.t, self.a, self.a_slope)
         b_spl = CubicHermiteSpline(self.t, self.b, self.b_slope)
         object.__setattr__(self, "_a_spline", a_spl)
@@ -389,6 +391,8 @@ class ClosedFormSolution:
                 "cov": scen.cov.tolist(),
             },
         }
+        if self.worst_case.gap is not None:
+            out["worst_case"]["gap"] = self.worst_case.gap
         if scen.jump is not None:
             b_f, sigma_f = self.worst_case.adjusted
             out["worst_case"]["adjusted_drift"] = b_f.tolist()

@@ -2,18 +2,27 @@
 
 Nature picks the scenario minimizing the squared generalized Sharpe
 ratio b' Sigma^{-1} b (jump-adjusted to b_F' Sigma_F^{-1} b_F when jumps
-are present).  Two solvers are provided:
+are present).  Three solvers are provided:
 
 * `worst_case_two_asset` - the explicit case split for two assets under
   the asset-ordering assumption, returning one of three regimes:
   short the second asset, long both, or ignore the second asset (where
   the minimizer is a whole manifold and a canonical point is returned);
-* `worst_case_numeric` - a grid search with coordinate-box refinement
-  over drifts, volatilities, correlation (interval or hull weights) and
-  optional jump-ambiguity coordinates.  One broadcast kernel evaluates a
-  whole grid for any asset count: the covariance is factored and
-  inverted once per point of its own (vol, correlation, jump) axes, and
-  the quadratic form is broadcast against the drift axes.
+* `worst_case_numeric` on a diffusion-only set (no jump ambiguity, no
+  fixed jump), any asset count - an exact convex program.  With
+  s = b / vol and C the correlation matrix, b' Sigma^{-1} b = s' C^{-1} s,
+  the matrix-fractional function, which is jointly convex in (s, C)
+  (Boyd & Vandenberghe, Convex Optimization, 3.1.7).  Each s_i ranges
+  over an interval and C over the hull of the correlation vertices, so
+  the minimum is found by SLSQP plus Newton steps on the active face and
+  certified by the Frank-Wolfe duality gap (Jaggi, ICML 2013);
+* `worst_case_numeric` with jump ambiguity or a fixed jump - a grid
+  search with coordinate-box refinement over drifts, volatilities,
+  correlation (interval or hull weights) and jump coordinates.  One
+  broadcast kernel evaluates a whole grid for any asset count: the
+  covariance is factored and inverted once per point of its own (vol,
+  correlation, jump) axes, and the quadratic form is broadcast against
+  the drift axes.
 
 The minimizer never depends on the risk-aversion level or on whether
 the criterion targets wealth or log return; solvers accept the
@@ -29,7 +38,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.stats import qmc
 
 from .errors import (
     BudgetExceeded,
@@ -62,6 +70,9 @@ DEFAULT_RESOLUTION = 21
 DEFAULT_REFINEMENTS = 2
 DEFAULT_MAX_EVALS = 6_000_000
 _CORNER_CAP = 4096  # most corners `corner_scenarios` enumerates
+_GAP_RTOL = 1e-10  # a convex result is certified when gap <= _GAP_RTOL (1 + premium)
+_POLISH_RTOL = 1e-13  # Newton polish stops once gap <= _POLISH_RTOL (1 + premium)
+_POLISH_STEPS = 50
 
 
 def risk_premium(b: np.ndarray, sigma: np.ndarray) -> float:
@@ -98,9 +109,13 @@ class WorstCaseResult:
 
     ``manifold`` marks the regime where the minimizer is non-unique and
     ``scenario`` is a canonical representative attaining the same
-    premium.  ``evaluations``/``skipped`` report numeric-search effort
-    (skipped = grid points whose covariance failed factorization or whose
+    premium.  ``evaluations``/``skipped`` report numeric-search effort:
+    objective evaluations of the convex solver, or grid points (skipped =
+    grid points whose covariance failed factorization or whose
     compound-Poisson jump moments are invalid, see `_cp_surrogate`).
+    ``gap`` is the Frank-Wolfe duality gap of a diffusion-only result
+    (`_frank_wolfe_gap`), an upper bound on premium - minimum; it is None
+    for grid and degenerate results.
     """
 
     scenario: Scenario
@@ -109,6 +124,7 @@ class WorstCaseResult:
     manifold: bool = False
     evaluations: int = 0
     skipped: int = 0
+    gap: float | None = None
 
     @property
     def adjusted(self) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +212,11 @@ def worst_case_two_asset(uset: UncertaintySet, criterion: Criterion | None = Non
                             "use the numeric search for jump ambiguity")
     if uset.is_singleton:
         return _degenerate_result(uset, None)
+    res = _case_split(uset)
+    return replace(res, gap=_frank_wolfe_gap(uset, res.scenario))
 
+
+def _case_split(uset: UncertaintySet) -> WorstCaseResult:
     b1l, b2l = float(uset.drift_lo[0]), float(uset.drift_lo[1])
     b1h, b2h = float(uset.drift_hi[0]), float(uset.drift_hi[1])
     v1l, v2l = float(uset.vol_lo[0]), float(uset.vol_lo[1])
@@ -581,10 +601,207 @@ def sobol_scenarios(uset: UncertaintySet, count: int,
     """Deterministic low-discrepancy interior fill of the coordinate box:
     the first ``count`` points of the unscrambled Sobol sequence, drawn as
     a power-of-two block so that scipy does not warn about balance."""
+    # imported here: scipy.stats costs about a second at import
+    from scipy.stats import qmc
+
     box = _CoordBox.build(uset, fixed_jump)
     eng = qmc.Sobol(d=box.dim, scramble=False)
     u = eng.random_base2((count - 1).bit_length())[:count]
     return box.scenarios(box.lo + u * (box.hi - box.lo))
+
+
+# ---------------------------------------------------------------------------
+# convex worst case for diffusion-only sets
+# ---------------------------------------------------------------------------
+
+
+def _sharpe_box(uset: UncertaintySet) -> tuple[np.ndarray, np.ndarray]:
+    """Range [lo, hi] of each Sharpe ratio s_i = b_i / vol_i over the set:
+    the smallest and largest of the four corner ratios."""
+    r = np.stack([uset.drift_lo / uset.vol_lo, uset.drift_lo / uset.vol_hi,
+                  uset.drift_hi / uset.vol_lo, uset.drift_hi / uset.vol_hi])
+    return r.min(axis=0), r.max(axis=0)
+
+
+def _corr_vertices(uset: UncertaintySet) -> np.ndarray:
+    """(m, n, n) distinct correlation matrices whose convex hull is the
+    set's correlation family: the two interval ends for two assets, the
+    hull vertices beyond, [[1]] for one asset.  First-occurrence order."""
+    if uset.n == 1:
+        return np.ones((1, 1, 1))
+    if uset.n == 2:
+        return np.array([[[1.0, r], [r, 1.0]] for r in dict.fromkeys((uset.rho_lo, uset.rho_hi))])
+    verts = np.array(uset.corr_vertices)
+    return verts[np.sort(np.unique(verts, axis=0, return_index=True)[1])]
+
+
+def _gap(s: np.ndarray, corr: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+         verts: np.ndarray) -> float:
+    """Frank-Wolfe duality gap of s' C^{-1} s at (s, C = corr) over the
+    Sharpe box [lo, hi] times the hull of ``verts``.
+
+    With y = C^{-1} s the gradient is (2y, -y'V_k y); the linear
+    minimizer takes the box corner s_lin picked by the sign of y and the
+    vertex with the largest y'V_k y, so the gap is
+    2y.(s - s_lin) + max_k y'V_k y - y'Cy.  By convexity it bounds the
+    distance of s' C^{-1} s to the minimum from above.
+    """
+    y = np.linalg.solve(corr, s)
+    s_lin = np.where(y > 0.0, lo, hi)
+    q = np.einsum("i,kij,j->k", y, verts, y)
+    return float(2.0 * y @ (s - s_lin) + q.max() - y @ corr @ y)
+
+
+def _frank_wolfe_gap(uset: UncertaintySet, scenario: Scenario) -> float:
+    """`_gap` at a diffusion scenario of the set, in its Sharpe and
+    correlation coordinates."""
+    lo, hi = _sharpe_box(uset)
+    return _gap(scenario.drift / scenario.vols, scenario.corr, lo, hi, _corr_vertices(uset))
+
+
+def _scenario_from_sharpe(uset: UncertaintySet, s: np.ndarray, corr: np.ndarray) -> Scenario:
+    """Canonical scenario of the set with Sharpe ratios ``s``: each vol at
+    its upper bound when b = s vol stays in the drift box, else b clamped
+    to the bound it crosses and vol = b / s (the `IgnoreSecond` rule).
+    s_i = 0 gives b_i = 0 at the upper vol."""
+    vols = uset.vol_hi.copy()
+    b = s * vols
+    out = (b < uset.drift_lo) | (b > uset.drift_hi)
+    b = np.clip(b, uset.drift_lo, uset.drift_hi)
+    vols[out] = np.clip(b[out] / s[out], uset.vol_lo[out], uset.vol_hi[out])
+    return Scenario(b, build_covariance(vols, corr))
+
+
+def _worst_case_convex(uset: UncertaintySet) -> WorstCaseResult:
+    """Certified minimum of s' C^{-1} s over the Sharpe box times the
+    correlation hull, for a diffusion-only set of any size.
+
+    The variables are s and the weights w of C = sum_k w_k V_k on the
+    simplex.  SLSQP gets close; Newton steps on the active face (free s
+    coordinates and the weights in the support, or tied with the largest
+    y'V_k y) then polish until the Frank-Wolfe gap stops falling or drops
+    below `_POLISH_RTOL` (1 + premium).  A gap above `_GAP_RTOL`
+    (1 + premium) after `_POLISH_STEPS` raises `BudgetExceeded`: no
+    uncertified answer is returned.
+    """
+    # imported here, as `linprog` is in the model: scipy.optimize is slow to import
+    from scipy.optimize import minimize
+
+    lo, hi = _sharpe_box(uset)
+    verts = _corr_vertices(uset)
+    n, m = uset.n, len(verts)
+    evals = 0
+
+    def value(s, w):
+        nonlocal evals
+        evals += 1
+        corr = np.tensordot(w, verts, axes=1)
+        y = np.linalg.solve(corr, s)
+        return float(s @ y), corr, y
+
+    def value_and_grad(x):
+        f, _, y = value(x[:n], x[n:])
+        return f, np.concatenate([2.0 * y, -np.einsum("i,kij,j->k", y, verts, y)])
+
+    x0 = np.concatenate([np.clip(0.0, lo, hi), np.full(m, 1.0 / m)])
+    ones_w = np.concatenate([np.zeros(n), np.ones(m)])
+    sol = minimize(value_and_grad, x0, jac=True, method="SLSQP",
+                   bounds=list(zip(lo, hi)) + [(0.0, 1.0)] * m,
+                   constraints=[{"type": "eq", "fun": lambda x: x[n:].sum() - 1.0,
+                                 "jac": lambda x: ones_w}],
+                   options={"ftol": 1e-12, "maxiter": 100})
+    s = np.clip(sol.x[:n], lo, hi)
+    w = np.maximum(sol.x[n:], 0.0)
+    w /= w.sum()
+
+    f, corr, y = value(s, w)
+    gap = _gap(s, corr, lo, hi, verts)
+    for _ in range(_POLISH_STEPS):
+        if gap <= _POLISH_RTOL * (1.0 + f):
+            break
+        ds, dw = _face_newton_step(s, w, corr, y, lo, hi, verts)
+        # the longest feasible step along the Newton direction, halved
+        # until it lowers the premium, or lowers the gap with the premium
+        # unchanged to rounding (near the minimum the premium moves with
+        # the square of the step, the gap linearly)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.concatenate([np.where(ds > 0, hi - s, lo - s) / ds, -w / dw])
+        alpha = min(1.0, reach[np.concatenate([ds != 0, dw < 0])].min(initial=1.0))
+        for _ in range(40):
+            s_new = np.clip(s + alpha * ds, lo, hi)
+            w_new = np.maximum(w + alpha * dw, 0.0)
+            w_new /= w_new.sum()
+            f_new, corr_new, y_new = value(s_new, w_new)
+            gap_new = _gap(s_new, corr_new, lo, hi, verts)
+            if f_new < f or (f_new <= f + 1e-15 * (1.0 + f) and gap_new < gap):
+                break
+            alpha *= 0.5
+        else:
+            break
+        s, w, f, corr, y, gap = s_new, w_new, f_new, corr_new, y_new, gap_new
+
+    corr = corr.copy()
+    np.fill_diagonal(corr, 1.0)
+    scen = _scenario_from_sharpe(uset, s, corr)
+    premium = scenario_premium(scen)
+    gap = _frank_wolfe_gap(uset, scen)
+    if not gap <= _GAP_RTOL * (1.0 + premium):
+        raise BudgetExceeded(
+            f"convex worst case not certified: Frank-Wolfe gap {gap:.3g} above "
+            f"{_GAP_RTOL:g} (1 + premium) after {_POLISH_STEPS} polish steps")
+    return WorstCaseResult(scen, premium, NUMERIC, evaluations=evals, gap=gap)
+
+
+def _face_newton_step(s, w, corr, y, lo, hi, verts):
+    """Newton direction (ds, dw) for s' C^{-1} s on the active face at
+    (s, w), with C = corr = sum_k w_k V_k and y = C^{-1} s.
+
+    s_i is held when it sits (within 1e-9) on a bound that its gradient
+    2 y_i pushes against, w_k when it is below 1e-12 and its y'V_k y is
+    below the largest; a free coordinate on its bound whose Newton step
+    points outward is held too, and the step solved again.  A held
+    coordinate steps onto its bound (or to zero weight).  On the free
+    variables the KKT system of the Hessian
+        [[2 C^{-1}, -2 C^{-1} V_k y], [., 2 y'V_k C^{-1} V_l y]]
+    with sum(dw) = 0 is solved, the Hessian block shifted by 1e-12 of its
+    mean diagonal: flat directions (a manifold of minimizers) then stay
+    put, and directions of linear descent run to a bound.
+    """
+    n = s.size
+    vy = verts @ y  # (m, n): V_k y
+    q = vy @ y
+    ci_vy = np.linalg.solve(corr, vy.T)  # (n, m): C^{-1} V_k y
+    hess = 2.0 * np.block([[np.linalg.inv(corr), -ci_vy], [-ci_vy.T, vy @ ci_vy]])
+    grad = np.concatenate([2.0 * y, -q])
+
+    x = np.concatenate([s, w])
+    x_lo = np.concatenate([lo, np.zeros(w.size)])
+    x_hi = np.concatenate([hi, np.zeros(w.size)])
+    width = hi - lo
+    at_lo = np.concatenate([s - lo <= 1e-9 * (1.0 + width), w <= 1e-12])
+    at_hi = np.concatenate([hi - s <= 1e-9 * (1.0 + width), np.zeros(w.size, bool)])
+    hold_lo = at_lo & np.concatenate([(y >= 0.0) | (width == 0.0),
+                                      q < q.max() - 1e-12 * (1.0 + abs(q.max()))])
+    hold_hi = at_hi & np.concatenate([y <= 0.0, np.zeros(w.size, bool)]) & ~hold_lo
+    d = np.zeros(x.size)
+    while not (hold_lo | hold_hi).all():
+        idx = np.flatnonzero(~(hold_lo | hold_hi))
+        k = idx.size
+        kkt = np.zeros((k + 1, k + 1))
+        h = hess[np.ix_(idx, idx)]
+        kkt[:k, :k] = h + 1e-12 * np.trace(h) / k * np.eye(k)
+        kkt[:k, k] = kkt[k, :k] = idx >= n
+        d[:] = 0.0
+        d[idx] = np.linalg.solve(kkt, np.concatenate([-grad[idx], [0.0]]))[:k]
+        out_lo = at_lo & (d < 0.0) & ~hold_lo
+        out_hi = at_hi & (d > 0.0) & ~hold_hi
+        if not (out_lo.any() or out_hi.any()):
+            break
+        hold_lo |= out_lo
+        hold_hi |= out_hi
+    # held coordinates move onto their bound (or to zero weight)
+    d = np.where(hold_lo, x_lo - x, np.where(hold_hi, x_hi - x, d))
+    return d[:n], d[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +817,29 @@ def worst_case_numeric(
     refinements: int = DEFAULT_REFINEMENTS,
     max_evals: int = DEFAULT_MAX_EVALS,
 ) -> WorstCaseResult:
+    """Minimal risk premium over any set, by the cheapest exact method.
+
+    A diffusion-only set (no jump ambiguity and no fixed jump) goes to the
+    certified convex solver `_worst_case_convex`, for any asset count;
+    ``resolution``, ``refinements`` and ``max_evals`` then play no part.
+    A set with jump ambiguity or a fixed jump runs the grid search
+    `_worst_case_grid`.  The grid arguments are checked on every call.
+    """
+    if resolution < 2:
+        raise InvalidBounds("grid resolution must be at least 2")
+    if refinements < 0:
+        raise InvalidBounds("refinements must be at least 0")
+    box = _CoordBox.build(uset, jump)
+    if uset.is_singleton:
+        return _degenerate_result(uset, jump)
+    if jump is None and uset.jump_bounds is None:
+        return _worst_case_convex(uset)
+    return _worst_case_grid(box, resolution, refinements, max_evals)
+
+
+def _worst_case_grid(box: _CoordBox, resolution: int = DEFAULT_RESOLUTION,
+                     refinements: int = DEFAULT_REFINEMENTS,
+                     max_evals: int = DEFAULT_MAX_EVALS) -> WorstCaseResult:
     """Grid search plus box refinement for the minimal risk premium.
 
     Each pass lays `resolution` points per non-degenerate coordinate
@@ -611,13 +851,6 @@ def worst_case_numeric(
     lexicographically smallest grid index; the incumbent is only
     replaced by a strictly better point, so results are deterministic.
     """
-    if resolution < 2:
-        raise InvalidBounds("grid resolution must be at least 2")
-    if refinements < 0:
-        raise InvalidBounds("refinements must be at least 0")
-    box = _CoordBox.build(uset, jump)
-    if uset.is_singleton:
-        return _degenerate_result(uset, jump)
     free = box.hi > box.lo
     d = int(np.count_nonzero(free))
     res = resolution
@@ -670,7 +903,8 @@ def find_worst_case(
     Singletons short-circuit; two-asset diffusion sets satisfying the
     ordering assumption use the explicit case split (a jump spec with
     exactly zero moment adjustments is dropped first); everything else
-    runs the numeric search.
+    runs `worst_case_numeric`: the certified convex solver without jumps,
+    the grid search with them.
     """
     if jump is not None and uset.jump_bounds is not None:
         raise InvalidBounds("a fixed jump spec and jump ambiguity bounds are exclusive")

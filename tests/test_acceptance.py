@@ -62,6 +62,11 @@ def test_02_randomized_case_sweep():
         numeric = rm.worst_case_numeric(uset)
         gap = abs(closed.risk_premium - numeric.risk_premium)
         assert gap <= 1e-6 * (1.0 + closed.risk_premium), (uset, closed.case_label)
+        # the numeric side is the certified convex solver: it matches the
+        # case split to rounding, and both carry a Frank-Wolfe gap
+        assert gap <= 1e-12 * (1.0 + closed.risk_premium), (uset, closed.case_label)
+        assert numeric.gap <= 1e-10 * (1.0 + numeric.risk_premium)
+        assert closed.gap <= 1e-12 * (1.0 + closed.risk_premium), (uset, closed.case_label)
         alpha = closed.alpha_direction()
         assert alpha[0] > 0
         if closed.case_label == "ShortSecond":
@@ -73,7 +78,7 @@ def test_02_randomized_case_sweep():
         checked += 1
     elapsed = time.monotonic() - t_start
     assert elapsed <= 300.0
-    report(2, f"50-set randomized sweep, oracle + sign patterns ({elapsed:.0f}s)")
+    report(2, f"50-set randomized sweep, certified oracle + sign patterns ({elapsed:.0f}s)")
 
 
 def test_03_aversion_and_criterion_invariance(short_second_set):

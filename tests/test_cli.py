@@ -74,6 +74,15 @@ class TestWorstCaseCommand:
         err = capsys.readouterr().err
         assert "vol_lo[1] >= vol_lo[0]" in err
 
+    def test_convex_result_reports_its_gap(self, tmp_path):
+        path = write_problem(tmp_path, worst_case={"method": "numeric"})
+        code, out = run_cli(["worst-case", path])
+        assert code == 0 and "certified gap" in out
+        doc = json.loads(run_cli(["worst-case", path, "--json", "--quiet"])[1])
+        res = doc["result"]
+        assert res["case"] == "Numeric" and res["evaluations"] > 0 and res["skipped"] == 0
+        assert 0.0 <= res["gap"] <= 1e-10 * (1.0 + res["risk_premium"])
+
     def test_json_output_round_trips(self, tmp_path):
         path = write_problem(tmp_path)
         code, out = run_cli(["worst-case", path, "--json"])
@@ -155,6 +164,9 @@ class TestStrategyCommand:
                 "drift_lo": [0.01] * 4, "drift_hi": [0.1] * 4,
                 "vol_lo": [0.1] * 4, "vol_hi": [0.3] * 4,
                 "corr_vertices": [eye] * 9,
+                # jump ambiguity keeps the grid: 17 free coordinates
+                "jump_bounds": {"kind": "levy_discrete", "atoms": [[-0.05, 0.0, 0.0, 0.0]],
+                                "weight_lo": [0.1], "weight_hi": [0.3]},
             },
             worst_case={"method": "numeric"},
         )
@@ -208,6 +220,14 @@ class TestStrategyCommand:
             },
         )
         assert run_cli(["strategy", path])[0] == 2
+
+
+def test_import_leaves_the_slow_scipy_modules_unloaded():
+    code = ("import sys, robust_mv, robust_mv.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestVerifySimulatePerturb:

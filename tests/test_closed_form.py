@@ -32,7 +32,7 @@ class TestTerminalWealth:
             assert sol.f(2.0, x) == pytest.approx(x - 1.5 * x * x, abs=1e-14)
 
     def test_two_asset_values_from_numeric_premium(self, short_second_set, tw_criterion):
-        # plug the premium found by the independent grid search
+        # plug the premium found by the independent convex search
         oracle = rm.worst_case_numeric(short_second_set)
         sol = rm.solve_terminal_wealth(short_second_set, tw_criterion)
         p = oracle.risk_premium

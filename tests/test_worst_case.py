@@ -5,10 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import robust_mv as rm
 from conftest import random_ordered_two_asset
-from robust_mv.worst_case import _CoordBox, sobol_scenarios
+from robust_mv.worst_case import _CoordBox, _frank_wolfe_gap, _worst_case_grid, sobol_scenarios
 from scipy.stats import qmc
 
 
@@ -175,12 +176,32 @@ class TestNumericSearch:
             assert rm.scenario_premium(scen) >= res.risk_premium - 1e-9
 
     def test_budget_exceeded(self):
+        # jump ambiguity keeps the grid: 7 free coordinates need 3^7 > 1000 points
+        bounds = rm.CompoundPoissonBounds(
+            loadings=np.array([[1.0], [0.0]]),
+            intensity_lo=np.array([0.3]), intensity_hi=np.array([0.7]),
+            mean_lo=np.array([0.05]), mean_hi=np.array([0.15]),
+            second_lo=np.array([0.01]), second_hi=np.array([0.03]),
+        )
+        uset = rm.UncertaintySet.two_asset(
+            (0.10, 0.12), (0.02, 0.03), (0.2, 0.2), (0.2, 0.3), (0.4, 0.6),
+            jump_bounds=bounds,
+        )
+        with pytest.raises(rm.BudgetExceeded):
+            rm.worst_case_numeric(uset, max_evals=1000)
+
+    def test_former_budget_set_is_certified(self):
+        # 4 assets, 9 hull vertices: beyond the grid's budget, and zero
+        # drift is feasible, so the certified minimum is 0 at b = 0, vol_hi
         verts = tuple(np.eye(4) for _ in range(9))
         uset = rm.UncertaintySet.hull(
             [0.0] * 4, [0.1] * 4, [0.1] * 4, [0.2] * 4, verts
         )
-        with pytest.raises(rm.BudgetExceeded):
-            rm.worst_case_numeric(uset, max_evals=1000)
+        res = rm.worst_case_numeric(uset, max_evals=1000)
+        assert res.case_label == "Numeric" and res.evaluations > 0
+        assert res.risk_premium == 0.0 and res.gap == 0.0
+        assert np.array_equal(res.scenario.drift, np.zeros(4))
+        assert np.array_equal(res.scenario.cov, 0.2 * 0.2 * np.eye(4))
 
     def test_deterministic(self, short_second_set):
         a = rm.worst_case_numeric(short_second_set)
@@ -288,7 +309,7 @@ class TestGridKernel:
         first = int(np.argmin(ref))
         tied = [s for s, p in zip(scens, ref) if p == ref[first]]
         assert len({s.cov.tobytes() for s in tied}) > 1
-        res = rm.worst_case_numeric(uset, resolution=3, refinements=0)
+        res = _worst_case_grid(box, resolution=3, refinements=0)
         assert np.array_equal(res.scenario.drift, scens[first].drift)
         assert np.array_equal(res.scenario.cov, scens[first].cov)
         assert res.evaluations == len(ref) and res.skipped == 0
@@ -318,6 +339,151 @@ class TestGridKernel:
         res = rm.worst_case_numeric(uset, resolution=5, refinements=1)
         assert res.risk_premium == pytest.approx(rm.scenario_premium(res.scenario), rel=1e-12)
         assert min(res.scenario.jump.size_laws[0].params[:2]) > -1.0
+
+
+def _random_corr(rng, n):
+    """A random positive definite correlation matrix: a normalized
+    Wishart draw with n + 3 degrees of freedom."""
+    a = rng.standard_normal((n, n + 3))
+    c = a @ a.T
+    d = np.sqrt(np.diag(c))
+    c = c / np.outer(d, d)
+    c = 0.5 * (c + c.T)
+    np.fill_diagonal(c, 1.0)
+    return c
+
+
+def _random_hull(rng, n, m=3):
+    """A random hull set: drift boxes that may straddle zero, some pinned
+    coordinates, ``m`` random correlation vertices."""
+    b_lo = rng.uniform(-0.03, 0.1, n)
+    b_hi = b_lo + rng.uniform(0.0, 0.05, n) * (rng.random(n) > 0.2)
+    v_lo = rng.uniform(0.1, 0.3, n)
+    v_hi = v_lo + rng.uniform(0.0, 0.1, n) * (rng.random(n) > 0.2)
+    return rm.UncertaintySet.hull(b_lo, b_hi, v_lo, v_hi, [_random_corr(rng, n) for _ in range(m)])
+
+
+def _random_corner_scenarios(uset, count, rng):
+    """``count`` random corners: each drift and vol at a bound, the
+    correlation at a hull vertex."""
+    n = uset.n
+    out = []
+    for _ in range(count):
+        pick = rng.random((2, n)) < 0.5
+        b = np.where(pick[0], uset.drift_hi, uset.drift_lo)
+        v = np.where(pick[1], uset.vol_hi, uset.vol_lo)
+        corr = uset.corr_vertices[rng.integers(len(uset.corr_vertices))]
+        out.append(rm.Scenario(b, rm.build_covariance(v, corr)))
+    return out
+
+
+class TestConvexWorstCase:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 12, 20])
+    def test_random_hulls_are_certified(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(10):
+            uset = _random_hull(rng, n)
+            res = rm.worst_case_numeric(uset)
+            p = res.risk_premium
+            assert res.case_label == "Numeric" and res.skipped == 0
+            assert res.gap <= 1e-10 * (1.0 + p)
+            assert p == rm.scenario_premium(res.scenario)
+            assert np.all(res.scenario.drift >= uset.drift_lo)
+            assert np.all(res.scenario.drift <= uset.drift_hi)
+            assert np.all(res.scenario.vols >= uset.vol_lo * (1.0 - 1e-15))
+            assert np.all(res.scenario.vols <= uset.vol_hi * (1.0 + 1e-15))
+            # every corner for small n, a random sample of corners beyond
+            corners = (rm.corner_scenarios(uset) if n <= 5
+                       else _random_corner_scenarios(uset, 256, rng))
+            assert p <= min(rm.scenario_premium(c) for c in corners) + 1e-12
+            slack = max(rm.worst_case_optimality_slack(res.scenario, th)
+                        for th in rm.sample_scenarios(uset, 200, rng))
+            assert slack <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_never_above_the_grid(self, n):
+        rng = np.random.default_rng(2000 + n)
+        for _ in range(3):
+            if n == 2:
+                lo = np.sort(rng.uniform(-0.8, 0.8, 2))
+                uset = rm.UncertaintySet(rng.uniform(-0.02, 0.05, 2), rng.uniform(0.05, 0.1, 2),
+                                         rng.uniform(0.1, 0.2, 2), rng.uniform(0.2, 0.3, 2),
+                                         rho_lo=lo[0], rho_hi=lo[1])
+            else:
+                uset = _random_hull(rng, n)
+            convex = rm.worst_case_numeric(uset)
+            grid = _worst_case_grid(_CoordBox.build(uset, None), resolution=5, refinements=1)
+            assert convex.risk_premium <= grid.risk_premium + 1e-12
+
+    def test_gap_exposes_a_wrong_scenario(self, short_second_set):
+        # the premium-maximizing corner: far from the minimum, and the gap says so
+        fake = rm.Scenario(
+            np.array([0.12, 0.03]),
+            rm.build_covariance([0.15, 0.3], np.array([[1.0, 0.6], [0.6, 1.0]])),
+        )
+        best = rm.worst_case_two_asset(short_second_set).risk_premium
+        gap = _frank_wolfe_gap(short_second_set, fake)
+        assert rm.scenario_premium(fake) - best <= gap
+        assert gap > 0.1
+
+    def test_zero_sharpe_ratio_is_zero_drift_at_the_upper_vol(self):
+        uset = rm.UncertaintySet.two_asset(
+            (0.0, 0.1), (0.0, 0.05), (0.1, 0.2), (0.2, 0.3), (0.3, 0.5), require_ordering=False)
+        res = rm.worst_case_numeric(uset)
+        assert res.risk_premium == 0.0 and res.gap == 0.0
+        assert np.array_equal(res.scenario.drift, [0.0, 0.0])
+        assert np.array_equal(res.scenario.vols, [0.2, 0.3])
+
+    def test_find_worst_case_routes_diffusion_sets_to_the_convex_solver(self):
+        uset = _random_hull(np.random.default_rng(7), 4)
+        routed = rm.find_worst_case(uset)
+        direct = rm.worst_case_numeric(uset)
+        assert routed.gap is not None
+        assert routed.risk_premium == direct.risk_premium
+        assert np.array_equal(routed.scenario.cov, direct.scenario.cov)
+
+    def test_grid_arguments_do_not_change_a_diffusion_result(self, short_second_set):
+        a = rm.worst_case_numeric(short_second_set)
+        b = rm.worst_case_numeric(short_second_set, resolution=3, refinements=0, max_evals=10)
+        assert (a.risk_premium, a.gap, a.evaluations) == (b.risk_premium, b.gap, b.evaluations)
+        assert np.array_equal(a.scenario.cov, b.scenario.cov)
+
+    def test_jump_results_carry_no_gap(self, cp_set, cp_jump):
+        res = rm.worst_case_numeric(cp_set, jump=cp_jump, resolution=5, refinements=1)
+        assert res.gap is None and res.evaluations > 0
+
+
+@st.composite
+def _diffusion_sets(draw):
+    n = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if n == 1:
+        return rm.UncertaintySet.single_asset((rng.uniform(-0.05, 0.05), rng.uniform(0.05, 0.1)),
+                                              (rng.uniform(0.1, 0.2), rng.uniform(0.2, 0.3)))
+    if n == 2:
+        rho = np.sort(rng.uniform(-0.9, 0.9, 2))
+        return rm.UncertaintySet(rng.uniform(-0.05, 0.05, 2), rng.uniform(0.05, 0.1, 2),
+                                 rng.uniform(0.1, 0.2, 2), rng.uniform(0.2, 0.3, 2),
+                                 rho_lo=rho[0], rho_hi=rho[1])
+    return _random_hull(rng, n)
+
+
+_CRITERIA = st.builds(
+    lambda kind, lam: rm.Criterion(kind, lam=lam, horizon=1.0),
+    st.sampled_from(["terminal_wealth", "log_return"]),
+    st.floats(0.1, 10.0))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_diffusion_sets(), _CRITERIA, _CRITERIA)
+def test_worst_case_is_bit_identical_across_aversion_and_criterion(uset, crit_a, crit_b):
+    for solver in (rm.worst_case_numeric, rm.find_worst_case):
+        a, b = solver(uset, crit_a), solver(uset, crit_b)
+        assert a.scenario.drift.tobytes() == b.scenario.drift.tobytes()
+        assert a.scenario.cov.tobytes() == b.scenario.cov.tobytes()
+        assert (a.risk_premium, a.gap, a.evaluations, a.case_label) == \
+               (b.risk_premium, b.gap, b.evaluations, b.case_label)
 
 
 class TestOptimalitySlack:
