@@ -10,14 +10,18 @@ perturb      local-splice difference-quotient tests
 
 Problem files are strict JSON: unknown top-level keys are rejected, the
 version tag must be "1", and every randomized command must carry an
-explicit seed.  Exit codes: 0 pass, 1 assertion failure, 2 schema
-error, 3 model assumption violated, 4 runtime budget exceeded.
+explicit seed.  The optional ``worst_case`` block picks the worst-case
+solver for every command.  Counts, seeds, step sizes, grids, window
+lengths and modes are checked at parse time.  Exit codes: 0 pass, 1
+assertion failure, 2 schema error, 3 model assumption violated, 4
+runtime budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -230,10 +234,36 @@ def parse_criterion(doc: dict) -> Criterion:
         raise SchemaError(f"criterion: {exc}") from exc
 
 
-def _integer(obj: dict, key: str, default: int, least: int, where: str) -> int:
+def _integer(obj: dict, key: str, default: int | None, least: int, where: str,
+             below: int | None = None) -> int:
     value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise SchemaError(f"{where}.{key} must be an integer >= {least}, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, int) or value < least
+            or (below is not None and value >= below)):
+        bound = f" and < {below}" if below is not None else ""
+        raise SchemaError(f"{where}.{key} must be an integer >= {least}{bound}, got {value!r}")
+    return value
+
+
+def _seed(obj: dict, where: str) -> int:
+    return _integer(obj, "seed", None, 0, where, below=2**64)
+
+
+def _is_number(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
+
+
+def _positive(obj: dict, key: str, default: float | None, where: str) -> float:
+    value = obj.get(key, default)
+    if not (_is_number(value) and value > 0):
+        raise SchemaError(f"{where}.{key} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def _flag(obj: dict, key: str, where: str) -> bool:
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise SchemaError(f"{where}.{key} must be true or false, got {value!r}")
     return value
 
 
@@ -322,21 +352,24 @@ def _print_worst_case(em: Emitter, res) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_worst_case(doc: dict, em: Emitter) -> int:
-    uset = parse_uncertainty(doc)
-    criterion = parse_criterion(doc)
-    jumps = parse_jumps(doc, uset.n)
+def _worst_case_from_doc(doc: dict, uset: UncertaintySet, criterion: Criterion, jumps):
+    """The worst case the ``worst_case`` block asks for; every command uses it."""
     method, resolution, refinements = parse_worst_case(doc)
     if method == "closed":
         if jumps is not None:
             raise InvalidBounds("closed method covers diffusion ambiguity; use numeric with jumps")
-        res = worst_case_two_asset(uset, criterion)
-    elif method == "numeric":
-        res = worst_case_numeric(uset, criterion, jump=jumps,
-                                 resolution=resolution, refinements=refinements)
-    else:
-        res = find_worst_case(uset, criterion, jump=jumps,
-                              resolution=resolution, refinements=refinements)
+        return worst_case_two_asset(uset, criterion)
+    if method == "numeric":
+        return worst_case_numeric(uset, criterion, jump=jumps,
+                                  resolution=resolution, refinements=refinements)
+    return find_worst_case(uset, criterion, jump=jumps,
+                           resolution=resolution, refinements=refinements)
+
+
+def cmd_worst_case(doc: dict, em: Emitter) -> int:
+    uset = parse_uncertainty(doc)
+    criterion = parse_criterion(doc)
+    res = _worst_case_from_doc(doc, uset, criterion, parse_jumps(doc, uset.n))
     _print_worst_case(em, res)
     em.payload("worst-case", {"result": _worst_case_dict(res)})
     return EXIT_OK
@@ -346,7 +379,8 @@ def _solve_from_doc(doc: dict, em: Emitter):
     uset = parse_uncertainty(doc)
     criterion = parse_criterion(doc)
     jumps = parse_jumps(doc, uset.n)
-    sol = closed_form.solve(uset, criterion, jump=jumps)
+    worst = _worst_case_from_doc(doc, uset, criterion, jumps)
+    sol = closed_form.solve(uset, criterion, jump=jumps, worst=worst)
     ties = atoms_near_unit_sphere(sol.worst_case.scenario.jump)
     if ties:
         em.say(f"WARNING: jump atoms {list(ties)} sit within 1e-9 of the "
@@ -386,12 +420,16 @@ def cmd_strategy(doc: dict, em: Emitter) -> int:
 def cmd_verify(doc: dict, em: Emitter) -> int:
     uset, criterion, jumps, sol = _solve_from_doc(doc, em)
     block = _block(doc, "verify", {"grid", "samples", "seed", "residual_tol"}, {"seed"})
-    nt, nx = block.get("grid", [10, 10])
-    samples = int(block.get("samples", 1000))
-    seed = int(block["seed"])
-    tol = float(block.get("residual_tol", 1e-8))
+    grid = block.get("grid", [10, 10])
+    if not (isinstance(grid, list) and len(grid) == 2
+            and all(_is_number(g) and isinstance(g, int) and g >= 1 for g in grid)):
+        raise SchemaError(f"verify.grid must be two integers >= 1, got {grid!r}")
+    nt, nx = grid
+    samples = _integer(block, "samples", 1000, 1, "verify")
+    seed = _seed(block, "verify")
+    tol = _positive(block, "residual_tol", 1e-8, "verify")
 
-    table = pde_check.residual_grid(sol, nt=int(nt), nx=int(nx))
+    table = pde_check.residual_grid(sol, nt=nt, nx=nx)
     saddle = pde_check.saddle_check(sol, uset, samples=samples, seed=seed)
     res_ok = table.max_abs <= tol
     ok = res_ok and saddle.ok
@@ -435,11 +473,11 @@ def cmd_simulate(doc: dict, em: Emitter) -> int:
                    {"n_paths", "dt", "seed", "antithetic", "keep_paths", "spill"},
                    {"n_paths", "dt", "seed"})
     cfg = sim.SimConfig(
-        n_paths=int(block["n_paths"]),
-        dt=float(block["dt"]),
-        seed=int(block["seed"]),
-        antithetic=bool(block.get("antithetic", False)),
-        keep_paths=bool(block.get("keep_paths", False)),
+        n_paths=_integer(block, "n_paths", None, 1, "simulate"),
+        dt=_positive(block, "dt", None, "simulate"),
+        seed=_seed(block, "simulate"),
+        antithetic=_flag(block, "antithetic", "simulate"),
+        keep_paths=_flag(block, "keep_paths", "simulate"),
     )
     batch = sim.simulate_solution(sol, cfg)
     est = sim.estimate_J(batch, criterion)
@@ -478,11 +516,19 @@ def cmd_perturb(doc: dict, em: Emitter) -> int:
                    {"h_list", "w_samples", "u_samples", "n_paths", "dt", "seed",
                     "mode", "base_scale"},
                    {"h_list", "w_samples", "u_samples", "n_paths", "dt", "seed"})
-    cfg = sim.SimConfig(n_paths=int(block["n_paths"]), dt=float(block["dt"]),
-                        seed=int(block["seed"]))
-    h_list = [float(h) for h in block["h_list"]]
+    cfg = sim.SimConfig(n_paths=_integer(block, "n_paths", None, 1, "perturb"),
+                        dt=_positive(block, "dt", None, "perturb"), seed=_seed(block, "perturb"))
+    h_list = block["h_list"]
+    if not (isinstance(h_list, list) and h_list and all(_is_number(h) for h in h_list)):
+        raise SchemaError(f"perturb.h_list must be a non-empty list of numbers, got {h_list!r}")
+    w_samples = _integer(block, "w_samples", None, 1, "perturb")
+    u_samples = _integer(block, "u_samples", None, 1, "perturb")
     mode = block.get("mode", "both")
+    if mode not in ("both", "worst_case", "equilibrium"):
+        raise SchemaError(f"perturb.mode must be both|worst_case|equilibrium, got {mode!r}")
     base_scale = block.get("base_scale")
+    if base_scale is not None and not _is_number(base_scale):
+        raise SchemaError(f"perturb.base_scale must be a finite number, got {base_scale!r}")
     if base_scale is not None and sol.kind == "wealth_scaled":
         raise SchemaError("perturb.base_scale scales a constant strategy; "
                           "the wealth-scaled strategy is not constant")
@@ -490,12 +536,12 @@ def cmd_perturb(doc: dict, em: Emitter) -> int:
 
     reports = {}
     if mode in ("both", "worst_case"):
-        reports["worst_case"] = sim.perturb_worst_case(
-            sol, uset, h_list, u_samples=int(block["u_samples"]), cfg=cfg)
+        reports["worst_case"] = sim.perturb_worst_case(sol, uset, h_list, u_samples=u_samples,
+                                                       cfg=cfg)
     if mode in ("both", "equilibrium"):
         reports["equilibrium"] = sim.perturb_equilibrium(
-            sol, uset, h_list, w_samples=int(block["w_samples"]),
-            u_samples=int(block["u_samples"]), cfg=cfg, base_strategy=base)
+            sol, uset, h_list, w_samples=w_samples, u_samples=u_samples, cfg=cfg,
+            base_strategy=base)
 
     ok = all(rep.ok for rep in reports.values())
     for name, rep in reports.items():

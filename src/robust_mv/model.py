@@ -464,7 +464,11 @@ class Scenario:
         return corr_from_cov(self.cov)[1]
 
     def chol(self) -> np.ndarray:
-        return np.linalg.cholesky(self.cov)
+        return self._chol
+
+    @cached_property
+    def _chol(self) -> np.ndarray:
+        return _ro(np.linalg.cholesky(self.cov))
 
     def with_jump(self, jump: JumpSpec | None) -> "Scenario":
         return Scenario(self.drift, self.cov, jump)

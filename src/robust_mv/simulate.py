@@ -1,50 +1,45 @@
 """Monte Carlo engine for controlled wealth paths and perturbation tests.
 
-Euler-Maruyama for the diffusion part; compound Poisson jumps by
-per-step thinning (counts inverted from one uniform per step and type,
-sizes by inverting the size law's CDF); discrete Levy atoms by
-independent Poisson counts per atom.  One step kernel serves every run:
-the steps are cut into segments at each switch of the scenario timeline
-and of the strategy, the step coefficients are computed once per
-segment for a constant strategy and every step for a state-dependent
-one, and one update line advances every step.
+The steps are cut into segments at each switch of the scenario timeline
+and of the strategy.  In a jump-free run, a segment [lo, hi) with a
+constant strategy is exact in one step from the Brownian path W (per
+path and asset, in units of one step's standard deviation):
 
-Random numbers follow RNG layout 2 (``RNG_LAYOUT``).  Paths are grouped
-into blocks of ``_BLOCK`` = 1024 consecutive stream indices, and each
-(seed, block, tag) keys one counter-based Philox stream, drawn
-path-major: normals, jump-count uniforms and first-event jump-size
-uniforms each have their own tag.  The rare second and later jump
-events of one (path, step, type) draw from a stream keyed by (seed,
-stream index, step, type).  Antithetic pairs share stream index
-path // 2.  A path's numbers depend only on the seed and its index, and
-per-path dot products are summed in a fixed order with elementwise
-operations, so results are independent of chunking and of the path
-count, and bit-identical across repeated runs.  Reductions are single
-fixed-order ndarray sums.  A run's numbers depend on the values of its
-scenarios and strategies, not on object identity: a splice whose window
-scenario is the base scenario itself gives the same bits as one whose
-window is an equal copy.
+    x_hi = x_lo + (hi - lo) drift_dt + sqrt(dt) vol . (W_hi - W_lo).
+
+Adjacent such segments with equal coefficients are one step, so an
+unperturbed splice gives the bits of the unspliced run.  Segments with a
+state-dependent strategy, runs with jumps and runs that keep their paths
+step once per step with increments W_{s+1} - W_s.  Compound Poisson
+counts are inverted from one uniform per step and type, sizes from the
+size law's CDF; discrete Levy atoms get independent Poisson counts.
+
+Random numbers follow RNG layout 3 (``RNG_LAYOUT``).  W is a Brownian
+bridge over a fixed split tree of the steps (Glasserman, Monte Carlo
+Methods in Financial Engineering, 2004, section 3.1): W at one node
+costs O(log N) normals, a full fill N normals per path and asset.
+Paths are grouped into blocks of ``_BLOCK`` = 1024 stream indices; each
+(seed, block, tree level) keys one Philox stream drawn node-major, so a
+window at t0 reads a short prefix of each level.  Jump-count and
+first-event jump-size uniforms have one stream per (seed, block, tag),
+drawn path-major; later events of one (path, step, type) have their own
+stream.  Antithetic pairs share stream index path // 2.  A path's
+numbers depend only on the seed and its index and all per-path
+arithmetic is elementwise in a fixed order, so results are bit-identical
+across reruns, chunkings and path counts, and depend on the values of
+scenarios and strategies, not on object identity.
 
 The perturbation reports realize the local-variation definitions of
-worst-case scenario and equilibrium at desk scale: constant splices on
-[t0, t0 + h) with common random numbers across the spliced and
-unspliced runs, reported as difference quotients with error bars.  One
-driver serves both reports.  It simulates the base run once, estimates
-its J and influence function once, and pairs them against every splice
-of every window strategy w (None keeps the base strategy) with every
-scenario candidate u, at every h snapped to whole steps.  The
-worst-case report writes one row per u; the equilibrium report one row
-per w, at its worst u.  When the base strategy is constant, the
-dynamics are terminal wealth or log return, and neither theta_hat nor
-any window scenario has jumps, a splice changes only the window
-increment, so its terminal is the base terminal plus the change of that
-increment, found from per-path sums of the window's normals (splices by
-linearity).  Wealth-scaled strategies and splices with jumps step
-through ``simulate_paths`` on the cached shocks.
+worst-case scenario and equilibrium: constant splices on [t0, t0 + h)
+with common random numbers, reported as difference quotients with error
+bars.  One driver serves both: the base run and every splice of every
+window strategy w with every scenario candidate u, at every h snapped to
+whole steps, are ``simulate_paths`` calls on one shared ``ShockCache``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import logging
 import math
@@ -71,7 +66,7 @@ from .worst_case import corner_scenarios, sobol_scenarios
 
 _log = logging.getLogger(__name__)
 
-RNG_LAYOUT = 2
+RNG_LAYOUT = 3
 _BLOCK = 1024  # stream indices per Philox stream; part of the RNG layout
 _TAG_NORMALS = 1
 _TAG_COUNTS = 2
@@ -204,25 +199,15 @@ class JEstimate:
     standard_error_mean: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "j_hat": self.j_hat,
-            "mean_hat": self.mean_hat,
-            "var_hat": self.var_hat,
-            "standard_error_j": self.standard_error_j,
-            "standard_error_mean": self.standard_error_mean,
-            "n_paths": self.n_paths,
-        }
+        return dataclasses.asdict(self)
 
 
-def _influence(x: np.ndarray, lam: float) -> np.ndarray:
-    m = np.mean(x)
-    v = np.var(x, ddof=1)
+def _influence(x: np.ndarray, lam: float) -> tuple[float, float, np.ndarray]:
+    """Sample mean, unbiased sample variance and the influence function of
+    J = mean - lam var at the sample x."""
+    m, v = float(np.mean(x)), float(np.var(x, ddof=1))
     c = x - m
-    return c - lam * (c * c - v)
-
-
-def _j_hat(x: np.ndarray, lam: float) -> float:
-    return float(np.mean(x)) - lam * float(np.var(x, ddof=1))
+    return m, v, c - lam * (c * c - v)
 
 
 class _PairedBase:
@@ -233,10 +218,9 @@ class _PairedBase:
         x = batch.terminal
         n = x.size
         self.lam = criterion.risk_aversion_at(criterion.x0)
-        self.psi = _influence(x, self.lam)
+        m, v, self.psi = _influence(x, self.lam)
         se = float(np.std(self.psi, ddof=1) / math.sqrt(n))
         se_mean = float(np.std(x, ddof=1) / math.sqrt(n))
-        m, v = float(np.mean(x)), float(np.var(x, ddof=1))
         self.est = JEstimate(
             j_hat=m - self.lam * v,
             mean_hat=m,
@@ -248,9 +232,10 @@ class _PairedBase:
 
     def difference(self, terminal: np.ndarray) -> tuple[float, float]:
         """J(base) - J(run) with the standard error of the paired difference."""
-        psi = self.psi - _influence(terminal, self.lam)
+        m, v, psi = _influence(terminal, self.lam)
+        psi = self.psi - psi
         se = float(np.std(psi, ddof=1) / math.sqrt(terminal.size))
-        return self.est.j_hat - _j_hat(terminal, self.lam), max(se, _SE_FLOOR)
+        return self.est.j_hat - (m - self.lam * v), max(se, _SE_FLOOR)
 
 
 def estimate_J(batch: PathBatch, criterion: Criterion) -> JEstimate:
@@ -343,7 +328,7 @@ class _Segment:
 
     def __init__(self, scenario: Scenario, dt: float):
         self.scenario = scenario
-        self.chol = scenario.chol()
+        self.chol_dt = scenario.chol() * math.sqrt(dt)  # volatility loadings of one step
         self.drift = np.asarray(scenario.drift, dtype=float)
         self.cov = np.asarray(scenario.cov, dtype=float)
         self.dt = dt
@@ -365,102 +350,176 @@ class _Segment:
 
 
 class ShockCache:
-    """Shock tables, drawn once and reused across CRN runs.
-
-    Keyed by chunk start; all runs sharing a cache must share the seed,
-    step count, asset count, jump-stream count and antithetic flag.
+    """Shocks drawn once and reused across CRN runs, keyed by chunk start:
+    per chunk the W nodes by step index, each (assets, paths), and for
+    jump runs the count uniforms and first-event size uniforms (steps,
+    streams, paths).  A jump-free run with constant segments adds only W
+    at its cut points and their bridge ancestors; a run that steps adds
+    every node.  All runs sharing a cache must share the seed, step
+    count, asset count, jump-stream count and antithetic flag.
     """
 
     def __init__(self) -> None:
-        self.store: dict[int, tuple[np.ndarray, np.ndarray | None, np.ndarray | None]] = {}
+        self.store: dict[int, tuple[dict[int, np.ndarray], np.ndarray | None, np.ndarray | None]] = {}
 
 
-class _BlockStream:
-    """One tag's block streams, ``width`` values per stream index.
+class _Bridge:
+    """The split tree of W_0 = 0, ..., W_n, as arrays over nodes.
 
-    Stream index i is row i % _BLOCK of the Philox stream keyed by
-    (seed, i // _BLOCK, tag).  ``read`` returns the rows transposed,
-    (width, indices).  A read that starts where the previous one stopped
-    continues the current generator, so in-order chunks draw every row
-    once; any other read restarts its block and discards the prefix it
-    does not need.
+    Level 0 holds node n, W_n = sqrt(n) Z.  Each later level splits every
+    interval [a, b] of the level above with b - a >= 2, left to right, at
+    m = a + the largest power of two below b - a, and
+
+        W_m = sqrt((m - a) (b - m) / (b - a)) Z + (b - m) / (b - a) W_a
+              + (m - a) / (b - a) W_b,
+
+    summed in that order.  Windows of 2^j steps from the start are reached
+    through the first node of each level, and the tree of 2n steps holds
+    the tree of n node for node, so halving dt keeps the Brownian path.
+    Per node: its level, its index within the level, the interval ends
+    (a, b) and the weights of W_a, W_b and Z.
     """
 
-    def __init__(self, seed: int, tag: int, width: int, normal: bool):
-        self.seed, self.tag, self.width, self.normal = seed, tag, width, normal
-        self.gen: np.random.Generator | None = None
-        self.block = -1
-        self.row = 0
+    def __init__(self, n: int):
+        self.level = np.full(n + 1, -1)
+        self.index = np.zeros(n + 1, dtype=np.int64)
+        self.ends = np.zeros((n + 1, 2), dtype=np.int64)
+        self.weights = np.zeros((n + 1, 3))
+        self.level[n], self.weights[n, 2] = 0, math.sqrt(n)
+        intervals, depth = [(0, n)], 1
+        while intervals:
+            split = [(a, b) for a, b in intervals if b - a >= 2]
+            intervals = []
+            for j, (a, b) in enumerate(split):
+                m = a + (1 << ((b - a - 1).bit_length() - 1))
+                self.level[m], self.index[m], self.ends[m] = depth, j, (a, b)
+                self.weights[m] = ((b - m) / (b - a), (m - a) / (b - a),
+                                   math.sqrt((m - a) * (b - m) / (b - a)))
+                intervals += [(a, m), (m, b)]
+            depth += 1
 
-    def read(self, lo: int, hi: int) -> np.ndarray:
-        out = np.empty((self.width, hi - lo))
-        pos = lo
-        while pos < hi:
-            block, row = divmod(pos, _BLOCK)
-            if block != self.block or row < self.row:
-                self.gen = _stream(self.seed, block, self.tag)
-                self.block, self.row = block, 0
-            if row > self.row:
-                self._draw(row - self.row)
-            end = min(hi, (block + 1) * _BLOCK)
-            out[:, pos - lo:end - lo] = self._draw(end - pos).T
-            pos = end
-        return out
+    def closure(self, want, have) -> np.ndarray:
+        """The nodes in ``want`` and their bridge ancestors not in ``have``."""
+        todo, out = [int(m) for m in want], set()
+        while todo:
+            m = todo.pop()
+            if m not in have and m not in out:
+                out.add(m)
+                todo += self.ends[m].tolist()
+        return np.array(sorted(out), dtype=np.int64)
 
-    def _draw(self, n: int) -> np.ndarray:
-        size = (n, self.width)
-        self.row += n
-        return self.gen.standard_normal(size) if self.normal else self.gen.random(size)
+
+_bridge = functools.lru_cache(maxsize=16)(_Bridge)
 
 
 class _Shocks:
-    """Shock tables of one run, chunk by chunk, stored step-major so each
-    step reads contiguous per-path vectors: normals (steps, assets,
-    paths), and for jump runs the count uniforms and first-event size
-    uniforms (steps, streams, paths).  Antithetic pairs share stream
-    index path // 2; odd paths negate the normals."""
+    """The shocks of one run, chunk by chunk.  Antithetic pairs share
+    stream index path // 2; odd paths negate their normals, and with them
+    their whole Brownian path."""
 
     def __init__(self, seed: int, n_steps: int, n_assets: int, n_streams: int,
                  antithetic: bool, cache: ShockCache | None):
-        self.seed = seed
-        self.n_steps = n_steps
-        self.antithetic = antithetic
-        self.cache = cache
-        self.normals = _BlockStream(seed, _TAG_NORMALS, n_steps * n_assets, normal=True)
-        self.jumps = None
-        if n_streams:
-            self.jumps = (_BlockStream(seed, _TAG_COUNTS, n_steps * n_streams, normal=False),
-                          _BlockStream(seed, _TAG_FIRST_SIZES, n_steps * n_streams, normal=False))
+        self.seed, self.n_steps, self.n_assets = seed, n_steps, n_assets
+        self.n_streams, self.antithetic, self.cache = n_streams, antithetic, cache
+        self.bridge = _bridge(n_steps)
+        # (block, tag, level) -> (generator, values drawn so far), kept for
+        # the blocks that reach past the last read
+        self.drawn: dict[tuple[int, int, int], tuple[np.random.Generator, np.ndarray]] = {}
 
     def chunk(self, start: int, size: int):
+        """The chunk's node table (holding W_0 = 0 when new) and its jump
+        uniforms."""
         if self.cache is not None and start in self.cache.store:
             return self.cache.store[start]
-        paths = np.arange(start, start + size)
-        streams = paths // 2 if self.antithetic else paths
-        lo, hi = int(streams[0]), int(streams[-1]) + 1
-
-        def table(reader: _BlockStream) -> np.ndarray:
-            cols = reader.read(lo, hi)
-            if self.antithetic:
-                cols = cols[:, streams - lo]
-            return cols.reshape(self.n_steps, -1, size)
-
-        z = table(self.normals)
-        if self.antithetic:
-            z[:, :, paths % 2 == 1] *= -1.0
-        u = v = None
-        if self.jumps is not None:
-            u, v = (table(reader) for reader in self.jumps)
-        out = (z, u, v)
+        out = ({0: np.zeros((self.n_assets, size))}, None, None)
+        if self.n_streams:
+            out = (out[0], *(self._columns(functools.partial(self._uniforms, tag), start, size)
+                             .reshape(self.n_steps, -1, size)
+                             for tag in (_TAG_COUNTS, _TAG_FIRST_SIZES)))
         if self.cache is not None:
             self.cache.store[start] = out
         return out
+
+    def fill(self, w: dict[int, np.ndarray], start: int, size: int, want) -> None:
+        """Add W at the nodes in ``want``, and at their ancestors, to the
+        chunk's node table ``w``, level by level."""
+        tree = self.bridge
+        todo = tree.closure(want, w)
+        if not todo.size:
+            return
+        levels = tree.level[todo]
+        tmp = np.empty((self.n_assets, size))
+        for level in np.unique(levels).tolist():
+            nodes = todo[levels == level]
+            idx = tree.index[nodes]
+            count = int(idx[-1]) + 1
+            z = self._columns(functools.partial(self._normals, level, count), start, size)
+            if len(idx) < count:
+                z = z[idx]
+            if self.antithetic:
+                z[:, :, (start + np.arange(size)) % 2 == 1] *= -1.0
+            z *= tree.weights[nodes, 2][:, None, None]
+            for m, node in zip(nodes.tolist(), z):  # sd Z + wl W_a + wr W_b
+                (a, b), (wl, wr, _) = tree.ends[m].tolist(), tree.weights[m].tolist()
+                node += np.multiply(w[a], wl, out=tmp)
+                node += np.multiply(w[b], wr, out=tmp)
+                w[m] = node
+
+    def _columns(self, read, start: int, size: int) -> np.ndarray:
+        """``read(lo, hi)`` returns stream indices lo..hi-1 on its last axis;
+        this returns one column per path of the chunk."""
+        if not self.antithetic:
+            return read(start, start + size)
+        streams = np.arange(start, start + size) // 2
+        return read(int(streams[0]), int(streams[-1]) + 1)[..., streams - streams[0]]
+
+    def _normals(self, level: int, count: int, lo: int, hi: int) -> np.ndarray:
+        """The first ``count`` nodes of one level at stream indices lo..hi-1,
+        (count, assets, indices), drawn node-major: (node, asset, row)."""
+        out = np.empty((count, self.n_assets, hi - lo))
+        for block, a, b in _blocks(lo, hi):
+            z = self._draws(block, _TAG_NORMALS, level, count, hi,
+                            lambda gen, n: gen.standard_normal((n, self.n_assets, _BLOCK)))
+            out[:, :, a - lo:b - lo] = z[:count, :, a - block * _BLOCK:b - block * _BLOCK]
+        return out
+
+    def _uniforms(self, tag: int, lo: int, hi: int) -> np.ndarray:
+        """One jump tag's uniforms at stream indices lo..hi-1, (steps *
+        streams, indices), drawn path-major: (row, step, stream)."""
+        width = self.n_steps * self.n_streams
+        out = np.empty((width, hi - lo))
+        for block, a, b in _blocks(lo, hi):
+            first = block * _BLOCK
+            z = self._draws(block, tag, 0, b - first, hi, lambda gen, n: gen.random((n, width)))
+            out[:, a - lo:b - lo] = z[a - first:b - first].T
+        return out
+
+    def _draws(self, block: int, tag: int, level: int, count: int, hi: int, draw) -> np.ndarray:
+        """At least the first ``count`` draws of the (seed, block, tag,
+        level) stream.  A block that reaches past ``hi`` keeps its generator
+        and draws for the next chunk, so in-order chunks draw every value
+        once; any other read draws the block's prefix again."""
+        gen, z = self.drawn.pop((block, tag, level), (None, None))
+        if gen is None:
+            gen = _stream(self.seed, block, tag, step=level)
+            z = draw(gen, count)
+        elif len(z) < count:
+            z = np.concatenate([z, draw(gen, count - len(z))])
+        if hi < (block + 1) * _BLOCK:
+            self.drawn[(block, tag, level)] = (gen, z)
+        return z
 
     def extra_uniforms(self, path: int, step: int, type_index: int, count: int) -> np.ndarray:
         """Size uniforms of the second and later jump events of one
         (path, step, type), from a stream keyed by exactly that."""
         stream = path // 2 if self.antithetic else path
         return _stream(self.seed, stream, _TAG_SIZES, step=step, sub=type_index).random(count)
+
+
+def _blocks(lo: int, hi: int):
+    """(block, first, end) of each block's share of stream indices lo..hi-1."""
+    for block in range(lo // _BLOCK, (hi - 1) // _BLOCK + 1):
+        yield block, max(lo, block * _BLOCK), min(hi, (block + 1) * _BLOCK)
 
 
 def simulate_paths(
@@ -473,11 +532,10 @@ def simulate_paths(
     x0: float,
     shock_cache: ShockCache | None = None,
 ) -> PathBatch:
-    """Euler paths of the controlled state under (strategy, scenario).
+    """Paths of the controlled state under (strategy, scenario).
 
-    ``scenario`` is a bare Scenario or a ``SplicedScenario``.  The steps
-    are cut into segments at every switch of the scenario and of the
-    strategy, so each segment has one scenario and one strategy regime.
+    ``scenario`` is a bare Scenario or a ``SplicedScenario``; each segment
+    between switches has one scenario and one strategy regime.
     ``strategy.values(t, x)`` returns alpha as (n,) when it is constant up
     to its next switch, so it is asked once per segment and chunk, or as
     (paths, n) when it depends on the state, so it is asked every step.
@@ -491,7 +549,7 @@ def simulate_paths(
     cuts = {0, n_steps}
     for part in (scenario, strategy):
         if isinstance(part, (SplicedScenario, SplicedStrategy)):
-            cuts.add(_switch_step(t_nodes, part.switch))
+            cuts.add(int(np.count_nonzero(_in_window(t_nodes, part.switch))))  # steps before it
     cuts = sorted(cuts)
     segments: list[tuple[_Segment, int, int]] = []
     for lo, hi in zip(cuts, cuts[1:]):
@@ -503,33 +561,45 @@ def simulate_paths(
     log_state = dynamics.state_is_log
     guard_wealth = n_streams > 0 and not log_state
     check_exposure = dynamics.kind == "terminal_wealth"
+    exact = n_streams == 0 and not cfg.keep_paths
 
     chunk = _effective_chunk(cfg.chunk_paths, n_steps, max(n_assets, n_streams))
     terminal = np.empty(cfg.n_paths)
     paths = np.empty((cfg.n_paths, n_steps + 1)) if cfg.keep_paths else None
-    sqrt_dt = math.sqrt(dt)
 
     shocks = _Shocks(cfg.seed, n_steps, n_assets, n_streams, cfg.antithetic, shock_cache)
 
     for start in range(0, cfg.n_paths, chunk):
         size = min(chunk, cfg.n_paths - start)
-        z, u, v = shocks.chunk(start, size)
+        w, u, v = shocks.chunk(start, size)
+        if exact:
+            shocks.fill(w, start, size, cuts)
         x = np.full(size, float(x0))
         if cfg.keep_paths:
             paths[start:start + size, 0] = x
+        group = None  # (coef, lo, hi): constant segments not yet applied
         for seg, lo, hi in segments:
+            x_lo = x if group is None else _advance(x, *group, w)
+            coef = _Coefficients(seg, strategy.values(t_nodes[lo], x_lo), log_state)
+            if check_exposure and not coef.per_path:
+                _require_admissible(coef.alpha, seg)
+            if exact and not coef.per_path:
+                if group is not None and coef.same_step(group[0]):
+                    group = (group[0], group[1], hi)
+                else:
+                    x, group = x_lo, (coef, lo, hi)
+                continue
+            x, group = x_lo, None
+            shocks.fill(w, start, size, range(lo, hi + 1))
             counts = None
             if seg.n_streams:
                 counts = np.empty((hi - lo, seg.n_streams, size), dtype=np.int64)
                 for l in range(seg.n_streams):
                     counts[:, l] = _poisson_counts(u[lo:hi, l], float(seg.lam_dt[l]))
-            coef = None
             for s in range(lo, hi):
-                if coef is None or coef.per_path:
+                if s > lo and coef.per_path:
                     coef = _Coefficients(seg, strategy.values(t_nodes[s], x), log_state)
-                    if check_exposure and not coef.per_path:
-                        _require_admissible(coef.alpha, seg)
-                x = x + coef.drift_dt + _dot(coef.vol, z[s]) * sqrt_dt
+                x = _advance(x, coef, s, s + 1, w)
                 if counts is not None:
                     x = x + coef.jump_increment(_StepJumps(counts[s - lo], v[s], shocks, start, s))
                 if guard_wealth and np.any(x <= 0.0):
@@ -539,6 +609,8 @@ def simulate_paths(
                     )
                 if cfg.keep_paths:
                     paths[start:start + size, s + 1] = x
+        if group is not None:
+            x = _advance(x, *group, w)
         terminal[start:start + size] = x
 
     return PathBatch(
@@ -547,9 +619,14 @@ def simulate_paths(
     )
 
 
-def _switch_step(t_nodes: np.ndarray, switch: float) -> int:
-    """Number of steps that start before ``switch``: the steps of a window."""
-    return int(np.count_nonzero(_in_window(t_nodes, switch)))
+def _advance(x: np.ndarray, coef: _Coefficients, lo: int, hi: int,
+             w: dict[int, np.ndarray]) -> np.ndarray:
+    """The diffusion update over steps [lo, hi) under one set of
+    coefficients: one Euler step when hi = lo + 1."""
+    dx = _dot(coef.vol, w[hi] - w[lo] if lo else w[hi])  # W_0 = 0
+    dx += (hi - lo) * coef.drift_dt
+    dx += x
+    return dx
 
 
 def _require_admissible(alpha: np.ndarray, seg: _Segment) -> None:
@@ -615,12 +692,16 @@ class _Coefficients:
                 drift -= 0.5 * float(alpha @ seg.cov @ alpha)
         self.alpha = alpha
         self.drift_dt = drift * seg.dt
-        self.vol = _lin(seg.chol, alpha)
+        self.vol = _lin(seg.chol_dt, alpha)
         if seg.jump_kind == "cp":
             self.expos = _lin(seg.loadings, alpha)
         elif seg.jump_kind == "ld":
             moves = _lin(seg.atom_vecs.T, alpha)
             self.zeta = np.log1p(moves) if log_state else moves
+
+    def same_step(self, other: _Coefficients) -> bool:
+        """Whether two constant coefficient sets move the diffusion alike."""
+        return self.drift_dt == other.drift_dt and np.array_equal(self.vol, other.vol)
 
     def jump_increment(self, jumps: _StepJumps) -> np.ndarray:
         if self.seg.jump_kind == "ld":
@@ -744,13 +825,7 @@ class PerturbationReport:
             "j_base": self.j_base,
             "se_base": self.se_base,
             "h_list": list(self.h_list),
-            "rows": [
-                {
-                    "h": r.h, "index": r.index, "quotient": r.quotient,
-                    "se": r.se, "violated": r.violated, "detail": r.detail,
-                }
-                for r in self.rows
-            ],
+            "rows": [dataclasses.asdict(r) for r in self.rows],
             "per_h_extreme": {str(h): v for h, v in self.per_h_extreme().items()},
             "ok": self.ok,
         }
@@ -799,113 +874,30 @@ def strategy_candidates(alpha_hat: np.ndarray, count: int, seed: int) -> list[np
     return out
 
 
-def _window_sums(cache: ShockCache, k: int, n_assets: int, n_paths: int) -> np.ndarray:
-    """Per-path sums of the normals of the first k steps, (assets, paths),
-    from a cache filled by a full run.  Each path's sum is added in step
-    order, so its bits do not depend on the chunking."""
-    sums = np.zeros((n_assets, n_paths))
-    for start, (z, _, _) in cache.store.items():
-        part = sums[:, start:start + z.shape[2]]
-        for s in range(k):
-            part += z[s]
-    return sums
-
-
-class _Ladder:
-    """The base run of a perturbation report and its CRN splices.
-
-    The base runs cold into a fresh shock cache, and its J and influence
-    function are computed once and paired against every splice.  With a
-    constant base strategy under jump-free, state-independent dynamics
-    (terminal wealth, or log return; neither theta_hat nor any window
-    scenario has jumps), a splice on [t0, t0 + h) keeps the base run's
-    post-window tail, because it uses the same shocks, theta_hat and base
-    alpha.  Only the window increment changes, so splices are done by
-    linearity:
-
-        terminal = base terminal + (inc(w, u) - inc(alpha_base, theta_hat)),
-        inc(w, u) = k drift_dt(w, u) + sqrt(dt) (chol_u' w) . S_k,
-
-    where the window has k steps and S_k is the per-path sum of their
-    normals, built once per window.  Every other splice steps through
-    ``simulate_paths`` on the cached shocks.
-    """
-
-    def __init__(self, dynamics: WealthDynamics, base_strat, theta_hat: Scenario,
-                 us: list[Scenario], cfg: SimConfig, criterion: Criterion):
-        self.base_strat, self.theta_hat, self.us = base_strat, theta_hat, us
-        self.cache = ShockCache()
-        self.run = functools.partial(simulate_paths, dynamics, cfg=cfg, t0=criterion.t0,
-                                     horizon=criterion.horizon, x0=criterion.x0,
-                                     shock_cache=self.cache)
-        self.base = self.run(base_strat, theta_hat)
-        self.paired = _PairedBase(self.base, criterion)
-        self.linear = (dynamics.kind in ("terminal_wealth", "log_return")
-                       and all(u.jump is None for u in (theta_hat, *us)))
-        if self.linear:
-            self.log_state = dynamics.state_is_log
-            self.alpha_base = base_strat.values(criterion.t0, np.full(1, criterion.x0))  # (n,)
-            self.theta_seg = _Segment(theta_hat, self.base.dt)
-            self.segs = [_Segment(u, self.base.dt) for u in us]
-        self.n_linear = self.n_stepped = 0
-        self.window_s = 0.0
-
-    def window(self, h: float):
-        """Splices on [t0, t0 + h): a function of the window strategy w
-        (None keeps the base strategy) and the index of the window
-        scenario in ``us``, returning the spliced terminal values."""
-        base = self.base
-        switch = base.t0 + h
-        if not self.linear:
-            def stepped(w, iu):
-                self.n_stepped += 1
-                strategy = self.base_strat
-                if w is not None:
-                    strategy = SplicedStrategy(w, switch, strategy)
-                timeline = SplicedScenario(self.us[iu], switch, self.theta_hat)
-                return self.run(strategy, timeline).terminal
-            return stepped
-
-        tic = time.perf_counter()
-        k = _switch_step(base.t0 + base.dt * np.arange(base.n_steps), switch)
-        sums = _window_sums(self.cache, k, self.theta_hat.drift.size, base.n_paths)
-        self.window_s += time.perf_counter() - tic
-        sqrt_dt = math.sqrt(base.dt)
-
-        def increment(w, seg):
-            coef = _Coefficients(seg, w, self.log_state)
-            return k * coef.drift_dt + _dot(coef.vol, sums) * sqrt_dt
-
-        base_inc = increment(self.alpha_base, self.theta_seg)
-
-        def linear(w, iu):
-            self.n_linear += 1
-            inc = increment(self.alpha_base if w is None else w, self.segs[iu])
-            return base.terminal + (inc - base_inc)
-        return linear
-
-    def log(self, kind: str) -> None:
-        _log.debug("%s report: %d splices by linearity, %d stepped, window sums %.3f ms",
-                   kind, self.n_linear, self.n_stepped, 1e3 * self.window_s)
-
-
 def _perturb(kind: str, sol: ClosedFormSolution, uset: UncertaintySet,
              h_list: Sequence[float], u_samples: int, cfg: SimConfig,
              base_strat, ws: Sequence[np.ndarray | None]) -> PerturbationReport:
-    """The splice ladder of both reports.  At every h, snapped to whole
-    steps, each window strategy in ``ws`` (None keeps the base strategy)
-    runs against each u candidate.  The worst-case report writes one row
-    per u; the equilibrium report one row per w, at its worst u: the inner
-    inf over u of J(run) is the max of J(base) - J(run), and the first u
-    among ties is kept."""
+    """The splice ladder of both reports.  The base run and every splice
+    are ``simulate_paths`` calls on one shared shock cache.  At every h,
+    snapped to whole steps, each window strategy in ``ws`` (None keeps the
+    base strategy) runs against each u candidate.  The worst-case report
+    writes one row per u; the equilibrium report one row per w, at its
+    worst u: the inner inf over u of J(run) is the max of J(base) -
+    J(run), and the first u among ties is kept."""
+    tic = time.perf_counter()
     criterion = sol.criterion
+    if not h_list or not all(0.0 < float(h) <= criterion.span for h in h_list):
+        raise InvalidBounds(f"window lengths must be a non-empty list in (0, {criterion.span:g}], "
+                            f"got {list(h_list)}")
+    _, dt = cfg.steps_for(criterion.span)
+    hs = tuple(max(1, round(float(h) / dt)) * dt for h in h_list)  # whole steps
     theta_hat = sol.worst_case.scenario
     fixed_jump = theta_hat.jump if uset.jump_bounds is None else None
     us = scenario_candidates(uset, u_samples, theta_hat, fixed_jump=fixed_jump)
-    ladder = _Ladder(WealthDynamics.for_criterion(criterion), base_strat,
-                     theta_hat, us, cfg, criterion)
-    _, dt = cfg.steps_for(criterion.span)
-    hs = tuple(max(1, round(float(h) / dt)) * dt for h in h_list)  # whole steps
+    run = functools.partial(simulate_paths, WealthDynamics.for_criterion(criterion), cfg=cfg,
+                            t0=criterion.t0, horizon=criterion.horizon, x0=criterion.x0,
+                            shock_cache=ShockCache())
+    paired = _PairedBase(run(base_strat, theta_hat), criterion)
 
     def row(h: float, index: int, diff_se: tuple[float, float], detail: str) -> PerturbationRow:
         diff, se = diff_se
@@ -916,16 +908,19 @@ def _perturb(kind: str, sol: ClosedFormSolution, uset: UncertaintySet,
 
     rows: list[PerturbationRow] = []
     for h in hs:
-        splice = ladder.window(h)
+        switch = criterion.t0 + h
         for iw, w in enumerate(ws):
-            diffs = [ladder.paired.difference(splice(w, iu)) for iu in range(len(us))]
+            strategy = base_strat if w is None else SplicedStrategy(w, switch, base_strat)
+            diffs = [paired.difference(run(strategy, SplicedScenario(u, switch, theta_hat)).terminal)
+                     for u in us]
             if kind == "worst_case":
                 rows += [row(h, iu, diffs[iu], f"u[{iu}]") for iu in range(len(us))]
             else:
                 iu = max(range(len(us)), key=lambda i: diffs[i][0])
                 rows.append(row(h, iw, diffs[iu], f"w[{iw}] u*[{iu}]"))
-    ladder.log(kind)
-    base = ladder.paired.est
+    _log.debug("%s report: %d splices in %.3f s", kind, len(hs) * len(ws) * len(us),
+               time.perf_counter() - tic)
+    base = paired.est
     return PerturbationReport(kind=kind, rows=tuple(rows), j_base=base.j_hat,
                               se_base=base.standard_error_j, h_list=hs)
 

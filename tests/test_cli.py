@@ -141,6 +141,71 @@ class TestSchema:
         assert f"worst_case.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["worst-case", "strategy", "verify", "simulate", "perturb"])
+@pytest.mark.parametrize("block", [{"method": "bogus"}, {"grid_resolution": 1}, {"rogue": 1}])
+def test_every_command_validates_the_worst_case_block(tmp_path, capsys, command, block):
+    path = write_problem(
+        tmp_path, worst_case=block,
+        verify={"grid": [4, 4], "samples": 10, "seed": 5},
+        simulate={"n_paths": 200, "dt": 0.1, "seed": 9},
+        perturb={"h_list": [0.1], "w_samples": 2, "u_samples": 2,
+                 "n_paths": 200, "dt": 0.1, "seed": 9},
+    )
+    assert run_cli([command, path])[0] == 2
+    assert "worst_case" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["strategy", "verify"])
+def test_every_command_uses_the_requested_solver(tmp_path, command):
+    path = write_problem(tmp_path, worst_case={"method": "numeric"},
+                         verify={"grid": [4, 4], "samples": 10, "seed": 5})
+    code, out = run_cli([command, path])
+    assert code == 0
+    assert "Numeric" in out and "ShortSecond" not in out
+
+
+_BLOCKS = {
+    "verify": {"grid": [4, 4], "samples": 10, "seed": 5},
+    "simulate": {"n_paths": 200, "dt": 0.1, "seed": 9},
+    "perturb": {"h_list": [0.1], "w_samples": 2, "u_samples": 2,
+                "n_paths": 200, "dt": 0.1, "seed": 9},
+}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "n_paths", "x"),
+    ("simulate", "n_paths", 1000.7),
+    ("simulate", "seed", "abc"),
+    ("simulate", "seed", 1.9),
+    ("simulate", "seed", -1),
+    ("simulate", "dt", 0),
+    ("simulate", "dt", -0.1),
+    ("simulate", "dt", "0.1"),
+    ("simulate", "antithetic", "false"),
+    ("verify", "grid", [10]),
+    ("verify", "grid", [10, 0]),
+    ("verify", "grid", [10, 2.5]),
+    ("verify", "samples", -3),
+    ("verify", "samples", 0),
+    ("verify", "seed", 2**64),
+    ("verify", "residual_tol", -1e-8),
+    ("perturb", "mode", "bogus"),
+    ("perturb", "h_list", []),
+    ("perturb", "h_list", 0.1),
+    ("perturb", "h_list", [0.1, "x"]),
+    ("perturb", "h_list", [True]),
+    ("perturb", "u_samples", 0),
+    ("perturb", "w_samples", 1.5),
+    ("perturb", "n_paths", "x"),
+    ("perturb", "seed", 2**64),
+    ("perturb", "base_scale", "x"),
+])
+def test_bad_run_block_is_schema_error(tmp_path, capsys, command, key, value):
+    path = write_problem(tmp_path, **{command: {**_BLOCKS[command], key: value}})
+    assert run_cli([command, path])[0] == 2
+    assert f"{command}.{key}" in capsys.readouterr().err
+
+
 class TestStrategyCommand:
     def test_single_asset_point(self, tmp_path):
         path = write_problem(
@@ -265,7 +330,7 @@ class TestVerifySimulatePerturb:
         )
         for command in ("simulate", "perturb"):
             _, out = run_cli([command, path, "--json", "--quiet"])
-            assert json.loads(out)["result"]["rng_layout"] == 2
+            assert json.loads(out)["result"]["rng_layout"] == 3
 
     def test_perturb_pass_and_probe_fail(self, tmp_path):
         base = write_problem(

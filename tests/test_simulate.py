@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import robust_mv as rm
 from robust_mv.model import WealthDynamics
@@ -21,7 +22,6 @@ from robust_mv.simulate import (
     SplicedStrategy,
     _cp_jump_increment,
     _dot,
-    _Ladder,
     _mix,
     _PairedBase,
     _poisson_counts,
@@ -177,7 +177,8 @@ def _run(name, n_paths, chunk_paths=65536):
 
 
 class TestRngLayout:
-    """RNG layout 2: Philox streams per (seed, path block, tag)."""
+    """RNG layout 3: Brownian-bridge normals from Philox streams per (seed,
+    path block, tree level), jump uniforms per (seed, path block, tag)."""
 
     @pytest.mark.parametrize("name", sorted(_RUNS))
     def test_chunkings_across_block_boundaries_are_bitwise(self, name):
@@ -192,25 +193,90 @@ class TestRngLayout:
         short = _run(name, 1500)
         assert np.array_equal(long[:1500], short)
 
+    @settings(max_examples=15, deadline=None)
+    @given(n_paths=st.integers(2049, 2300), chunk=st.integers(1, 4096), antithetic=st.booleans(),
+           family=st.sampled_from(["tw", "lr", "cp"]), data=st.data())
+    def test_chunking_and_path_count_prefix_invariance(self, tw_solution, lr_solution, cp_solution,
+                                                      n_paths, chunk, antithetic, family, data):
+        # a splice puts cuts at steps 3 and 6 of 10, so one-step runs read
+        # inner bridge nodes; the compound-Poisson run steps on the full fill
+        sol = {"tw": tw_solution, "lr": lr_solution, "cp": cp_solution}[family]
+        crit = sol.criterion
+        theta = sol.worst_case.scenario
+        base = SolutionStrategy(sol)
+        strategy = SplicedStrategy(0.9 * sol.alpha_coef, crit.t0 + 0.3, base)
+        timeline = SplicedScenario(rm.Scenario(theta.drift * 0.5, theta.cov, jump=theta.jump),
+                                   crit.t0 + 0.6, theta)
+        n_paths -= n_paths % 2 if antithetic else 0
+
+        def run(n, chunk_paths):
+            cfg = rm.SimConfig(n_paths=n, dt=0.1, seed=71, antithetic=antithetic,
+                               chunk_paths=chunk_paths)
+            return rm.simulate_paths(WealthDynamics.for_criterion(crit), strategy, timeline, cfg,
+                                     crit.t0, crit.horizon, crit.x0).terminal
+
+        ref = run(n_paths, 4096)
+        assert np.array_equal(run(n_paths, chunk), ref)
+        short = data.draw(st.integers(1, n_paths // 2)) * 2
+        assert np.array_equal(run(short, chunk), ref[:short])
+
     def test_layout_is_stamped(self, flat_scenario):
         batch = rm.simulate_paths(WealthDynamics("terminal_wealth"),
                                   ConstantStrategy(np.zeros(2)), flat_scenario,
                                   rm.SimConfig(n_paths=4, dt=0.5, seed=1), 0.0, 1.0, 1.0)
-        assert rm.RNG_LAYOUT == 2
+        assert rm.RNG_LAYOUT == 3
         assert batch.rng_layout == rm.RNG_LAYOUT
 
     def test_shock_table_digest_is_pinned(self):
-        # seed 7, 2100 paths (two block boundaries), 3 steps, 2 assets, 1 jump stream
-        z, u, v = _Shocks(7, 3, 2, 1, antithetic=False, cache=None).chunk(0, 2100)
+        # seed 7, 2100 paths (two block boundaries), 5 steps (four tree
+        # levels), 2 assets, 1 jump stream
+        shocks = _Shocks(7, 5, 2, 1, antithetic=False, cache=None)
+        nodes, u, v = shocks.chunk(0, 2100)
+        shocks.fill(nodes, 0, 2100, range(6))
+        w = np.stack([nodes[k] for k in range(6)])
         assert _BLOCK == 1024
-        assert z.shape == (3, 2, 2100) and u.shape == v.shape == (3, 1, 2100)
+        assert w.shape == (6, 2, 2100) and u.shape == v.shape == (5, 1, 2100)
         digest = hashlib.sha256()
-        for table in (z, u, v):
-            # hashed path-major: (path, step, component), little-endian
+        for table in (w, u, v):
+            # hashed path-major: (path, node or step, component), little-endian
             per_path = np.ascontiguousarray(table.transpose(2, 0, 1), dtype="<f8")
             digest.update(per_path.tobytes())
         assert digest.hexdigest() == (
-            "2b0213e8fb223abbd16d79ac99f1316164fa0f4a5c0e75e774dd5c08c9a5ff0e")
+            "adcf1c6e8cad19782d4d7beea391cc5238222c990ab907119febc3523e5b8f4b")
+
+    def test_bridge_nodes_have_brownian_covariance(self):
+        # Cov(W_j, W_k) = min(j, k) in units of one step, checked at 5 SE
+        n_steps, n = 12, 200_000
+        shocks = _Shocks(3, n_steps, 1, 0, antithetic=False, cache=None)
+        nodes = shocks.chunk(0, n)[0]
+        shocks.fill(nodes, 0, n, range(n_steps + 1))
+        w = np.stack([nodes[k][0] for k in range(1, n_steps + 1)])
+        k = np.arange(1, n_steps + 1)
+        want = np.minimum.outer(k, k)
+        se = np.sqrt((np.outer(k, k) + want**2) / n)
+        assert np.all(np.abs(w @ w.T / n - want) <= 5.0 * se)
+
+    @pytest.mark.parametrize("n_steps", [7, 10, 80])
+    def test_halving_dt_keeps_the_brownian_path(self, n_steps):
+        # the split tree of 2N steps holds the tree of N steps node for node,
+        # so a dt ladder samples one Brownian path (multilevel coupling)
+        coarse, fine = (_Shocks(5, n, 2, 0, antithetic=False, cache=None)
+                        for n in (n_steps, 2 * n_steps))
+        wc, wf = coarse.chunk(0, 1500)[0], fine.chunk(0, 1500)[0]
+        coarse.fill(wc, 0, 1500, range(n_steps + 1))
+        fine.fill(wf, 0, 1500, range(2 * n_steps + 1))
+        for k in range(n_steps + 1):
+            b_coarse, b_fine = wc[k] / math.sqrt(n_steps), wf[2 * k] / math.sqrt(2 * n_steps)
+            assert np.allclose(b_coarse, b_fine, rtol=0.0, atol=1e-13)
+
+    def test_nodes_do_not_depend_on_what_else_was_filled(self):
+        # a node reached through a short chain has the bits of a full fill
+        sparse, full = (_Shocks(9, 80, 2, 0, antithetic=True, cache=None) for _ in range(2))
+        a, b = sparse.chunk(1000, 300)[0], full.chunk(1000, 300)[0]
+        sparse.fill(a, 1000, 300, [8, 4, 2])
+        full.fill(b, 1000, 300, range(81))
+        assert len(a) < 20
+        assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_fixed_order_products_match_matmul(self):
         rng = np.random.default_rng(3)
@@ -490,6 +556,23 @@ class TestPerturbations:
             keys = [key(s) for s in got]
             assert len(set(keys)) == count and keys == longest[:count]
 
+    @pytest.mark.parametrize("h_list", [[5.0], [0.05, -0.1], []])
+    def test_window_lengths_outside_the_horizon_are_refused(self, tw_solution, short_second_set,
+                                                            h_list):
+        # h = 5 spans the whole horizon but would divide by 5; a negative h
+        # would become one step; no h at all would report ok with no rows
+        cfg = rm.SimConfig(n_paths=100, dt=0.05, seed=41)
+        with pytest.raises(rm.InvalidBounds, match="window lengths"):
+            rm.perturb_worst_case(tw_solution, short_second_set, h_list, u_samples=2, cfg=cfg)
+        with pytest.raises(rm.InvalidBounds, match="window lengths"):
+            rm.perturb_equilibrium(tw_solution, short_second_set, h_list, w_samples=2,
+                                   u_samples=2, cfg=cfg)
+
+    def test_whole_horizon_window_is_accepted(self, tw_solution, short_second_set):
+        cfg = rm.SimConfig(n_paths=100, dt=0.05, seed=41)
+        rep = rm.perturb_worst_case(tw_solution, short_second_set, [1.0], u_samples=2, cfg=cfg)
+        assert rep.h_list == (1.0,) and len(rep.rows) == 2
+
     def test_report_serializes(self, tw_solution, short_second_set):
         cfg = rm.SimConfig(n_paths=2000, dt=0.025, seed=41)
         rep = rm.perturb_worst_case(tw_solution, short_second_set, [0.05],
@@ -573,41 +656,44 @@ def _log_line(caplog):
 
 
 class TestLinearSplices:
-    """Splices of a constant strategy under jump-free, state-independent
-    dynamics are done by linearity from per-path window sums."""
+    """Splices of a constant strategy in jump-free runs take one exact step
+    per constant segment, from the Brownian nodes at the segment ends."""
 
     @pytest.mark.parametrize("chunk", [1, 333, 65536])
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("family", ["tw", "lr"])
     def test_per_path_parity_with_stepped_splices(self, family, antithetic, chunk,
                                                   tw_solution, lr_solution, short_second_set):
+        # keep_paths steps once per step on the same Brownian path (in one
+        # chunk: chunking is covered by TestRngLayout)
         sol = tw_solution if family == "tw" else lr_solution
         crit = sol.criterion
         theta = sol.worst_case.scenario
         dyn = WealthDynamics.for_criterion(crit)
         base = SolutionStrategy(sol)
         us = scenario_candidates(short_second_set, 36, theta)
-        picks = (0, 5, 35)  # theta_hat, a corner, a Sobol point
         cfg = rm.SimConfig(n_paths=400, dt=0.05, seed=29, antithetic=antithetic,
                            chunk_paths=chunk)
-        ladder = _Ladder(dyn, base, theta, us, cfg, crit)
-        ref_cfg = replace(cfg, chunk_paths=65536)
-        ref_cache = ShockCache()
+        stepped_cfg = replace(cfg, keep_paths=True, chunk_paths=65536)
+        cache, stepped_cache = ShockCache(), ShockCache()
         alpha = sol.alpha_coef
         ws = (None, 1.3 * alpha, strategy_candidates(alpha, 2, seed=3)[1])
         # 0.12 is no whole number of steps: the window keeps the simulator's cut
         for h in (0.05, 0.12, 0.25):
-            splice = ladder.window(h)
             for w in ws:
                 strategy = base if w is None else SplicedStrategy(w, crit.t0 + h, base)
-                for iu in picks:
-                    want = rm.simulate_paths(dyn, strategy,
-                                             SplicedScenario(us[iu], crit.t0 + h, theta),
-                                             ref_cfg, crit.t0, crit.horizon, crit.x0,
-                                             shock_cache=ref_cache).terminal
-                    got = splice(w, iu)
-                    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (h, iu)
-        assert ladder.linear and ladder.n_stepped == 0 and ladder.n_linear == 27
+                for iu in (0, 5, 35):  # theta_hat, a corner, a Sobol point
+                    timeline = SplicedScenario(us[iu], crit.t0 + h, theta)
+                    got = rm.simulate_paths(dyn, strategy, timeline, cfg, crit.t0, crit.horizon,
+                                            crit.x0, shock_cache=cache)
+                    want = rm.simulate_paths(dyn, strategy, timeline, stepped_cfg, crit.t0,
+                                             crit.horizon, crit.x0, shock_cache=stepped_cache)
+                    assert got.paths is None and np.array_equal(want.paths[:, -1], want.terminal)
+                    x = want.terminal
+                    assert np.all(np.abs(got.terminal - x) <= 1e-12 * (1.0 + np.abs(x))), (h, iu)
+        # the one-step runs hold W at their cut points only, the stepped runs every node
+        assert all(len(w) < 12 for w, _, _ in cache.store.values())
+        assert all(len(w) == 21 for w, _, _ in stepped_cache.store.values())
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_trivial_rows_are_exactly_zero(self, antithetic, lr_solution, short_second_set):
@@ -656,12 +742,13 @@ class TestLinearSplices:
     @pytest.mark.parametrize("family", ["cp", "ws"])
     def test_jump_and_wealth_scaled_reports_still_step(self, family, caplog, cp_solution,
                                                        cp_set, ws_solution, ws_set):
-        # per-path strategies and jumps keep stepping, bit for bit as before
+        # per-path strategies and jumps step once per step, bit for bit as the
+        # reference driver
         sol, uset = (cp_solution, cp_set) if family == "cp" else (ws_solution, ws_set)
         cfg = rm.SimConfig(n_paths=1500, dt=0.025, seed=53)
         with caplog.at_level(logging.DEBUG, logger="robust_mv.simulate"):
             wc = rm.perturb_worst_case(sol, uset, [0.1, 0.05], u_samples=4, cfg=cfg)
-        assert _log_line(caplog).endswith("0 splices by linearity, 8 stepped, window sums 0.000 ms")
+        assert _log_line(caplog).startswith("worst_case report: 8 splices in ")
         _assert_rows_match(wc, _stepped_report("worst_case", sol, uset, [0.1, 0.05], cfg),
                            exact=True)
         eq = rm.perturb_equilibrium(sol, uset, [0.05], w_samples=3, u_samples=4, cfg=cfg)
@@ -683,4 +770,4 @@ class TestLinearSplices:
             rm.perturb_equilibrium(tw_solution, short_second_set, [0.1, 0.05],
                                    w_samples=3, u_samples=4, cfg=cfg)
         line = _log_line(caplog)
-        assert line.startswith("equilibrium report: 24 splices by linearity, 0 stepped")
+        assert line.startswith("equilibrium report: 24 splices in ")
