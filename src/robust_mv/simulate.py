@@ -419,8 +419,12 @@ class _Shocks:
 
     def __init__(self, seed: int, n_steps: int, n_assets: int, n_streams: int,
                  antithetic: bool, cache: ShockCache | None):
-        self.seed, self.n_steps, self.n_assets = seed, n_steps, n_assets
-        self.n_streams, self.antithetic, self.cache = n_streams, antithetic, cache
+        self.seed = seed
+        self.n_steps = n_steps
+        self.n_assets = n_assets
+        self.n_streams = n_streams
+        self.antithetic = antithetic
+        self.cache = cache
         self.bridge = _bridge(n_steps)
         # (block, tag, level) -> (generator, values drawn so far), kept for
         # the blocks that reach past the last read
