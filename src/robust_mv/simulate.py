@@ -417,17 +417,18 @@ class _Shocks:
     stream index path // 2; odd paths negate their normals, and with them
     their whole Brownian path."""
 
-    def __init__(self, seed: int, n_steps: int, n_assets: int, n_streams: int,
+    def __init__(self, seed: int, n_steps: int, n_assets: int, n_streams: int, n_paths: int,
                  antithetic: bool, cache: ShockCache | None):
         self.seed = seed
         self.n_steps = n_steps
         self.n_assets = n_assets
         self.n_streams = n_streams
+        self.end = (n_paths + 1) // 2 if antithetic else n_paths  # the run's stream indices
         self.antithetic = antithetic
         self.cache = cache
         self.bridge = _bridge(n_steps)
         # (block, tag, level) -> (generator, values drawn so far), kept for
-        # the blocks that reach past the last read
+        # the blocks a later chunk of the run reads again
         self.drawn: dict[tuple[int, int, int], tuple[np.random.Generator, np.ndarray]] = {}
 
     def chunk(self, start: int, size: int):
@@ -449,11 +450,9 @@ class _Shocks:
         chunk's node table ``w``, level by level."""
         tree = self.bridge
         todo = tree.closure(want, w)
-        if not todo.size:
-            return
         levels = tree.level[todo]
         tmp = np.empty((self.n_assets, size))
-        for level in np.unique(levels).tolist():
+        for level in sorted(set(levels.tolist())):
             nodes = todo[levels == level]
             idx = tree.index[nodes]
             count = int(idx[-1]) + 1
@@ -500,16 +499,17 @@ class _Shocks:
 
     def _draws(self, block: int, tag: int, level: int, count: int, hi: int, draw) -> np.ndarray:
         """At least the first ``count`` draws of the (seed, block, tag,
-        level) stream.  A block that reaches past ``hi`` keeps its generator
-        and draws for the next chunk, so in-order chunks draw every value
-        once; any other read draws the block's prefix again."""
+        level) stream.  A block whose indices in the run reach past ``hi``
+        keeps its generator and draws for the next chunk, so in-order chunks
+        draw every value once; any other read draws the block's prefix
+        again."""
         gen, z = self.drawn.pop((block, tag, level), (None, None))
         if gen is None:
             gen = _stream(self.seed, block, tag, step=level)
             z = draw(gen, count)
         elif len(z) < count:
             z = np.concatenate([z, draw(gen, count - len(z))])
-        if hi < (block + 1) * _BLOCK:
+        if hi < min((block + 1) * _BLOCK, self.end):
             self.drawn[(block, tag, level)] = (gen, z)
         return z
 
@@ -571,13 +571,13 @@ def simulate_paths(
     terminal = np.empty(cfg.n_paths)
     paths = np.empty((cfg.n_paths, n_steps + 1)) if cfg.keep_paths else None
 
-    shocks = _Shocks(cfg.seed, n_steps, n_assets, n_streams, cfg.antithetic, shock_cache)
+    shocks = _Shocks(cfg.seed, n_steps, n_assets, n_streams, cfg.n_paths, cfg.antithetic,
+                     shock_cache)
 
     for start in range(0, cfg.n_paths, chunk):
         size = min(chunk, cfg.n_paths - start)
         w, u, v = shocks.chunk(start, size)
-        if exact:
-            shocks.fill(w, start, size, cuts)
+        shocks.fill(w, start, size, cuts if exact else ())
         x = np.full(size, float(x0))
         if cfg.keep_paths:
             paths[start:start + size, 0] = x

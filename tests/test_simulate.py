@@ -230,7 +230,7 @@ class TestRngLayout:
     def test_shock_table_digest_is_pinned(self):
         # seed 7, 2100 paths (two block boundaries), 5 steps (four tree
         # levels), 2 assets, 1 jump stream
-        shocks = _Shocks(7, 5, 2, 1, antithetic=False, cache=None)
+        shocks = _Shocks(7, 5, 2, 1, 2100, antithetic=False, cache=None)
         nodes, u, v = shocks.chunk(0, 2100)
         shocks.fill(nodes, 0, 2100, range(6))
         w = np.stack([nodes[k] for k in range(6)])
@@ -247,7 +247,7 @@ class TestRngLayout:
     def test_bridge_nodes_have_brownian_covariance(self):
         # Cov(W_j, W_k) = min(j, k) in units of one step, checked at 5 SE
         n_steps, n = 12, 200_000
-        shocks = _Shocks(3, n_steps, 1, 0, antithetic=False, cache=None)
+        shocks = _Shocks(3, n_steps, 1, 0, n, antithetic=False, cache=None)
         nodes = shocks.chunk(0, n)[0]
         shocks.fill(nodes, 0, n, range(n_steps + 1))
         w = np.stack([nodes[k][0] for k in range(1, n_steps + 1)])
@@ -260,7 +260,7 @@ class TestRngLayout:
     def test_halving_dt_keeps_the_brownian_path(self, n_steps):
         # the split tree of 2N steps holds the tree of N steps node for node,
         # so a dt ladder samples one Brownian path (multilevel coupling)
-        coarse, fine = (_Shocks(5, n, 2, 0, antithetic=False, cache=None)
+        coarse, fine = (_Shocks(5, n, 2, 0, 1500, antithetic=False, cache=None)
                         for n in (n_steps, 2 * n_steps))
         wc, wf = coarse.chunk(0, 1500)[0], fine.chunk(0, 1500)[0]
         coarse.fill(wc, 0, 1500, range(n_steps + 1))
@@ -271,7 +271,7 @@ class TestRngLayout:
 
     def test_nodes_do_not_depend_on_what_else_was_filled(self):
         # a node reached through a short chain has the bits of a full fill
-        sparse, full = (_Shocks(9, 80, 2, 0, antithetic=True, cache=None) for _ in range(2))
+        sparse, full = (_Shocks(9, 80, 2, 0, 1300, antithetic=True, cache=None) for _ in range(2))
         a, b = sparse.chunk(1000, 300)[0], full.chunk(1000, 300)[0]
         sparse.fill(a, 1000, 300, [8, 4, 2])
         full.fill(b, 1000, 300, range(81))
@@ -292,7 +292,7 @@ class TestRngLayout:
         jump = _busy_jumps()
         scen = rm.Scenario(np.array([0.08, 0.02]), np.diag([0.04, 0.09]), jump=jump)
         seg = _Segment(scen, 0.1)
-        shocks = _Shocks(5, 4, 2, 2, antithetic=False, cache=None)
+        shocks = _Shocks(5, 4, 2, 2, 1300, antithetic=False, cache=None)
         start, size, step = 1000, 300, 2
         _, u, v = shocks.chunk(start, size)
         counts = np.stack([_poisson_counts(u[step, l], float(seg.lam_dt[l])) for l in range(2)])
