@@ -31,7 +31,6 @@ from .model import (
     UncertaintySet,
     WealthDynamics,
     adjusted_moments,
-    atom_table,
     build_covariance,
     nonbankruptcy_intervals,
     nonbankruptcy_violations,

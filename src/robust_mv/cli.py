@@ -45,7 +45,7 @@ from .model import (
     DiscreteLevyJumps,
     JumpSizeLaw,
     UncertaintySet,
-    atoms_near_unit_sphere,
+    surrogate_atoms,
 )
 from .worst_case import (
     DEFAULT_REFINEMENTS,
@@ -63,6 +63,7 @@ EXIT_BUDGET = 4
 
 _TOP_KEYS = {"version", "assets", "uncertainty", "jumps", "criterion",
              "worst_case", "verify", "simulate", "perturb"}
+_CUTOFF_TIE = 1e-9  # jump atoms with | |z| - 1 | below this get a tagging warning
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +83,31 @@ def _no_extras(obj: dict, allowed: set[str], where: str) -> None:
         raise SchemaError(f"{where}: unknown keys {sorted(extras)}")
 
 
+def _is_number(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
+
+
+def _numbers(value, shape: tuple, where: str) -> np.ndarray:
+    """A nested JSON list of finite numbers (no booleans or strings) as a
+    float array of ``shape``; a None entry of ``shape`` takes any length."""
+    arr = np.array(value, dtype=object)
+    if (arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape))
+            or not all(_is_number(x) for x in arr.flat)):
+        size = " x ".join("k" if d is None else str(d) for d in shape)
+        raise SchemaError(f"{where}: expected {size} finite numbers, got {value!r}")
+    return arr.astype(float)
+
+
 def _vector(value, n: int, where: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (n,):
-        raise SchemaError(f"{where}: expected {n} numbers")
-    return arr
+    return _numbers(value, (n,), where)
+
+
+def _number(obj: dict, key: str, where: str, default: float | None = None) -> float:
+    value = _need(obj, key, where) if default is None else obj.get(key, default)
+    if not _is_number(value):
+        raise SchemaError(f"{where}.{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _reject_constant(token: str):
@@ -122,11 +143,11 @@ def parse_uncertainty(doc: dict) -> UncertaintySet:
         vol_hi=_vector(_need(unc, "vol_hi", "uncertainty"), n, "vol_hi"),
     )
     if n == 2:
-        kwargs["rho_lo"] = float(_need(unc, "rho_lo", "uncertainty"))
-        kwargs["rho_hi"] = float(_need(unc, "rho_hi", "uncertainty"))
+        kwargs["rho_lo"] = _number(unc, "rho_lo", "uncertainty")
+        kwargs["rho_hi"] = _number(unc, "rho_hi", "uncertainty")
     elif n > 2:
-        verts = _need(unc, "corr_vertices", "uncertainty")
-        kwargs["corr_vertices"] = tuple(np.asarray(v, dtype=float) for v in verts)
+        verts = _numbers(_need(unc, "corr_vertices", "uncertainty"), (None, n, n), "corr_vertices")
+        kwargs["corr_vertices"] = tuple(verts)
     try:
         if "jump_bounds" in unc:
             kwargs["jump_bounds"] = parse_jump_bounds(unc["jump_bounds"], n)
@@ -140,8 +161,8 @@ def parse_jump_bounds(obj: dict, n: int):
     if kind == "compound_poisson":
         _no_extras(obj, {"kind", "loadings", "intensity_lo", "intensity_hi",
                          "mean_lo", "mean_hi", "second_lo", "second_hi"}, "jump_bounds")
-        loadings = np.asarray(_need(obj, "loadings", "jump_bounds"), dtype=float)
-        k = loadings.shape[1] if loadings.ndim == 2 else 0
+        loadings = _numbers(_need(obj, "loadings", "jump_bounds"), (n, None), "jump_bounds.loadings")
+        k = loadings.shape[1]
         return CompoundPoissonBounds(
             loadings=loadings,
             intensity_lo=_vector(_need(obj, "intensity_lo", "jump_bounds"), k, "intensity_lo"),
@@ -153,7 +174,7 @@ def parse_jump_bounds(obj: dict, n: int):
         )
     if kind == "levy_discrete":
         _no_extras(obj, {"kind", "atoms", "weight_lo", "weight_hi"}, "jump_bounds")
-        atoms = np.atleast_2d(np.asarray(_need(obj, "atoms", "jump_bounds"), dtype=float))
+        atoms = _numbers(_need(obj, "atoms", "jump_bounds"), (None, n), "jump_bounds.atoms")
         m = atoms.shape[0]
         return DiscreteLevyBounds(
             atoms=atoms,
@@ -169,24 +190,24 @@ def parse_size_law(obj: dict, index: int) -> JumpSizeLaw:
     if sampler == "two-point":
         _no_extras(obj, {"sampler", "values", "prob", "mean", "second_moment"}, where)
         if "values" in obj:
-            a, b = obj["values"]
-            law = JumpSizeLaw.two_point(float(a), float(b), float(_need(obj, "prob", where)))
+            a, b = _numbers(obj["values"], (2,), f"{where}.values")
+            law = JumpSizeLaw.two_point(a, b, _number(obj, "prob", where))
         else:
             law = JumpSizeLaw.two_point_from_moments(
-                float(_need(obj, "mean", where)),
-                float(_need(obj, "second_moment", where)),
+                _number(obj, "mean", where),
+                _number(obj, "second_moment", where),
             )
     elif sampler == "uniform":
         _no_extras(obj, {"sampler", "lo", "hi", "mean", "second_moment"}, where)
-        law = JumpSizeLaw.uniform(float(_need(obj, "lo", where)), float(_need(obj, "hi", where)))
+        law = JumpSizeLaw.uniform(_number(obj, "lo", where), _number(obj, "hi", where))
     elif sampler == "shifted-lognormal":
         _no_extras(obj, {"sampler", "m", "s", "mean", "second_moment"}, where)
-        law = JumpSizeLaw.shifted_lognormal(float(_need(obj, "m", where)), float(_need(obj, "s", where)))
+        law = JumpSizeLaw.shifted_lognormal(_number(obj, "m", where), _number(obj, "s", where))
     else:
         raise SchemaError(f"{where}: unknown sampler {sampler!r}")
     if "mean" in obj and "second_moment" in obj:
         try:
-            law.check_stated_moments(float(obj["mean"]), float(obj["second_moment"]))
+            law.check_stated_moments(_number(obj, "mean", where), _number(obj, "second_moment", where))
         except InvalidBounds as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     return law
@@ -200,17 +221,19 @@ def parse_jumps(doc: dict, n: int):
     try:
         if kind == "compound_poisson":
             _no_extras(obj, {"kind", "loadings", "intensity", "sizes"}, "jumps")
+            loadings = _numbers(_need(obj, "loadings", "jumps"), (n, None), "jumps.loadings")
             sizes = [parse_size_law(s, i) for i, s in enumerate(_need(obj, "sizes", "jumps"))]
             return CompoundPoissonJumps(
-                loadings=np.asarray(_need(obj, "loadings", "jumps"), dtype=float),
-                intensity=np.asarray(_need(obj, "intensity", "jumps"), dtype=float),
+                loadings=loadings,
+                intensity=_vector(_need(obj, "intensity", "jumps"), loadings.shape[1], "jumps.intensity"),
                 size_laws=tuple(sizes),
             )
         if kind == "levy_discrete":
             _no_extras(obj, {"kind", "atoms", "weights"}, "jumps")
+            atoms = _numbers(_need(obj, "atoms", "jumps"), (None, n), "jumps.atoms")
             return DiscreteLevyJumps(
-                atoms=np.asarray(_need(obj, "atoms", "jumps"), dtype=float),
-                weights=np.asarray(_need(obj, "weights", "jumps"), dtype=float),
+                atoms=atoms,
+                weights=_vector(_need(obj, "weights", "jumps"), atoms.shape[0], "jumps.weights"),
             )
     except (InvalidBounds, RobustMVError) as exc:
         if isinstance(exc, SchemaError):
@@ -225,10 +248,10 @@ def parse_criterion(doc: dict) -> Criterion:
     try:
         return Criterion(
             kind=_need(obj, "kind", "criterion"),
-            lam=float(_need(obj, "lambda", "criterion")),
-            horizon=float(_need(obj, "T", "criterion")),
-            t0=float(obj.get("t0", 0.0)),
-            x0=float(obj.get("x0", 1.0)),
+            lam=_number(obj, "lambda", "criterion"),
+            horizon=_number(obj, "T", "criterion"),
+            t0=_number(obj, "t0", "criterion", default=0.0),
+            x0=_number(obj, "x0", "criterion", default=1.0),
         )
     except InvalidBounds as exc:
         raise SchemaError(f"criterion: {exc}") from exc
@@ -246,11 +269,6 @@ def _integer(obj: dict, key: str, default: int | None, least: int, where: str,
 
 def _seed(obj: dict, where: str) -> int:
     return _integer(obj, "seed", None, 0, where, below=2**64)
-
-
-def _is_number(value) -> bool:
-    return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and math.isfinite(value))
 
 
 def _positive(obj: dict, key: str, default: float | None, where: str) -> float:
@@ -381,11 +399,25 @@ def _solve_from_doc(doc: dict, em: Emitter):
     jumps = parse_jumps(doc, uset.n)
     worst = _worst_case_from_doc(doc, uset, criterion, jumps)
     sol = closed_form.solve(uset, criterion, jump=jumps, worst=worst)
-    ties = atoms_near_unit_sphere(sol.worst_case.scenario.jump)
+    ties = _cutoff_ties(sol.worst_case.scenario.jump)
     if ties:
-        em.say(f"WARNING: jump atoms {list(ties)} sit within 1e-9 of the "
+        em.say(f"WARNING: jump atoms {ties} sit within {_CUTOFF_TIE:g} of the "
                "small/large cutoff |z| = 1; compensation tagging is a tie")
     return uset, criterion, jumps, sol
+
+
+def _cutoff_ties(jump) -> list[int]:
+    """Indices (in `atom_arrays` order) of the atoms whose |z| lies within
+    `_CUTOFF_TIE` of 1: |size| for compound-Poisson surrogate atoms,
+    ||z|| for Levy atoms."""
+    if jump is None:
+        return []
+    if isinstance(jump, CompoundPoissonJumps):
+        norms = np.abs(surrogate_atoms(jump.loadings, jump.intensity,
+                                       jump.mean_sizes(), jump.second_moments())[0])
+    else:
+        norms = np.linalg.norm(jump.atoms, axis=1)
+    return np.flatnonzero(np.abs(norms - 1.0) < _CUTOFF_TIE).tolist()
 
 
 def cmd_strategy(doc: dict, em: Emitter) -> int:
@@ -472,11 +504,15 @@ def cmd_simulate(doc: dict, em: Emitter) -> int:
     block = _block(doc, "simulate",
                    {"n_paths", "dt", "seed", "antithetic", "keep_paths", "spill"},
                    {"n_paths", "dt", "seed"})
+    n_paths = _integer(block, "n_paths", None, 2, "simulate")
+    antithetic = _flag(block, "antithetic", "simulate")
+    if antithetic and n_paths % 2:
+        raise SchemaError(f"simulate.n_paths must be even when simulate.antithetic is set, got {n_paths}")
     cfg = sim.SimConfig(
-        n_paths=_integer(block, "n_paths", None, 1, "simulate"),
+        n_paths=n_paths,
         dt=_positive(block, "dt", None, "simulate"),
         seed=_seed(block, "simulate"),
-        antithetic=_flag(block, "antithetic", "simulate"),
+        antithetic=antithetic,
         keep_paths=_flag(block, "keep_paths", "simulate"),
     )
     batch = sim.simulate_solution(sol, cfg)
@@ -516,7 +552,7 @@ def cmd_perturb(doc: dict, em: Emitter) -> int:
                    {"h_list", "w_samples", "u_samples", "n_paths", "dt", "seed",
                     "mode", "base_scale"},
                    {"h_list", "w_samples", "u_samples", "n_paths", "dt", "seed"})
-    cfg = sim.SimConfig(n_paths=_integer(block, "n_paths", None, 1, "perturb"),
+    cfg = sim.SimConfig(n_paths=_integer(block, "n_paths", None, 2, "perturb"),
                         dt=_positive(block, "dt", None, "perturb"), seed=_seed(block, "perturb"))
     h_list = block["h_list"]
     if not (isinstance(h_list, list) and h_list and all(_is_number(h) for h in h_list)):

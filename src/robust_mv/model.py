@@ -227,18 +227,6 @@ class JumpSizeLaw:
         m, s = self.params
         return np.exp(m + s * ndtri(u)) - 1.0
 
-    def two_point_surrogate(self) -> tuple[tuple[float, float], ...]:
-        """(value, probability) pairs of a two-point law with the same moments.
-
-        Used where a finite atom list standing in for the law must preserve
-        the first two moments exactly (e.g. inside the jump generator).
-        """
-        m = self.mean
-        s = math.sqrt(max(self.second_moment - m * m, 0.0))
-        if s == 0.0:
-            return ((m, 1.0),)
-        return ((m - s, 0.5), (m + s, 0.5))
-
 
 # ---------------------------------------------------------------------------
 # jump specifications
@@ -356,69 +344,45 @@ class DiscreteLevyJumps:
 JumpSpec = CompoundPoissonJumps | DiscreteLevyJumps
 
 
-@dataclass(frozen=True)
-class JumpAtom:
-    """One atom of the (possibly surrogate) jump measure.
+def surrogate_atoms(loadings, intensity, mean, second):
+    """Moment-matching two-point surrogate of compound-Poisson jumps.
 
-    ``vec`` is the per-asset relative jump; ``small`` records whether the
-    underlying point z satisfies ||z|| < 1, which decides whether the
-    generator compensates the atom's drift.
+    Each jump type l becomes two atoms, the sizes mean_l -+ s_l with
+    s_l = sqrt(second_l - mean_l^2), each firing at intensity mu_l / 2:
+    solved strategies depend on a size law only through its first two
+    moments, which the surrogate reproduces exactly.  ``intensity``,
+    ``mean`` and ``second`` broadcast over leading sample axes ``...``
+    with the type axis last, (..., k); ``loadings`` is (n, k).
+
+    Returns, atom axis first in the order (type 0 lower, type 0 upper,
+    type 1 lower, ...): the sizes (2k, ...), the per-asset jumps vec
+    (2k, ..., n), the weights (2k, ...), the small-jump flags
+    |size| < 1 (2k, ...) and the validity mask (...).  A point is valid
+    when every type has variance second - mean^2 >= -_MOMENT_TOL and a
+    lower atom above -1.
     """
-
-    vec: np.ndarray
-    weight: float
-    small: bool
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vec", _ro(self.vec))
-
-
-def atom_table(jump: JumpSpec | None) -> tuple[JumpAtom, ...]:
-    """Finite atom representation of a jump spec.
-
-    Compound Poisson types are replaced by their moment-preserving
-    two-point surrogates: solved strategies depend on the size laws only
-    through (E[Y], E[Y^2]), which the surrogate reproduces exactly.
-    """
-    if jump is None:
-        return ()
-    out: list[JumpAtom] = []
-    if isinstance(jump, CompoundPoissonJumps):
-        for l, law in enumerate(jump.size_laws):
-            for y, p in law.two_point_surrogate():
-                out.append(
-                    JumpAtom(
-                        vec=y * jump.loadings[:, l],
-                        weight=float(jump.intensity[l] * p),
-                        small=abs(y) < 1.0,
-                    )
-                )
-    else:
-        norms = np.linalg.norm(jump.atoms, axis=1)
-        for z, f, nz in zip(jump.atoms, jump.weights, norms):
-            out.append(JumpAtom(vec=z, weight=float(f), small=bool(nz < 1.0)))
-    return tuple(out)
+    intensity, mean, second = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                                    for a in (intensity, mean, second)))
+    var = second - mean * mean
+    s = np.sqrt(np.maximum(var, 0.0))
+    valid = np.all((var >= -_MOMENT_TOL) & (mean - s > -1.0), axis=-1)
+    size = np.moveaxis(np.stack([mean - s, mean + s], axis=-1).reshape(mean.shape[:-1] + (-1,)), -1, 0)
+    weight = np.moveaxis(np.repeat(intensity * 0.5, 2, axis=-1), -1, 0)
+    cols = np.asarray(loadings, dtype=float).T[np.repeat(np.arange(mean.shape[-1]), 2)]
+    vec = size[..., None] * cols.reshape((cols.shape[0],) + (1,) * (size.ndim - 1) + cols.shape[1:])
+    return size, vec, weight, np.abs(size) < 1.0, valid
 
 
 def atom_arrays(jump: JumpSpec | None, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`atom_table` as arrays: vec (m, n), weight (m,), small (m,)."""
-    atoms = atom_table(jump)
-    return (np.array([a.vec for a in atoms], dtype=float).reshape(len(atoms), n),
-            np.array([a.weight for a in atoms], dtype=float),
-            np.array([a.small for a in atoms], dtype=bool))
-
-
-def atoms_near_unit_sphere(jump: JumpSpec | None, tol: float = 1e-9) -> list[int]:
-    """Indices of atoms within `tol` of the small/large jump cutoff."""
+    """Finite atom table of a jump spec: vec (m, n), weight (m,) and the
+    small-jump flag (m,).  Compound-Poisson types become their
+    `surrogate_atoms`; a Levy atom z is small when ||z|| < 1, which decides
+    whether the generator compensates its drift."""
     if jump is None:
-        return []
+        return np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=bool)
     if isinstance(jump, CompoundPoissonJumps):
-        norms = []
-        for law in jump.size_laws:
-            norms.extend(abs(y) for y, _ in law.two_point_surrogate())
-    else:
-        norms = list(np.linalg.norm(jump.atoms, axis=1))
-    return [i for i, nz in enumerate(norms) if abs(nz - 1.0) < tol]
+        return surrogate_atoms(jump.loadings, jump.intensity, jump.mean_sizes(), jump.second_moments())[1:4]
+    return jump.atoms, jump.weights, np.linalg.norm(jump.atoms, axis=1) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +447,7 @@ class Scenario:
 class ScenarioArrays:
     """Scenarios as stacked arrays over leading sample axes ``...``.
 
-    drift (..., n), cov (..., n, n), and the atom table (`atom_table`)
+    drift (..., n), cov (..., n, n), and the atom table (`atom_arrays`)
     with the atom axis first: vec (m, ..., n), weight (m, ...) and the
     small-jump flag (m, ...).  This is the form the wealth dynamics and
     the PDE operators broadcast over; a `Scenario` is the case with no
@@ -599,11 +563,14 @@ JumpBounds = CompoundPoissonBounds | DiscreteLevyBounds
 class UncertaintySet:
     """Product uncertainty set: a drift box times a covariance family.
 
-    For two assets the covariance family is parametrized by marginal
-    volatility boxes and a correlation interval.  For n > 2 it is the
-    convex hull of user-supplied positive definite correlation matrices,
-    sampled by convex combination.  Jump ambiguity enters through an
-    optional box on intensities and size moments.
+    The covariance family is given per asset count: nothing for one
+    asset, a correlation interval [rho_lo, rho_hi] for two, and the convex
+    hull of user-supplied positive definite correlation matrices for more.
+    Downstream code reads one normal form, `corr_hull`: every family is
+    the convex hull of a stack of correlation matrices, and each
+    correlation is sampled as a convex combination of them, with
+    volatilities from the marginal boxes.  Jump ambiguity enters through
+    an optional box on intensities and size moments.
     """
 
     drift_lo: np.ndarray
@@ -721,15 +688,27 @@ class UncertaintySet:
     def n(self) -> int:
         return self.drift_lo.size
 
+    @cached_property
+    def corr_hull(self) -> np.ndarray:
+        """The correlation family as the hull of a read-only (m, n, n) stack.
+
+        [[1]] for one asset; for two, (V(rho_hi), V(rho_lo)) with V(r) the
+        matrix of correlation r, or one matrix when the ends are equal, so
+        hull weights (u, 1 - u) give rho = u rho_hi + (1 - u) rho_lo; for
+        more, the vertices as given (not deduplicated).
+        """
+        if self.n == 1:
+            return _ro(np.ones((1, 1, 1)))
+        if self.n == 2:
+            return _ro([[[1.0, r], [r, 1.0]] for r in dict.fromkeys((self.rho_hi, self.rho_lo))])
+        return _ro(self.corr_vertices)
+
     @property
     def is_singleton(self) -> bool:
         point = bool(
             np.all(self.drift_lo == self.drift_hi) and np.all(self.vol_lo == self.vol_hi)
+            and len(self.corr_hull) == 1
         )
-        if self.n == 2:
-            point = point and self.rho_lo == self.rho_hi
-        elif self.n > 2:
-            point = point and len(self.corr_vertices) == 1
         if self.jump_bounds is not None:
             jb = self.jump_bounds
             if isinstance(jb, CompoundPoissonBounds):
@@ -773,12 +752,13 @@ class UncertaintySet:
         return True
 
     def corr_matrix_from_weights(self, weights: np.ndarray) -> np.ndarray:
-        """sum_j w_j V_j for weights (..., m); returns (..., n, n)."""
+        """sum_j w_j V_j over `corr_hull` for weights (..., m); returns (..., n, n)."""
         w = np.asarray(weights, dtype=float)
-        return sum(w[..., j, None, None] * v for j, v in enumerate(self.corr_vertices))
+        return sum(w[..., j, None, None] * v for j, v in enumerate(self.corr_hull))
 
     def contains(self, scenario: Scenario, tol: float = 1e-9) -> bool:
-        """Box containment of drift and vols plus correlation containment."""
+        """Box containment of drift and vols plus hull containment of the
+        correlation matrix."""
         if scenario.n != self.n:
             return False
         b, v = scenario.drift, scenario.vols
@@ -786,26 +766,18 @@ class UncertaintySet:
             return False
         if np.any(v < self.vol_lo - tol) or np.any(v > self.vol_hi + tol):
             return False
-        if self.n == 1:
-            return True
-        if self.n == 2:
-            rho = scenario.cov[0, 1] / (v[0] * v[1])
-            return bool(self.rho_lo - tol <= rho <= self.rho_hi + tol)
-        return self._hull_contains(scenario.corr, tol)
-
-    def _hull_contains(self, corr: np.ndarray, tol: float) -> bool:
-        # feasibility LP: corr = sum w_i V_i with w >= 0, sum w = 1
+        # feasibility LP: corr = sum w_j V_j with w >= 0, sum w = 1
         from scipy.optimize import linprog
 
+        m = len(self.corr_hull)
         iu = np.triu_indices(self.n)
-        a_eq = np.stack([v[iu] for v in self.corr_vertices], axis=1)
-        a_eq = np.vstack([a_eq, np.ones((1, len(self.corr_vertices)))])
-        b_eq = np.concatenate([corr[iu], [1.0]])
+        a_eq = np.vstack([self.corr_hull[:, iu[0], iu[1]].T, np.ones((1, m))])
+        b_eq = np.concatenate([scenario.corr[iu], [1.0]])
         res = linprog(
-            c=np.zeros(len(self.corr_vertices)),
+            c=np.zeros(m),
             A_eq=a_eq,
             b_eq=b_eq,
-            bounds=[(0, None)] * len(self.corr_vertices),
+            bounds=[(0, None)] * m,
             method="highs",
         )
         if not res.success:

@@ -18,11 +18,16 @@ are present).  Three solvers are provided:
   certified by the Frank-Wolfe duality gap (Jaggi, ICML 2013);
 * `worst_case_numeric` with jump ambiguity or a fixed jump - a grid
   search with coordinate-box refinement over drifts, volatilities,
-  correlation (interval or hull weights) and jump coordinates.  One
-  broadcast kernel evaluates a whole grid for any asset count: the
-  covariance is factored and inverted once per point of its own (vol,
-  correlation, jump) axes, and the quadratic form is broadcast against
-  the drift axes.
+  correlation hull weights and jump coordinates.  One broadcast kernel
+  evaluates a whole grid for any asset count: the covariance is factored
+  and inverted once per point of its own (vol, correlation, jump) axes,
+  and the quadratic form is broadcast against the drift axes.
+
+Every solver except the case split reads the correlation family in one
+normal form, `UncertaintySet.corr_hull`: the hull of m correlation
+matrices ([[1]] for one asset, the two interval ends for two), reached
+through m - 1 stick-breaking weights, and compound-Poisson jump boxes
+through the two-point atoms of `surrogate_atoms`.
 
 The minimizer never depends on the risk-aversion level or on whether
 the criterion targets wealth or log return; solvers accept the
@@ -31,7 +36,6 @@ criterion argument only for interface symmetry.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -45,7 +49,6 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .model import (
-    _MOMENT_TOL,
     CompoundPoissonBounds,
     Criterion,
     DiscreteLevyBounds,
@@ -58,6 +61,7 @@ from .model import (
     build_covariance,
     cholesky_or_raise,
     factorizes,
+    surrogate_atoms,
 )
 
 SHORT_SECOND = "ShortSecond"
@@ -112,7 +116,7 @@ class WorstCaseResult:
     premium.  ``evaluations``/``skipped`` report numeric-search effort:
     objective evaluations of the convex solver, or grid points (skipped =
     grid points whose covariance failed factorization or whose
-    compound-Poisson jump moments are invalid, see `_cp_surrogate`).
+    compound-Poisson jump moments are invalid, see `surrogate_atoms`).
     ``gap`` is the Frank-Wolfe duality gap of a diffusion-only result
     (`_frank_wolfe_gap`), an upper bound on premium - minimum; it is None
     for grid and degenerate results.
@@ -171,18 +175,8 @@ def _degenerate_result(uset: UncertaintySet, jump: JumpSpec | None) -> WorstCase
             jump = jb.spec_at(jb.intensity_lo, jb.mean_lo, jb.second_lo)
         else:
             jump = jb.spec_at(jb.weight_lo)
-    scen = _singleton_scenario(uset).with_jump(jump)
+    scen = Scenario(uset.drift_lo, build_covariance(uset.vol_lo, uset.corr_hull[0]), jump)
     return WorstCaseResult(scen, scenario_premium(scen), DEGENERATE)
-
-
-def _singleton_scenario(uset: UncertaintySet) -> Scenario:
-    if uset.n == 1:
-        cov = np.array([[float(uset.vol_lo[0]) ** 2]])
-        return Scenario(uset.drift_lo, cov)
-    if uset.n == 2:
-        return _two_asset_scenario(uset, uset.drift_lo, uset.vol_lo, uset.rho_lo)
-    cov = build_covariance(uset.vol_lo, uset.corr_vertices[0])
-    return Scenario(uset.drift_lo, cov)
 
 
 def worst_case_two_asset(uset: UncertaintySet, criterion: Criterion | None = None) -> WorstCaseResult:
@@ -280,23 +274,16 @@ def _manifold_result(b1l, b2l, b2h, v1h, v2l, v2h, rho_lo, rho_hi, th_lo, th_hi,
 # ---------------------------------------------------------------------------
 
 
-def _cp_surrogate(mean, second):
-    """Half-width s and validity mask of the moment-matching two-point
-    surrogate (atoms mean -+ s, probability 1/2 each) of compound-Poisson
-    jump sizes with these first and second moments, elementwise.  Valid
-    moments have variance second - mean^2 >= -_MOMENT_TOL and a lower
-    atom mean - s above -1.  The grid mask and `stack` share this rule."""
-    var = second - mean * mean
-    s = np.sqrt(np.maximum(var, 0.0))
-    return s, (var >= -_MOMENT_TOL) & (mean - s > -1.0)
-
-
 @dataclass(frozen=True)
 class _CoordBox:
     """Flat coordinate view of an uncertainty set (plus jump ambiguity).
 
-    Layout: n drifts, n vols, correlation block (one rho, or m-1
-    stick-breaking weights for a hull), then jump coordinates.
+    Layout: n drifts, n vols, m - 1 stick-breaking weights of the m
+    matrices of `UncertaintySet.corr_hull`, then jump coordinates (per
+    compound-Poisson type intensity, mean and second moment, or one
+    weight per Levy atom).  The layout does not depend on the asset
+    count; two assets put their correlation interval on one stick
+    coordinate u, with rho = u rho_hi + (1 - u) rho_lo.
     """
 
     uset: UncertaintySet
@@ -309,18 +296,9 @@ class _CoordBox:
     def build(cls, uset: UncertaintySet, fixed_jump: JumpSpec | None) -> "_CoordBox":
         if fixed_jump is not None and uset.jump_bounds is not None:
             raise InvalidBounds("a fixed jump spec and jump ambiguity bounds are exclusive")
-        lo = [uset.drift_lo, uset.vol_lo]
-        hi = [uset.drift_hi, uset.vol_hi]
-        if uset.n == 2:
-            n_corr = 1
-            lo.append([uset.rho_lo])
-            hi.append([uset.rho_hi])
-        elif uset.n > 2:
-            n_corr = len(uset.corr_vertices) - 1
-            lo.append(np.zeros(n_corr))
-            hi.append(np.ones(n_corr))
-        else:
-            n_corr = 0
+        n_corr = len(uset.corr_hull) - 1
+        lo = [uset.drift_lo, uset.vol_lo, np.zeros(n_corr)]
+        hi = [uset.drift_hi, uset.vol_hi, np.ones(n_corr)]
         jb = uset.jump_bounds
         if isinstance(jb, CompoundPoissonBounds):
             lo += [jb.intensity_lo, jb.mean_lo, jb.second_lo]
@@ -356,15 +334,7 @@ class _CoordBox:
         return w
 
     def corr_matrices(self, corr: np.ndarray) -> np.ndarray:
-        """Correlation matrices (..., n, n) at (..., n_corr) coordinates."""
-        n = self.uset.n
-        if n == 1:
-            return np.ones(corr.shape[:-1] + (1, 1))
-        if n == 2:
-            mat = np.empty(corr.shape[:-1] + (2, 2))
-            mat[..., 0, 0] = mat[..., 1, 1] = 1.0
-            mat[..., 0, 1] = mat[..., 1, 0] = corr[..., 0]
-            return mat
+        """Correlation matrices (..., n, n) at (..., n_corr) stick coordinates."""
         return self.uset.corr_matrix_from_weights(self.hull_weights(corr))
 
     def _jump_shifts(self, jc: list[np.ndarray]):
@@ -383,7 +353,9 @@ class _CoordBox:
         if isinstance(jb, CompoundPoissonBounds):
             k = jb.loadings.shape[1]
             mu, mean, second = jc[:k], jc[k:2 * k], jc[2 * k:3 * k]
-            ok = functools.reduce(np.logical_and, [_cp_surrogate(e, s)[1] for e, s in zip(mean, second)])
+            moments = np.broadcast_arrays(*mean, *second)
+            ok = surrogate_atoms(jb.loadings, 1.0, np.stack(moments[:k], axis=-1),
+                                 np.stack(moments[k:], axis=-1))[4]
             flow = [u * e for u, e in zip(mu, mean)]
             quad = [u * s for u, s in zip(mu, second)]
             vecs = jb.loadings.T
@@ -409,7 +381,7 @@ class _CoordBox:
         sum_{i<=j} c_ij (b_i b_j) P_ij, with P = Sigma^{-1}, c_ii = 1 and
         c_ij = 2, then broadcasts to the full grid.  A point is valid when
         Sigma factorizes and, under compound-Poisson ambiguity, the jump
-        moments of every type pass `_cp_surrogate`.
+        moments of every type pass `surrogate_atoms`.
         """
         n = self.uset.n
         dim = len(axes)
@@ -465,30 +437,19 @@ class _CoordBox:
         valid[valid] = factorizes(cov[valid])
 
         jb = self.uset.jump_bounds
-        if self.fixed_jump is not None or jb is None:
-            vec, weight, small = atom_arrays(self.fixed_jump, n)
+        if isinstance(jb, CompoundPoissonBounds):
+            n_types = jb.loadings.shape[1]
+            _, vec, weight, small, ok = surrogate_atoms(
+                jb.loadings, jpts[:, :n_types], jpts[:, n_types:2 * n_types],
+                jpts[:, 2 * n_types:3 * n_types])
+            valid &= ok
+        else:
+            # a fixed atom table; Levy ambiguity moves only the weights
+            vec, weight, small = atom_arrays(self.fixed_jump if jb is None else jb.spec_at(jb.weight_lo), n)
             m = weight.size
             vec = np.broadcast_to(vec[:, None, :], (m, k, n))
-            weight = np.broadcast_to(weight[:, None], (m, k))
+            weight = np.broadcast_to(weight[:, None], (m, k)) if jb is None else jpts.T
             small = np.broadcast_to(small[:, None], (m, k))
-        elif isinstance(jb, CompoundPoissonBounds):
-            # per type the moment-matching two-point surrogate (mean -+ s,
-            # probability 1/2 each), as `atom_table` builds it
-            n_types = jb.loadings.shape[1]
-            mu, mean, second = (jpts[:, :n_types], jpts[:, n_types:2 * n_types],
-                                jpts[:, 2 * n_types:3 * n_types])
-            s, ok = _cp_surrogate(mean, second)
-            valid &= np.all(ok, axis=1)
-            sizes = np.stack([mean - s, mean + s], axis=-1).reshape(k, 2 * n_types).T
-            types = np.repeat(np.arange(n_types), 2)
-            vec = sizes[:, :, None] * jb.loadings.T[types][:, None, :]
-            weight = np.repeat(mu.T * 0.5, 2, axis=0)
-            small = np.abs(sizes) < 1.0
-        else:
-            m = jb.atoms.shape[0]
-            vec = np.broadcast_to(jb.atoms[:, None, :], (m, k, n))
-            weight = jpts.T
-            small = np.broadcast_to((np.linalg.norm(jb.atoms, axis=1) < 1.0)[:, None], (m, k))
         return ScenarioArrays(drift, cov, vec, weight, small), valid
 
     def jump_at(self, point: np.ndarray) -> JumpSpec | None:
@@ -517,9 +478,10 @@ class _CoordBox:
 
     def _draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
         """k candidate points, uniform on the box (hull weights uniform on
-        the simplex).  Consumes the generator exactly as k successive
-        single-point draws would."""
-        if self.uset.n <= 2:
+        the simplex; with at most two hull matrices the one stick
+        coordinate already is).  Consumes the generator exactly as k
+        successive single-point draws would."""
+        if self.n_corr <= 1:
             return rng.uniform(self.lo, self.hi, size=(k, self.dim))
         pts = np.empty((k, self.dim))
         i0 = 2 * self.uset.n
@@ -587,12 +549,11 @@ def corner_scenarios(uset: UncertaintySet, fixed_jump: JumpSpec | None = None) -
     if total > _CORNER_CAP:
         raise BudgetExceeded(f"{total} corners exceed the cap of {_CORNER_CAP}")
     pts = np.array(list(itertools.product(*axes)), dtype=float)
-    if uset.n > 2:
-        # stick-breaking corners map several-to-one onto the hull vertices
-        # (a weight coordinate of 1 uses up the stick): keep the first
-        drift, vols, sticks, jumps = box.split(pts)
-        keys = np.hstack([drift, vols, box.hull_weights(sticks), jumps])
-        pts = pts[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
+    # stick-breaking corners map several-to-one onto the hull matrices
+    # (a weight coordinate of 1 uses up the stick): keep the first
+    drift, vols, sticks, jumps = box.split(pts)
+    keys = np.hstack([drift, vols, box.hull_weights(sticks), jumps])
+    pts = pts[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
     return box.scenarios(pts)
 
 
@@ -623,18 +584,6 @@ def _sharpe_box(uset: UncertaintySet) -> tuple[np.ndarray, np.ndarray]:
     return r.min(axis=0), r.max(axis=0)
 
 
-def _corr_vertices(uset: UncertaintySet) -> np.ndarray:
-    """(m, n, n) distinct correlation matrices whose convex hull is the
-    set's correlation family: the two interval ends for two assets, the
-    hull vertices beyond, [[1]] for one asset.  First-occurrence order."""
-    if uset.n == 1:
-        return np.ones((1, 1, 1))
-    if uset.n == 2:
-        return np.array([[[1.0, r], [r, 1.0]] for r in dict.fromkeys((uset.rho_lo, uset.rho_hi))])
-    verts = np.array(uset.corr_vertices)
-    return verts[np.sort(np.unique(verts, axis=0, return_index=True)[1])]
-
-
 def _gap(s: np.ndarray, corr: np.ndarray, lo: np.ndarray, hi: np.ndarray,
          verts: np.ndarray) -> float:
     """Frank-Wolfe duality gap of s' C^{-1} s at (s, C = corr) over the
@@ -656,7 +605,7 @@ def _frank_wolfe_gap(uset: UncertaintySet, scenario: Scenario) -> float:
     """`_gap` at a diffusion scenario of the set, in its Sharpe and
     correlation coordinates."""
     lo, hi = _sharpe_box(uset)
-    return _gap(scenario.drift / scenario.vols, scenario.corr, lo, hi, _corr_vertices(uset))
+    return _gap(scenario.drift / scenario.vols, scenario.corr, lo, hi, uset.corr_hull)
 
 
 def _scenario_from_sharpe(uset: UncertaintySet, s: np.ndarray, corr: np.ndarray) -> Scenario:
@@ -688,7 +637,8 @@ def _worst_case_convex(uset: UncertaintySet) -> WorstCaseResult:
     from scipy.optimize import minimize
 
     lo, hi = _sharpe_box(uset)
-    verts = _corr_vertices(uset)
+    # the distinct hull matrices, in first-occurrence order
+    verts = uset.corr_hull[np.sort(np.unique(uset.corr_hull, axis=0, return_index=True)[1])]
     n, m = uset.n, len(verts)
     evals = 0
 

@@ -166,7 +166,7 @@ def test_every_command_uses_the_requested_solver(tmp_path, command):
 
 _BLOCKS = {
     "verify": {"grid": [4, 4], "samples": 10, "seed": 5},
-    "simulate": {"n_paths": 200, "dt": 0.1, "seed": 9},
+    "simulate": {"n_paths": 200, "dt": 0.1, "seed": 9, "antithetic": True},
     "perturb": {"h_list": [0.1], "w_samples": 2, "u_samples": 2,
                 "n_paths": 200, "dt": 0.1, "seed": 9},
 }
@@ -199,11 +199,51 @@ _BLOCKS = {
     ("perturb", "n_paths", "x"),
     ("perturb", "seed", 2**64),
     ("perturb", "base_scale", "x"),
+    ("simulate", "n_paths", 1),
+    ("perturb", "n_paths", 1),
+    ("simulate", "n_paths", 1001),  # odd, with antithetic set
 ])
 def test_bad_run_block_is_schema_error(tmp_path, capsys, command, key, value):
     path = write_problem(tmp_path, **{command: {**_BLOCKS[command], key: value}})
     assert run_cli([command, path])[0] == 2
     assert f"{command}.{key}" in capsys.readouterr().err
+
+
+_UNCERTAINTY = {"drift_lo": [0.10, 0.02], "drift_hi": [0.12, 0.03],
+                "vol_lo": [0.15, 0.2], "vol_hi": [0.2, 0.3], "rho_lo": 0.4, "rho_hi": 0.6}
+_CRITERION = {"kind": "terminal_wealth", "lambda": 1.0, "T": 1.0, "t0": 0.0, "x0": 1.0}
+_CP = {"kind": "compound_poisson", "loadings": [[1.0], [0.0]], "intensity": [0.5],
+       "sizes": [{"sampler": "two-point", "mean": 0.1, "second_moment": 0.02}]}
+_LEVY_BOUNDS = {"kind": "levy_discrete", "atoms": [[-0.05, 0.0], [0.08, 0.02]],
+                "weight_lo": [0.2, 0.1], "weight_hi": [0.5, 0.4]}
+
+
+@pytest.mark.parametrize("block, patch", [
+    ("uncertainty", {"rho_lo": "abc"}),
+    ("uncertainty", {"rho_lo": "0.3"}),
+    ("uncertainty", {"rho_hi": None}),
+    ("uncertainty", {"drift_lo": ["a", 0.1]}),
+    ("uncertainty", {"vol_hi": [0.2, True]}),
+    ("uncertainty", {"vol_lo": [[0.15], [0.2]]}),
+    ("uncertainty", {"jump_bounds": {**_LEVY_BOUNDS, "weight_hi": [0.5, "0.4"]}}),
+    ("uncertainty", {"jump_bounds": {**_LEVY_BOUNDS, "atoms": [[-0.05, 0.0], [0.08]]}}),
+    ("uncertainty", {"jump_bounds": {**_LEVY_BOUNDS, "atoms": [-0.05, 0.0]}}),
+    ("criterion", {"lambda": "abc"}),
+    ("criterion", {"lambda": True}),
+    ("criterion", {"T": "2"}),
+    ("criterion", {"x0": None}),
+    ("jumps", {"intensity": [True]}),
+    ("jumps", {"loadings": [[1.0, 0.0]]}),
+    ("jumps", {"sizes": [{"sampler": "two-point", "values": [0.1], "prob": 0.5}]}),
+    ("jumps", {"sizes": [{"sampler": "two-point", "values": [0.1, 0.2, 0.3], "prob": 0.5}]}),
+    ("jumps", {"sizes": [{"sampler": "uniform", "lo": "0", "hi": 0.2}]}),
+    ("jumps", {"sizes": [{"sampler": "two-point", "mean": 0.1, "second_moment": [0.02]}]}),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+def test_non_numeric_model_input_is_schema_error(tmp_path, capsys, block, patch):
+    base = {"uncertainty": _UNCERTAINTY, "criterion": _CRITERION, "jumps": _CP}[block]
+    path = write_problem(tmp_path, **{block: {**base, **patch}})
+    assert run_cli(["worst-case", path])[0] == 2
+    assert "schema error" in capsys.readouterr().err
 
 
 class TestStrategyCommand:

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 import robust_mv as rm
-from robust_mv.model import atom_table
+from robust_mv.model import atom_arrays, surrogate_atoms
 
 
 class TestBuildCovariance:
@@ -65,11 +65,12 @@ class TestJumpSizeLaws:
             rm.JumpSizeLaw.shifted_lognormal(0.05, 0.3),
             rm.JumpSizeLaw.two_point(-0.2, 0.6, 0.7),
         ):
-            atoms = law.two_point_surrogate()
-            m1 = sum(y * p for y, p in atoms)
-            m2 = sum(y * y * p for y, p in atoms)
-            assert m1 == pytest.approx(law.mean, abs=1e-14)
-            assert m2 == pytest.approx(law.second_moment, abs=1e-14)
+            # one jump type of unit loading and intensity: the weights are
+            # the atom probabilities
+            size, _, weight, _, valid = surrogate_atoms([[1.0]], [1.0], [law.mean], [law.second_moment])
+            assert valid and np.array_equal(weight, [0.5, 0.5])
+            assert size @ weight == pytest.approx(law.mean, abs=1e-14)
+            assert size**2 @ weight == pytest.approx(law.second_moment, abs=1e-14)
 
     def test_support_below_minus_one_rejected(self):
         with pytest.raises(rm.InvalidBounds):
@@ -234,11 +235,81 @@ class TestJumpSpecs:
         with pytest.raises(rm.InvalidBounds, match="finite"):
             rm.JumpSizeLaw.shifted_lognormal(np.nan, 0.1)
 
-    def test_atom_table_tags_small_jumps(self):
+    def test_atom_arrays_tag_small_jumps(self):
         jump = rm.DiscreteLevyJumps(np.array([[0.5, 0.0], [1.5, 0.2]]),
                                     np.array([0.3, 0.1]))
-        atoms = atom_table(jump)
-        assert atoms[0].small and not atoms[1].small
+        vec, weight, small = atom_arrays(jump, 2)
+        assert small.tolist() == [True, False]
+        # compound Poisson: the flag reads the surrogate size, not the
+        # per-asset jump (sizes 0.4 -+ 0.8 here)
+        jump = rm.CompoundPoissonJumps(np.array([[1.0], [0.5]]), np.array([0.3]),
+                                       (rm.JumpSizeLaw.two_point(-0.4, 1.2, 0.5),))
+        vec, weight, small = atom_arrays(jump, 2)
+        assert small.tolist() == [True, False]
+        assert np.array_equal(weight, [0.15, 0.15])
+        assert np.allclose(vec, [[-0.4, -0.2], [1.2, 0.6]], rtol=1e-15, atol=1e-16)
+
+    def test_surrogate_atoms_broadcast_and_mask(self):
+        loadings = np.array([[1.0, 0.3], [0.4, 1.0]])
+        mu = np.array([[0.2, 0.5], [0.4, 0.1], [0.3, 0.3]])
+        mean = np.array([[0.1, -0.2], [0.05, -0.6], [0.1, 0.0]])
+        second = np.array([[0.02, 0.05], [0.01, 0.8], [0.005, 0.0]])
+        size, vec, weight, small, valid = surrogate_atoms(loadings, mu, mean, second)
+        assert size.shape == weight.shape == small.shape == (4, 3) and vec.shape == (4, 3, 2)
+        # row 1: lower atom -0.6 - sqrt(0.44) of type 1 below -1; row 2:
+        # variance 0.005 - 0.01 below zero for type 0
+        assert valid.tolist() == [True, False, False]
+        # each point alone gives the same bits as the whole stack
+        for i in range(3):
+            one = surrogate_atoms(loadings, mu[i], mean[i], second[i])
+            for a, b in zip(one, (size[:, i], vec[:, i], weight[:, i], small[:, i], valid[i])):
+                assert np.array_equal(a, b)
+
+    def test_zero_variance_gives_two_equal_atoms(self):
+        size, _, weight, _, valid = surrogate_atoms([[1.0]], [0.6], [0.1], [0.01])
+        assert valid and size.tolist() == [0.1, 0.1] and weight.tolist() == [0.3, 0.3]
+
+
+class TestCorrHull:
+    """`UncertaintySet.corr_hull`, the one correlation family of every set."""
+
+    @staticmethod
+    def _box(n):
+        return dict(drift_lo=[0.05] * n, drift_hi=[0.08] * n, vol_lo=[0.2] * n, vol_hi=[0.3] * n)
+
+    def test_one_asset(self):
+        hull = rm.UncertaintySet(**self._box(1)).corr_hull
+        assert hull.shape == (1, 1, 1) and hull[0, 0, 0] == 1.0
+        assert not hull.flags.writeable
+
+    def test_two_assets_upper_end_first(self):
+        uset = rm.UncertaintySet(**self._box(2), rho_lo=-0.2, rho_hi=0.6)
+        want = np.array([[[1.0, 0.6], [0.6, 1.0]], [[1.0, -0.2], [-0.2, 1.0]]])
+        assert np.array_equal(uset.corr_hull, want)
+        # stick weights (u, 1 - u) give rho = u rho_hi + (1 - u) rho_lo
+        mats = uset.corr_matrix_from_weights(np.array([[1.0, 0.0], [0.0, 1.0], [0.25, 0.75]]))
+        assert mats[:, 0, 1].tolist() == [0.6, -0.2, 0.25 * 0.6 + 0.75 * -0.2]
+
+    def test_two_assets_equal_ends_is_one_matrix(self):
+        uset = rm.UncertaintySet(**self._box(2), rho_lo=0.3, rho_hi=0.3)
+        assert np.array_equal(uset.corr_hull, [[[1.0, 0.3], [0.3, 1.0]]])
+
+    def test_hull_vertices_as_given(self):
+        verts = (np.eye(3), np.eye(3), np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]]))
+        uset = rm.UncertaintySet.hull(**self._box(3), corr_vertices=verts)
+        # duplicates are kept, so the grid's stick coordinates do not move
+        assert np.array_equal(uset.corr_hull, np.array(verts))
+
+    def test_singleton_and_membership_read_the_hull(self):
+        box = {**self._box(2), "drift_hi": [0.05] * 2, "vol_hi": [0.2] * 2}
+        assert rm.UncertaintySet(**box, rho_lo=0.3, rho_hi=0.3).is_singleton
+        assert not rm.UncertaintySet(**box, rho_lo=0.3, rho_hi=0.4).is_singleton
+        uset = rm.UncertaintySet(**self._box(2), rho_lo=0.3, rho_hi=0.4)
+        for rho, inside in ((0.3, True), (0.35, True), (0.4, True), (0.29, False), (0.41, False)):
+            cov = rm.build_covariance([0.25, 0.25], np.array([[1.0, rho], [rho, 1.0]]))
+            assert uset.contains(rm.Scenario(np.array([0.06, 0.06]), cov)) is inside
+        one = rm.UncertaintySet(**self._box(1))
+        assert one.contains(rm.Scenario(np.array([0.06]), np.array([[0.0625]])))
 
 
 class TestScenarioAndSet:

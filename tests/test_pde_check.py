@@ -56,28 +56,24 @@ def verify_cases(tw_solution, lr_solution, cp_solution, ws_solution, short_secon
 
 def sequential_scenarios(uset, count, rng, fixed_jump=None):
     """One candidate at a time: a uniform draw on the coordinate box (plus
-    a Dirichlet draw for hull weights), built into a Scenario and redrawn
-    on failure.  Returns the scenarios and the number of rejected draws."""
+    a Dirichlet draw for the weights of a hull of three or more matrices),
+    built into a Scenario and redrawn on failure.  Returns the scenarios
+    and the number of rejected draws."""
     box = _CoordBox.build(uset, fixed_jump)
-    n, n_corr = uset.n, box.n_corr
+    n, m = uset.n, len(uset.corr_hull)
     out, rejected = [], 0
     while len(out) < count:
         pt = rng.uniform(box.lo, box.hi)
-        if n > 2:
-            w = rng.dirichlet(np.ones(n_corr + 1))
+        if m > 2:
+            w = rng.dirichlet(np.ones(m))
             rem = 1.0
-            for j in range(n_corr):
+            for j in range(m - 1):
                 pt[2 * n + j] = 0.0 if rem <= 0 else min(max(w[j] / rem, 0.0), 1.0)
                 rem -= w[j]
         drift, vols = pt[:n], pt[n:2 * n]
-        corr, jpts = pt[2 * n:2 * n + n_corr], pt[2 * n + n_corr:]
+        sticks, jpts = pt[2 * n:2 * n + m - 1], pt[2 * n + m - 1:]
         try:
-            if n == 1:
-                corr_mat = np.array([[1.0]])
-            elif n == 2:
-                corr_mat = np.array([[1.0, corr[0]], [corr[0], 1.0]])
-            else:
-                corr_mat = uset.corr_matrix_from_weights(box.hull_weights(corr[None, :])[0])
+            corr_mat = uset.corr_matrix_from_weights(box.hull_weights(sticks[None, :])[0])
             jump = fixed_jump
             jb = uset.jump_bounds
             if isinstance(jb, rm.CompoundPoissonBounds):

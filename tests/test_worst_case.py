@@ -292,6 +292,33 @@ class TestGridKernel:
         if cp:
             assert 0 < np.count_nonzero(~valid) < valid.size
 
+    @pytest.mark.parametrize("case", ["n1-levy-fixed", "n2-cp-fixed", "n2-cp-bounds", "n2-levy-bounds"])
+    def test_stack_and_scenario_arrays_give_the_same_bits(self, case):
+        # one atom builder serves both: at the same coordinates the stack
+        # holds exactly the atom table of the scenario built there
+        uset, jump = _kernel_cases()[case]
+        box = _CoordBox.build(uset, jump)
+        pts = box.sample(40, np.random.default_rng(sum(map(ord, case))))
+        cp = isinstance(uset.jump_bounds, rm.CompoundPoissonBounds)
+        k = uset.jump_bounds.loadings.shape[1] if cp else 0
+        i0 = box.dim - 3 * k
+        for pt in pts:
+            scen = box.scenario_at(pt)
+            if cp:
+                # the two-point law built from moments (m, s) recomputes its
+                # moments from its atoms m -+ sqrt(s - m^2), which moves them
+                # by rounding: state the moments the scenario's laws report
+                pt = pt.copy()
+                pt[i0 + k:i0 + 2 * k] = scen.jump.mean_sizes()
+                pt[i0 + 2 * k:] = scen.jump.second_moments()
+            arr, valid = box.stack(pt[None, :])
+            assert valid[0]
+            want = scen.arrays
+            for name in ("drift", "cov"):
+                assert np.array_equal(getattr(arr, name)[0], getattr(want, name))
+            for name in ("atom_vec", "atom_weight", "atom_small"):
+                assert np.array_equal(getattr(arr, name)[:, 0], getattr(want, name))
+
     def test_hull_tie_break_is_the_first_in_product_order(self):
         # the third asset has zero drift and no correlation in any vertex,
         # so its volatility leaves every premium bit unchanged: exact ties
@@ -593,6 +620,19 @@ class TestCornerScenarios:
         for v in _HULL_VERTICES:
             cov = np.outer(vols, vols) * v
             assert sum(np.allclose(s.cov, cov, rtol=1e-15, atol=0.0) for s in corners) == 1
+
+    @pytest.mark.parametrize("rho", [(0.2, 0.6), (0.3, 0.3)])
+    def test_two_asset_corners_are_the_interval_ends(self, rho):
+        # the interval form written out: rho in {rho_lo, rho_hi}, product
+        # order drift, vol, rho; the hull form must give the same bits
+        uset = rm.UncertaintySet.two_asset((0.10, 0.12), (0.02, 0.03), (0.15, 0.15), (0.2, 0.3), rho)
+        lo = [*uset.drift_lo, *uset.vol_lo, uset.rho_lo]
+        hi = [*uset.drift_hi, *uset.vol_hi, uset.rho_hi]
+        want = [rm.Scenario(np.array([b1, b2]),
+                            rm.build_covariance(np.array([v1, v2]), np.array([[1.0, r], [r, 1.0]])))
+                for b1, b2, v1, v2, r in itertools.product(*(dict.fromkeys(ab) for ab in zip(lo, hi)))]
+        assert len(want) == (16 if rho[0] < rho[1] else 8)
+        self._assert_same(rm.corner_scenarios(uset), want)
 
     def test_box_corners_unchanged(self, short_second_set):
         raw = _corners_with_repeats(short_second_set)
