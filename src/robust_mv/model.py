@@ -618,9 +618,11 @@ class UncertaintySet:
                 if v.shape != (n, n):
                     raise DimensionMismatch("correlation vertices must be n x n")
                 build_covariance(np.ones(n), v)
-        if self.jump_bounds is not None and isinstance(self.jump_bounds, CompoundPoissonBounds):
-            if self.jump_bounds.loadings.shape[0] != n:
-                raise DimensionMismatch("jump bounds loadings row count must match assets")
+        jb = self.jump_bounds
+        if isinstance(jb, CompoundPoissonBounds) and jb.loadings.shape[0] != n:
+            raise DimensionMismatch("jump bounds loadings row count must match assets")
+        if isinstance(jb, DiscreteLevyBounds) and jb.atoms.shape[1] != n:
+            raise DimensionMismatch("jump bounds atom column count must match assets")
         # every corner must factor: with |rho| < 1 (or PD vertices) any
         # vol corner yields a PD covariance, so only the hull needs work
         # and the loop above already did it.

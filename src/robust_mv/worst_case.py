@@ -18,10 +18,11 @@ are present).  Three solvers are provided:
   certified by the Frank-Wolfe duality gap (Jaggi, ICML 2013);
 * `worst_case_numeric` with jump ambiguity or a fixed jump - a grid
   search with coordinate-box refinement over drifts, volatilities,
-  correlation hull weights and jump coordinates.  One broadcast kernel
-  evaluates a whole grid for any asset count: the covariance is factored
-  and inverted once per point of its own (vol, correlation, jump) axes,
-  and the quadratic form is broadcast against the drift axes.
+  correlation hull weights and jump coordinates.  One kernel serves every
+  asset count: the covariance is factored and inverted once per point of
+  its own (vol, correlation, jump) axes, and the quadratic form is summed
+  over cache-sized blocks of the grid, whose running minimum is the pass
+  minimum; no array spans the whole grid.
 
 Every solver except the case split reads the correlation family in one
 normal form, `UncertaintySet.corr_hull`: the hull of m correlation
@@ -37,7 +38,10 @@ criterion argument only for interface symmetry.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
+import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,6 +68,8 @@ from .model import (
     surrogate_atoms,
 )
 
+_log = logging.getLogger(__name__)
+
 SHORT_SECOND = "ShortSecond"
 LONG_BOTH = "LongBoth"
 IGNORE_SECOND = "IgnoreSecond"
@@ -77,6 +83,7 @@ _CORNER_CAP = 4096  # most corners `corner_scenarios` enumerates
 _GAP_RTOL = 1e-10  # a convex result is certified when gap <= _GAP_RTOL (1 + premium)
 _POLISH_RTOL = 1e-13  # Newton polish stops once gap <= _POLISH_RTOL (1 + premium)
 _POLISH_STEPS = 50
+_BLOCK = 1 << 15  # elements per block of the grid reduction, small enough to stay in cache
 
 
 def risk_premium(b: np.ndarray, sigma: np.ndarray) -> float:
@@ -368,20 +375,32 @@ class _CoordBox:
             m = m + q[..., None, None] * np.outer(v, v)
         return d, m, ok
 
-    def grid_premiums(self, axes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Jump-adjusted premiums b_F' Sigma_F^{-1} b_F on the full grid
-        product of ``axes`` (one per coordinate, so C order is the
-        lexicographic order of grid indices), plus a validity mask that
-        broadcasts against them; invalid points read +inf.
+    def grid_premiums(self, axes: list[np.ndarray]) -> tuple[int, Iterator]:
+        """Jump-adjusted premiums b_F' Sigma_F^{-1} b_F on the grid product
+        of ``axes`` (one per coordinate, so C order is the lexicographic
+        order of grid indices), computed block by block.
 
         Each factor spans only the grid axes it depends on: b_i = drift_i
         + d_i its drift axis and the jump-flow axes, Sigma_ij = vol_i vol_j
         C_ij + M_ij the vol, correlation and jump-moment axes.  Sigma is
-        factored and inverted once per point of its own axes; the premium
-        sum_{i<=j} c_ij (b_i b_j) P_ij, with P = Sigma^{-1}, c_ii = 1 and
-        c_ij = 2, then broadcasts to the full grid.  A point is valid when
-        Sigma factorizes and, under compound-Poisson ambiguity, the jump
-        moments of every type pass `surrogate_atoms`.
+        factored and inverted once per point of its own axes.  A point is
+        valid when Sigma factorizes and, under compound-Poisson ambiguity,
+        the jump moments of every type pass `surrogate_atoms`.
+
+        The grid is then laid out as (axes shared by b and the Sigma side)
+        x (b-only axes) x (Sigma-side-only axes), where the Sigma side is
+        P = Sigma^{-1} and the validity mask.  The premium
+        sum_{i<=j} c_ij (b_i b_j) P_ij, with c_ii = 1 and c_ij = 2, is
+        summed into a buffer of about `_BLOCK` elements, diagonal terms
+        first: b_i b_j scalars times whole contiguous Sigma-side rows.
+        Every premium takes the same operations in the same order as on
+        the whole grid at once, so its bits do not depend on the blocks.
+
+        Returns the number of invalid grid points and an iterator of blocks
+        ``(prem, (i_s, i_b, i_g))``: ``prem`` (len(i_s), len(i_b),
+        len(i_g)) reads +inf at invalid points and is overwritten by the
+        next block; the point at prem[s, b, g] has flat C-order index
+        i_s[s] + i_b[b] + i_g[g] in the grid.
         """
         n = self.uset.n
         dim = len(axes)
@@ -405,17 +424,34 @@ class _CoordBox:
         p = np.linalg.inv(sigma)
         if jump_ok is not None:
             valid = valid & jump_ok
+        # each point of the mask's own axes stands for the same number of grid points
+        invalid = int(np.count_nonzero(~valid)) * (math.prod(shape) // valid.size)
 
-        prem = 0.0
-        # diagonal terms first: each spans a single drift axis, so their sum
-        # is the first array as large as the grid
-        for i, j in [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2)):
-            # the small b_i b_j product first, then a contiguous copy of P_ij
-            pij = np.ascontiguousarray(p[..., i, j] if i == j else 2.0 * p[..., i, j])
-            prem = prem + (b[i] * b[j]) * pij
-        if not valid.all():
-            np.copyto(prem, np.inf, where=~valid)
-        return prem, valid
+        on_b = np.broadcast_shapes(*(x.shape for x in b))
+        on_p = np.broadcast_shapes(sigma.shape[:-2], valid.shape)
+        shared = [c for c in range(dim) if on_b[c] > 1 and on_p[c] > 1]
+        b_only = [c for c in range(dim) if on_b[c] > 1 and on_p[c] == 1]
+        p_only = [c for c in range(dim) if on_b[c] == 1]
+        strides = [math.prod(shape[c + 1:]) for c in range(dim)]
+
+        def lay(x: np.ndarray, *groups: list[int]) -> np.ndarray:
+            # x, which varies only along the axes in ``groups``, as a
+            # C-contiguous array with one axis per group
+            order = [c for g in groups for c in g]
+            full = tuple(shape[c] if c in order else 1 for c in range(dim))
+            x = np.broadcast_to(x, full).transpose(order + [c for c in range(dim) if c not in order])
+            return np.ascontiguousarray(x.reshape([math.prod(shape[c] for c in g) for g in groups]))
+
+        def flat_index(axs: list[int]) -> np.ndarray:
+            return lay(sum((np.arange(shape[c]).reshape(coord(c).shape) * strides[c] for c in axs),
+                           np.zeros((1,) * dim, dtype=np.intp)), axs)
+
+        pairs = [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))
+        bb = [lay(b[i] * b[j], shared, b_only) for i, j in pairs]
+        pp = [lay(p[..., i, j] if i == j else 2.0 * p[..., i, j], shared, p_only) for i, j in pairs]
+        bad = lay(~valid, shared, p_only) if invalid else None
+        index = (flat_index(shared), flat_index(b_only), flat_index(p_only))
+        return invalid, _premium_blocks(bb, pp, bad, index)
 
     def stack(self, pts: np.ndarray) -> tuple[ScenarioArrays, np.ndarray]:
         """Scenarios at (k, dim) points as one `ScenarioArrays` stack plus a
@@ -512,6 +548,33 @@ class _CoordBox:
             accepted.append(pts)
             missing -= pts.shape[0]
         return np.concatenate(accepted)
+
+
+def _premium_blocks(bb, pp, bad, index) -> Iterator:
+    """The blocks of `_CoordBox.grid_premiums`: ``bb`` and ``pp`` hold
+    b_i b_j (shared, b-only) and c_ij P_ij (shared, Sigma-side) per term,
+    ``bad`` the invalid points (shared, Sigma-side) or None."""
+    i_s, i_b, i_g = index
+    n_s, n_b, n_g = i_s.size, i_b.size, i_g.size
+    # whole Sigma-side rows: part of the b-only rows of one shared point,
+    # or all of them for several shared points
+    rows = max(1, _BLOCK // n_g)
+    step_s, step_b = (rows // n_b, n_b) if rows >= n_b else (1, rows)
+    buf = np.empty(2 * step_s * step_b * n_g)
+    for s0 in range(0, n_s, step_s):
+        s1 = min(s0 + step_s, n_s)
+        for b0 in range(0, n_b, step_b):
+            b1 = min(b0 + step_b, n_b)
+            size = (s1 - s0) * (b1 - b0) * n_g
+            prem = buf[:size].reshape(s1 - s0, b1 - b0, n_g)
+            term = buf[size:2 * size].reshape(prem.shape)
+            for k, (x, y) in enumerate(zip(bb, pp)):
+                np.multiply(x[s0:s1, b0:b1, None], y[s0:s1, None, :], out=term if k else prem)
+                if k:
+                    np.add(prem, term, out=prem)
+            if bad is not None and bad[s0:s1].any():
+                np.copyto(prem, np.inf, where=bad[s0:s1, None, :])
+            yield prem, (i_s[s0:s1], i_b[b0:b1], i_g)
 
 
 def _as_generator(rng: np.random.Generator | int) -> np.random.Generator:
@@ -793,13 +856,14 @@ def _worst_case_grid(box: _CoordBox, resolution: int = DEFAULT_RESOLUTION,
     """Grid search plus box refinement for the minimal risk premium.
 
     Each pass lays `resolution` points per non-degenerate coordinate
-    (auto-reduced to respect ``max_evals``) and evaluates the
-    jump-adjusted premium on the full grid at once, for any asset count,
-    with the broadcast kernel `_CoordBox.grid_premiums`; it then shrinks
-    every coordinate interval to a fifth of its width around the
-    incumbent and repeats, ``refinements`` times.  Ties keep the
-    lexicographically smallest grid index; the incumbent is only
-    replaced by a strictly better point, so results are deterministic.
+    (auto-reduced to respect ``max_evals``) and takes the minimum of the
+    jump-adjusted premium over the grid, for any asset count, as a
+    running minimum over the blocks of `_CoordBox.grid_premiums`; it then
+    shrinks every coordinate interval to a fifth of its width around the
+    incumbent and repeats, ``refinements`` times.  Within a pass, ties
+    keep the lexicographically smallest grid index whatever the blocks;
+    the incumbent is only replaced by a strictly better point, so results
+    are deterministic.  Each pass logs one DEBUG line.
     """
     free = box.hi > box.lo
     d = int(np.count_nonzero(free))
@@ -819,17 +883,20 @@ def _worst_case_grid(box: _CoordBox, resolution: int = DEFAULT_RESOLUTION,
     evals = 0
     skipped = 0
 
-    for _ in range(refinements + 1):
+    for k in range(refinements + 1):
+        tic = time.perf_counter()
         axes = [np.linspace(a, b, res) if a < b else np.array([a]) for a, b in zip(lo, hi)]
-        prem, valid = box.grid_premiums(axes)
-        evals += prem.size
-        # each point of the mask's own axes stands for the same number of grid points
-        skipped += int(np.count_nonzero(~valid)) * (prem.size // valid.size)
-        j = int(np.argmin(prem))
-        if prem.flat[j] < best_val:
-            best_val = float(prem.flat[j])
-            at = np.unravel_index(j, prem.shape)
+        shape = tuple(len(a) for a in axes)
+        invalid, blocks = box.grid_premiums(axes)
+        val, j, n_blocks = _pass_minimum(blocks)
+        evals += math.prod(shape)
+        skipped += invalid
+        if val < best_val:
+            best_val = val
+            at = np.unravel_index(j, shape)
             best_pt = np.array([axes[c][at[c]] for c in range(box.dim)])
+        _log.debug("grid pass %d: %d points, %d invalid, %d blocks, minimum %.17g, %.4f s",
+                   k, math.prod(shape), invalid, n_blocks, val, time.perf_counter() - tic)
         if best_pt is None:
             raise NotPositiveDefinite(
                 "every grid point failed factorization or has invalid jump moments")
@@ -839,6 +906,22 @@ def _worst_case_grid(box: _CoordBox, resolution: int = DEFAULT_RESOLUTION,
 
     scen = box.scenario_at(best_pt)
     return WorstCaseResult(scen, best_val, NUMERIC, evaluations=evals, skipped=skipped)
+
+
+def _pass_minimum(blocks: Iterator) -> tuple[float, int, int]:
+    """Smallest premium over the blocks of `_CoordBox.grid_premiums`, the
+    smallest flat grid index attaining it (-1 when every point reads
+    +inf), and the number of blocks."""
+    val, at, n_blocks = np.inf, -1, 0
+    for prem, (i_s, i_b, i_g) in blocks:
+        n_blocks += 1
+        v = float(prem.min())
+        if v < val or (v == val < np.inf):
+            s, b, g = np.nonzero(prem == v)
+            j = int((i_s[s] + i_b[b] + i_g[g]).min())
+            if v < val or j < at:
+                val, at = v, j
+    return val, at, n_blocks
 
 
 def find_worst_case(

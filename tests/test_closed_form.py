@@ -1,6 +1,8 @@
 """Closed-form solutions: displayed values, identities, the backward ODE."""
 
+import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -237,6 +239,33 @@ class TestWealthScaled:
         with pytest.raises(rm.OdeBlowup):
             solve_growth_factors(lam=1.0, premium=5.0, t0=0.0, horizon=1.0,
                                  ode=OdeConfig(h_rel=1e-3, max_value=1.05))
+
+    def test_stage_guard(self):
+        # a coarse step drives a Runge-Kutta stage's B below zero
+        with pytest.raises(rm.OdeBlowup, match="second-moment factor left"):
+            solve_growth_factors(lam=0.05, premium=5.0, t0=0.0, horizon=1.0,
+                                 ode=OdeConfig(h_rel=0.25, step_tol=1e9, max_value=1e300))
+
+    @pytest.mark.parametrize("lam, premium, t0, horizon, digest", [
+        (0.8, 0.3, 0.0, 1.0, "ea64632ccf64e7b0fb23a01fc07872f8876aa95b043a147691714b9f10e3cab0"),
+        (1.5, np.float64(0.1654), 0.25, 2.0,
+         "0b9ad7685bc73915d3875b8b282e155cfc236b90ae25493150a4c18c3d309764"),
+    ])
+    def test_grids_keep_their_bits(self, lam, premium, t0, horizon, digest):
+        # sha256 of the grids and step error as the stage-by-stage
+        # integrator with one rate function per stage gave them
+        grids = solve_growth_factors(lam, premium, t0, horizon)
+        h = hashlib.sha256()
+        for x in (grids.t, grids.a, grids.b, grids.a_slope, grids.b_slope, np.float64(grids.step_error)):
+            h.update(np.ascontiguousarray(x).tobytes())
+        assert h.hexdigest() == digest
+
+    def test_debug_line_per_solve(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="robust_mv.closed_form"):
+            grids = solve_growth_factors(0.8, 0.3, 0.0, 1.0, OdeConfig(h_rel=1e-3))
+        lines = [r.getMessage() for r in caplog.records if r.name == "robust_mv.closed_form"]
+        assert len(lines) == 1
+        assert lines[0].startswith(f"ODE solve: 1000 + 2000 RK4 steps, step_error {grids.step_error:.3g}, ")
 
     def test_step_tolerance_guard(self):
         with pytest.raises(rm.StepTooLarge):

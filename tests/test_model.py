@@ -403,6 +403,14 @@ class TestScenarioAndSet:
                 second_lo=np.array([0.01]), second_hi=np.array([0.02]),
             )
 
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_levy_bounds_atom_width_must_match_assets(self, columns):
+        bounds = rm.DiscreteLevyBounds(atoms=np.full((2, columns), 0.05),
+                                       weight_lo=np.array([0.2, 0.1]), weight_hi=np.array([0.5, 0.4]))
+        with pytest.raises(rm.DimensionMismatch, match="atom column count"):
+            rm.UncertaintySet.two_asset((0.10, 0.12), (0.02, 0.03), (0.15, 0.2), (0.2, 0.3),
+                                        (0.2, 0.6), jump_bounds=bounds)
+
     def test_singleton_detection(self, short_second_set):
         assert not short_second_set.is_singleton
         scen = rm.Scenario(np.array([0.08]), np.array([[0.04]]))

@@ -1,6 +1,8 @@
 """Worst-case solvers: case split, numeric search, optimality slack."""
 
 import itertools
+import logging
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 import robust_mv as rm
 from conftest import random_ordered_two_asset
-from robust_mv.worst_case import _CoordBox, _frank_wolfe_gap, _worst_case_grid, sobol_scenarios
+from robust_mv import worst_case
+from robust_mv.worst_case import (
+    _CoordBox,
+    _frank_wolfe_gap,
+    _pass_minimum,
+    _worst_case_grid,
+    sobol_scenarios,
+)
 from scipy.stats import qmc
 
 
@@ -264,16 +273,28 @@ def _random_axes(box, rng, max_points=3000):
     return axes
 
 
+def _assemble(box, axes):
+    """The whole grid of `grid_premiums`, put together from its blocks,
+    and its count of invalid points."""
+    invalid, blocks = box.grid_premiums(axes)
+    prem = np.full(tuple(len(a) for a in axes), np.nan)
+    filled = 0
+    for block, (i_s, i_b, i_g) in blocks:
+        prem.flat[i_s[:, None, None] + i_b[:, None] + i_g] = block
+        filled += block.size
+    assert filled == prem.size and not np.isnan(prem).any()
+    return prem, invalid
+
+
 class TestGridKernel:
     @pytest.mark.parametrize("case", list(_kernel_cases()))
     def test_matches_cholesky_reference_at_every_point(self, case):
         uset, jump = _kernel_cases()[case]
         box = _CoordBox.build(uset, jump)
         axes = _random_axes(box, np.random.default_rng(sum(map(ord, case))))
-        prem, valid = box.grid_premiums(axes)
-        shape = tuple(len(a) for a in axes)
-        assert prem.shape == shape
-        valid = np.broadcast_to(valid, shape)
+        prem, invalid = _assemble(box, axes)
+        valid = np.isfinite(prem)
+        assert invalid == np.count_nonzero(~valid)
         cp = isinstance(uset.jump_bounds, rm.CompoundPoissonBounds)
         k = uset.jump_bounds.loadings.shape[1] if cp else 0
         for at in itertools.product(*(range(len(a)) for a in axes)):
@@ -340,6 +361,85 @@ class TestGridKernel:
         assert np.array_equal(res.scenario.drift, scens[first].drift)
         assert np.array_equal(res.scenario.cov, scens[first].cov)
         assert res.evaluations == len(ref) and res.skipped == 0
+
+    @pytest.mark.parametrize("case", list(_kernel_cases()))
+    def test_one_row_blocks_give_the_same_search(self, case, monkeypatch):
+        uset, jump = _kernel_cases()[case]
+        box = _CoordBox.build(uset, jump)
+        axes = _random_axes(box, np.random.default_rng(sum(map(ord, case))))
+        full, _ = _assemble(box, axes)
+        want = _pass_minimum(box.grid_premiums(axes)[1])
+        # the first minimum in the C order of the whole grid
+        assert want[:2] == (full.min(), int(np.argmin(full)))
+        ref = _worst_case_grid(box, resolution=3, refinements=1)
+        monkeypatch.setattr(worst_case, "_BLOCK", 1)
+        got = _pass_minimum(box.grid_premiums(axes)[1])
+        assert got[:2] == want[:2] and got[2] > want[2]
+        res = _worst_case_grid(box, resolution=3, refinements=1)
+        assert res.risk_premium == ref.risk_premium
+        assert (res.evaluations, res.skipped) == (ref.evaluations, ref.skipped)
+        for name in ("drift", "cov"):
+            assert np.array_equal(getattr(res.scenario, name), getattr(ref.scenario, name))
+
+    def test_ties_across_blocks_keep_the_first_grid_index(self, monkeypatch):
+        # the first atom is zero, so its weight, a coordinate that the drift
+        # and the covariance share, leaves every premium bit unchanged: the
+        # minimum is tied at its three values, which lie in three blocks
+        bounds = rm.DiscreteLevyBounds(
+            atoms=np.array([[0.0, 0.0], [0.08, -0.03]]),
+            weight_lo=np.array([0.2, 0.1]), weight_hi=np.array([0.5, 0.4]))
+        box = _CoordBox.build(rm.UncertaintySet.two_asset(*_BOX2, jump_bounds=bounds), None)
+        axes = [np.linspace(a, b, 3) if a < b else np.array([a]) for a, b in zip(box.lo, box.hi)]
+        full, _ = _assemble(box, axes)
+        first = int(np.argmin(full))
+        assert np.count_nonzero(full == full.flat[first]) == 3
+        monkeypatch.setattr(worst_case, "_BLOCK", 1)
+        assert _pass_minimum(box.grid_premiums(axes)[1])[:2] == (full.flat[first], first)
+        res = _worst_case_grid(box, resolution=3, refinements=0)
+        at = np.unravel_index(first, full.shape)
+        assert res.scenario.jump.weights[0] == axes[-2][at[-2]] == bounds.weight_lo[0]
+
+    def test_pass_minimum_tie_rule(self):
+        # ties keep the smallest flat index, whichever block holds it;
+        # blocks of +inf never give an incumbent
+        def block(values, i_s, i_b, i_g):
+            return np.array(values, dtype=float), tuple(np.array(i) for i in (i_s, i_b, i_g))
+
+        assert _pass_minimum([block([[[np.inf, np.inf]]], [0], [0], [0, 1])]) == (np.inf, -1, 1)
+        blocks = [block([[[np.inf, 2.0]]], [0], [9], [0, 1]),
+                  block([[[1.0, 3.0], [1.0, 1.0]]], [0], [7, 5], [0, 1]),
+                  block([[[1.0]]], [4], [0], [0]),
+                  block([[[1.0]]], [0], [6], [0])]
+        assert _pass_minimum(blocks) == (1.0, 4, 4)
+        assert _pass_minimum(blocks[:2] + [block([[[0.5]]], [20], [0], [0])]) == (0.5, 20, 3)
+
+    def test_invalid_points_never_lead(self, monkeypatch):
+        monkeypatch.setattr(worst_case, "_BLOCK", 1)
+        uset, _ = _kernel_cases()["n2-cp-low-mean"]
+        res = _worst_case_grid(_CoordBox.build(uset, None), resolution=5, refinements=1)
+        assert res.skipped > 0
+        assert res.risk_premium == pytest.approx(rm.scenario_premium(res.scenario), rel=1e-12)
+        assert min(res.scenario.jump.size_laws[0].params[:2]) > -1.0
+        # every point of this box has its lower atom at or below -1
+        bounds = rm.CompoundPoissonBounds(
+            loadings=np.array([[1.0], [0.5]]), intensity_lo=np.array([0.2]),
+            intensity_hi=np.array([0.5]), mean_lo=np.array([-0.6]), mean_hi=np.array([-0.6]),
+            second_lo=np.array([0.7]), second_hi=np.array([0.9]))
+        box = _CoordBox.build(rm.UncertaintySet.two_asset(*_BOX2, jump_bounds=bounds), None)
+        with pytest.raises(rm.NotPositiveDefinite, match="invalid jump moments"):
+            _worst_case_grid(box, resolution=3, refinements=0)
+
+    def test_debug_line_per_pass(self, caplog):
+        uset, _ = _kernel_cases()["n2-cp-low-mean"]
+        with caplog.at_level(logging.DEBUG, logger="robust_mv.worst_case"):
+            res = _worst_case_grid(_CoordBox.build(uset, None), resolution=3, refinements=1)
+        lines = [r.getMessage() for r in caplog.records if r.name == "robust_mv.worst_case"]
+        passes = [re.fullmatch(r"grid pass (\d+): (\d+) points, (\d+) invalid, (\d+) blocks, "
+                               r"minimum (\S+), (\S+) s", line).groups() for line in lines]
+        assert [p[0] for p in passes] == ["0", "1"]
+        assert sum(int(p[1]) for p in passes) == res.evaluations
+        assert sum(int(p[2]) for p in passes) == res.skipped
+        assert min(float(p[4]) for p in passes) == res.risk_premium
 
     @pytest.mark.parametrize("kwargs", [{"resolution": 1}, {"refinements": -1}])
     def test_bad_grid_arguments_raise(self, short_second_set, kwargs):
