@@ -22,7 +22,10 @@ are present).  Three solvers are provided:
   asset count: the covariance is factored and inverted once per point of
   its own (vol, correlation, jump) axes, and the quadratic form is summed
   over cache-sized blocks of the grid, whose running minimum is the pass
-  minimum; no array spans the whole grid.
+  minimum; no array spans the whole grid.  A grid column (every drift
+  point at one covariance point) whose convex lower bound exceeds the
+  running minimum is skipped: no point there can reach it, so the result
+  keeps every bit.
 
 Every solver except the case split reads the correlation family in one
 normal form, `UncertaintySet.corr_hull`: the hull of m correlation
@@ -41,7 +44,7 @@ import itertools
 import logging
 import math
 import time
-from collections.abc import Iterator
+from collections.abc import Generator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,6 +127,9 @@ class WorstCaseResult:
     objective evaluations of the convex solver, or grid points (skipped =
     grid points whose covariance failed factorization or whose
     compound-Poisson jump moments are invalid, see `surrogate_atoms`).
+    Every grid point counts as evaluated, also one in a column that the
+    grid's lower bound rules out without computing its premium
+    (`_premium_blocks`).
     ``gap`` is the Frank-Wolfe duality gap of a diffusion-only result
     (`_frank_wolfe_gap`), an upper bound on premium - minimum; it is None
     for grid and degenerate results.
@@ -375,7 +381,7 @@ class _CoordBox:
             m = m + q[..., None, None] * np.outer(v, v)
         return d, m, ok
 
-    def grid_premiums(self, axes: list[np.ndarray]) -> tuple[int, Iterator]:
+    def grid_premiums(self, axes: list[np.ndarray]) -> tuple[int, Generator]:
         """Jump-adjusted premiums b_F' Sigma_F^{-1} b_F on the grid product
         of ``axes`` (one per coordinate, so C order is the lexicographic
         order of grid indices), computed block by block.
@@ -396,11 +402,14 @@ class _CoordBox:
         Every premium takes the same operations in the same order as on
         the whole grid at once, so its bits do not depend on the blocks.
 
-        Returns the number of invalid grid points and an iterator of blocks
-        ``(prem, (i_s, i_b, i_g))``: ``prem`` (len(i_s), len(i_b),
-        len(i_g)) reads +inf at invalid points and is overwritten by the
-        next block; the point at prem[s, b, g] has flat C-order index
-        i_s[s] + i_b[b] + i_g[g] in the grid.
+        Returns the number of invalid grid points and a generator of
+        blocks ``(prem, (i_s, i_b, i_g))``: ``prem`` (len(i_s), len(i_b),
+        len(i_g)) is overwritten by the next block, and the point at
+        prem[s, b, g] has flat C-order index i_s[s] + i_b[b] + i_g[g] in
+        the grid.  Invalid points are left out or read +inf.  A consumer
+        that sends the running minimum back after each block has the
+        columns skipped that a lower bound shows cannot reach it
+        (`_premium_blocks`); one that sends nothing gets every valid point.
         """
         n = self.uset.n
         dim = len(axes)
@@ -420,15 +429,16 @@ class _CoordBox:
         vols = group(n, i0)
         sigma = vols[..., :, None] * vols[..., None, :] * self.corr_matrices(group(i0, i1)) + m
         valid = factorizes(sigma)
-        sigma[~valid] = np.eye(n)  # a stand-in; these points read +inf below
+        sigma[~valid] = np.eye(n)  # a stand-in; these points are left out or read +inf
         p = np.linalg.inv(sigma)
+        del sigma
         if jump_ok is not None:
             valid = valid & jump_ok
         # each point of the mask's own axes stands for the same number of grid points
         invalid = int(np.count_nonzero(~valid)) * (math.prod(shape) // valid.size)
 
         on_b = np.broadcast_shapes(*(x.shape for x in b))
-        on_p = np.broadcast_shapes(sigma.shape[:-2], valid.shape)
+        on_p = np.broadcast_shapes(p.shape[:-2], valid.shape)
         shared = [c for c in range(dim) if on_b[c] > 1 and on_p[c] > 1]
         b_only = [c for c in range(dim) if on_b[c] > 1 and on_p[c] == 1]
         p_only = [c for c in range(dim) if on_b[c] == 1]
@@ -446,12 +456,13 @@ class _CoordBox:
             return lay(sum((np.arange(shape[c]).reshape(coord(c).shape) * strides[c] for c in axs),
                            np.zeros((1,) * dim, dtype=np.intp)), axs)
 
-        pairs = [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))
+        pairs = _pairs(n)
         bb = [lay(b[i] * b[j], shared, b_only) for i, j in pairs]
         pp = [lay(p[..., i, j] if i == j else 2.0 * p[..., i, j], shared, p_only) for i, j in pairs]
         bad = lay(~valid, shared, p_only) if invalid else None
+        drift = [lay(x, shared, b_only) for x in b]
         index = (flat_index(shared), flat_index(b_only), flat_index(p_only))
-        return invalid, _premium_blocks(bb, pp, bad, index)
+        return invalid, _premium_blocks(bb, pp, bad, drift, index)
 
     def stack(self, pts: np.ndarray) -> tuple[ScenarioArrays, np.ndarray]:
         """Scenarios at (k, dim) points as one `ScenarioArrays` stack plus a
@@ -550,31 +561,151 @@ class _CoordBox:
         return np.concatenate(accepted)
 
 
-def _premium_blocks(bb, pp, bad, index) -> Iterator:
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """Index pairs (i, j) of the premium's terms: the diagonal, then i < j."""
+    return [(i, i) for i in range(n)] + list(itertools.combinations(range(n), 2))
+
+
+def _column_bound(q: list, lo: list, hi: list, sweep: bool) -> np.ndarray:
+    """Lower bound on z'Qz over the box lo <= z <= hi, less a margin.
+
+    ``q`` holds the terms c_ij Q_ij in `_pairs` order (c_ii = 1, c_ij = 2
+    for i < j), ``lo`` and ``hi`` the n ends of the box; all broadcast
+    together, one bound per point.  For positive semidefinite Q, z'Qz lies
+    above its tangent plane at any x of the box, z'Qz >= 2 y.z - x'y with
+    y = Qx, whose minimum over the box is
+    sum_i y_i (lo_i + hi_i - x_i) - |y_i| (hi_i - lo_i).  x is the point of
+    the box nearest 0, moved by one sweep of exact minimization along each
+    coordinate in turn (projected coordinate descent) when ``sweep`` is
+    set.  The margin is 1e-9 (1 + n sum_i Q_ii M_i^2) with
+    M_i = max(|lo_i|, |hi_i|): as |Q_ij| <= sqrt(Q_ii Q_jj), the sum bounds
+    the absolute terms of z'Qz anywhere in the box, so the margin is far
+    above the rounding of the bound and of the quadratic.
+    """
+    n = len(lo)
+    off = dict(zip(_pairs(n)[n:], q[n:]))
+
+    def grad(i: int) -> np.ndarray:  # (Qx)_i
+        g = q[i] * x[i]
+        for j in range(n):
+            if j != i:
+                g += off[min(i, j), max(i, j)] * (0.5 * x[j])
+        return g
+
+    x = [np.clip(0.0, a, b) for a, b in zip(lo, hi)]
+    if sweep:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(n):
+                x[i] = np.clip(x[i] - grad(i) / q[i], lo[i], hi[i])
+    # accumulated in place: the temporaries stay few
+    bound = np.full(np.broadcast_shapes(*(a.shape for a in q + x)), -1e-9)
+    for i in range(n):
+        y = grad(i)
+        bound += y * (lo[i] + hi[i] - x[i])
+        np.abs(y, out=y)
+        y *= hi[i] - lo[i]
+        bound -= y
+        ends = np.maximum(np.abs(lo[i]), np.abs(hi[i]))
+        bound -= q[i] * (1e-9 * n * ends * ends)
+        del y
+    return bound
+
+
+def _premium_blocks(bb, pp, bad, drift, index) -> Generator:
     """The blocks of `_CoordBox.grid_premiums`: ``bb`` and ``pp`` hold
     b_i b_j (shared, b-only) and c_ij P_ij (shared, Sigma-side) per term,
-    ``bad`` the invalid points (shared, Sigma-side) or None."""
+    ``bad`` the invalid points (shared, Sigma-side) or None, and ``drift``
+    each b_i (shared, b-only).
+
+    A column is one shared point times one Sigma-side point, over every
+    b-only row; there the premium is z'Pz, z = b in the box of the
+    column's rows.  Columns go in chunks of about half a block.  In a
+    chunk that spans more than one block, `_column_bound` bounds every
+    column at the box corner nearest 0, the valid column with the least
+    bound is evaluated first, and a coordinate sweep sharpens the bounds
+    that its premium does not rule out.  Then, group by group of shared
+    points, each valid column is evaluated unless its bound (which holds
+    a margin for rounding) exceeds t + 1e-9 |t|, t the running minimum
+    that the consumer sends back after each block.  A skipped column
+    holds no point at or below t, so every point that ties the minimum is
+    evaluated.  A consumer that sends nothing gets every valid column,
+    the first column of a chunk possibly twice.
+
+    Evaluated columns are whole Sigma-side rows, gathered when a group
+    skips some; invalid points among them read +inf.  Returns (columns
+    evaluated, columns).
+    """
     i_s, i_b, i_g = index
     n_s, n_b, n_g = i_s.size, i_b.size, i_g.size
     # whole Sigma-side rows: part of the b-only rows of one shared point,
     # or all of them for several shared points
     rows = max(1, _BLOCK // n_g)
-    step_s, step_b = (rows // n_b, n_b) if rows >= n_b else (1, rows)
-    buf = np.empty(2 * step_s * step_b * n_g)
-    for s0 in range(0, n_s, step_s):
-        s1 = min(s0 + step_s, n_s)
+    step_s = rows // n_b if rows >= n_b else 1
+    cap = step_s * min(rows, n_b) * n_g
+    buf = np.empty(2 * cap)
+    t = np.inf
+    columns = 0
+
+    def over(lead: np.ndarray) -> np.ndarray:
+        return lead > t + 1e-9 * abs(t)
+
+    def group(s0: int, s1: int, g: np.ndarray) -> Generator:
+        # the premiums of columns g at shared points s0 .. s1 - 1
+        nonlocal t, columns
+        whole = g.size == n_g
+        py = [y[s0:s1] if whole else y[s0:s1, g] for y in pp]
+        stale = None if bad is None else bad[s0:s1] if whole else bad[s0:s1, g]
+        if stale is not None and not stale.any():
+            stale = None
+        columns += (s1 - s0) * g.size
+        step_b = min(n_b, max(1, cap // ((s1 - s0) * g.size)))
         for b0 in range(0, n_b, step_b):
             b1 = min(b0 + step_b, n_b)
-            size = (s1 - s0) * (b1 - b0) * n_g
-            prem = buf[:size].reshape(s1 - s0, b1 - b0, n_g)
+            size = (s1 - s0) * (b1 - b0) * g.size
+            prem = buf[:size].reshape(s1 - s0, b1 - b0, g.size)
             term = buf[size:2 * size].reshape(prem.shape)
-            for k, (x, y) in enumerate(zip(bb, pp)):
-                np.multiply(x[s0:s1, b0:b1, None], y[s0:s1, None, :], out=term if k else prem)
+            for k, (x, y) in enumerate(zip(bb, py)):
+                np.multiply(x[s0:s1, b0:b1, None], y[:, None, :], out=term if k else prem)
                 if k:
                     np.add(prem, term, out=prem)
-            if bad is not None and bad[s0:s1].any():
-                np.copyto(prem, np.inf, where=bad[s0:s1, None, :])
-            yield prem, (i_s[s0:s1], i_b[b0:b1], i_g)
+            if stale is not None:
+                np.copyto(prem, np.inf, where=stale[:, None, :])
+            sent = yield prem, (i_s[s0:s1], i_b[b0:b1], i_g[g])
+            if sent is not None:
+                t = sent
+
+    # half a block of columns per chunk: the bound's few temporaries of
+    # that size stay within the two block buffers
+    chunk = max(step_s, rows // 2)
+    for c0 in range(0, n_s, chunk):
+        c1 = min(c0 + chunk, n_s)
+        ok = np.ones((c1 - c0, n_g), bool) if bad is None else ~bad[c0:c1]
+        lead = None
+        # a chunk that fits in one block is evaluated whole: a bound
+        # could not save a block there
+        if (c1 - c0) * n_b * n_g > cap and ok.any():
+            q = [y[c0:c1] for y in pp]
+            lo = [x[c0:c1].min(axis=1) for x in drift]
+            hi = [x[c0:c1].max(axis=1) for x in drift]
+            lead = _column_bound(q, [x[:, None] for x in lo], [x[:, None] for x in hi], sweep=False)
+            lead[~ok] = np.inf
+            s, g = divmod(int(np.argmin(lead)), n_g)
+            if not over(lead[s, g]):
+                yield from group(c0 + s, c0 + s + 1, np.array([g]))
+                ok[s, g] = False
+            s, g = np.nonzero(ok & ~over(lead))
+            if s.size:
+                lead[s, g] = np.maximum(lead[s, g], _column_bound(
+                    [y[s, g] for y in q], [x[s] for x in lo], [x[s] for x in hi], sweep=True))
+        for s0 in range(c0, c1, step_s):
+            s1 = min(s0 + step_s, c1)
+            keep = ok[s0 - c0:s1 - c0]
+            if lead is not None:
+                keep = keep & ~over(lead[s0 - c0:s1 - c0])
+            g = np.flatnonzero(keep.any(axis=0))
+            if g.size:
+                yield from group(s0, s1, g)
+    return columns, n_s * n_g
 
 
 def _as_generator(rng: np.random.Generator | int) -> np.random.Generator:
@@ -836,7 +967,9 @@ def worst_case_numeric(
     certified convex solver `_worst_case_convex`, for any asset count;
     ``resolution``, ``refinements`` and ``max_evals`` then play no part.
     A set with jump ambiguity or a fixed jump runs the grid search
-    `_worst_case_grid`.  The grid arguments are checked on every call.
+    `_worst_case_grid`, which evaluates only the grid columns that a
+    convex lower bound leaves in play and returns the bits of the whole
+    grid.  The grid arguments are checked on every call.
     """
     if resolution < 2:
         raise InvalidBounds("grid resolution must be at least 2")
@@ -858,12 +991,16 @@ def _worst_case_grid(box: _CoordBox, resolution: int = DEFAULT_RESOLUTION,
     Each pass lays `resolution` points per non-degenerate coordinate
     (auto-reduced to respect ``max_evals``) and takes the minimum of the
     jump-adjusted premium over the grid, for any asset count, as a
-    running minimum over the blocks of `_CoordBox.grid_premiums`; it then
+    running minimum over the blocks of `_CoordBox.grid_premiums`, which
+    skip the columns that a lower bound shows cannot reach it; it then
     shrinks every coordinate interval to a fifth of its width around the
     incumbent and repeats, ``refinements`` times.  Within a pass, ties
     keep the lexicographically smallest grid index whatever the blocks;
     the incumbent is only replaced by a strictly better point, so results
-    are deterministic.  Each pass logs one DEBUG line.
+    are deterministic.  ``evaluations`` counts every grid point, skipped
+    columns included.  Each pass logs one DEBUG line with its points,
+    invalid points, blocks, columns evaluated out of all, minimum and
+    seconds.
     """
     free = box.hi > box.lo
     d = int(np.count_nonzero(free))
@@ -888,15 +1025,16 @@ def _worst_case_grid(box: _CoordBox, resolution: int = DEFAULT_RESOLUTION,
         axes = [np.linspace(a, b, res) if a < b else np.array([a]) for a, b in zip(lo, hi)]
         shape = tuple(len(a) for a in axes)
         invalid, blocks = box.grid_premiums(axes)
-        val, j, n_blocks = _pass_minimum(blocks)
+        val, j, n_blocks, (kept, columns) = _pass_minimum(blocks)
         evals += math.prod(shape)
         skipped += invalid
         if val < best_val:
             best_val = val
             at = np.unravel_index(j, shape)
             best_pt = np.array([axes[c][at[c]] for c in range(box.dim)])
-        _log.debug("grid pass %d: %d points, %d invalid, %d blocks, minimum %.17g, %.4f s",
-                   k, math.prod(shape), invalid, n_blocks, val, time.perf_counter() - tic)
+        _log.debug("grid pass %d: %d points, %d invalid, %d blocks, %d of %d columns, "
+                   "minimum %.17g, %.4f s", k, math.prod(shape), invalid, n_blocks, kept,
+                   columns, val, time.perf_counter() - tic)
         if best_pt is None:
             raise NotPositiveDefinite(
                 "every grid point failed factorization or has invalid jump moments")
@@ -908,20 +1046,27 @@ def _worst_case_grid(box: _CoordBox, resolution: int = DEFAULT_RESOLUTION,
     return WorstCaseResult(scen, best_val, NUMERIC, evaluations=evals, skipped=skipped)
 
 
-def _pass_minimum(blocks: Iterator) -> tuple[float, int, int]:
+def _pass_minimum(blocks: Generator) -> tuple[float, int, int, tuple[int, int] | None]:
     """Smallest premium over the blocks of `_CoordBox.grid_premiums`, the
     smallest flat grid index attaining it (-1 when every point reads
-    +inf), and the number of blocks."""
+    +inf), the number of blocks, and the value the generator returns: the
+    (evaluated, total) column counts.  The running minimum is sent back
+    after each block."""
     val, at, n_blocks = np.inf, -1, 0
-    for prem, (i_s, i_b, i_g) in blocks:
-        n_blocks += 1
-        v = float(prem.min())
-        if v < val or (v == val < np.inf):
-            s, b, g = np.nonzero(prem == v)
-            j = int((i_s[s] + i_b[b] + i_g[g]).min())
-            if v < val or j < at:
-                val, at = v, j
-    return val, at, n_blocks
+    try:
+        block = next(blocks)
+        while True:
+            prem, (i_s, i_b, i_g) = block
+            n_blocks += 1
+            v = float(prem.min())
+            if v < val or (v == val < np.inf):
+                s, b, g = np.nonzero(prem == v)
+                j = int((i_s[s] + i_b[b] + i_g[g]).min())
+                if v < val or j < at:
+                    val, at = v, j
+            block = blocks.send(val)
+    except StopIteration as stop:
+        return val, at, n_blocks, stop.value
 
 
 def find_worst_case(

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import robust_mv as rm
 from conftest import random_ordered_two_asset
@@ -274,15 +274,18 @@ def _random_axes(box, rng, max_points=3000):
 
 
 def _assemble(box, axes):
-    """The whole grid of `grid_premiums`, put together from its blocks,
-    and its count of invalid points."""
+    """The whole grid of `grid_premiums`, put together from the blocks it
+    gives a consumer that sends back no running minimum, so that no column
+    is skipped, and its count of invalid points.  Points that no block
+    holds read +inf; a point that two blocks hold reads the same in both."""
     invalid, blocks = box.grid_premiums(axes)
     prem = np.full(tuple(len(a) for a in axes), np.nan)
-    filled = 0
     for block, (i_s, i_b, i_g) in blocks:
-        prem.flat[i_s[:, None, None] + i_b[:, None] + i_g] = block
-        filled += block.size
-    assert filled == prem.size and not np.isnan(prem).any()
+        at = i_s[:, None, None] + i_b[:, None] + i_g
+        seen = prem.flat[at]
+        assert np.all(np.isnan(seen) | (seen == block))
+        prem.flat[at] = block
+    prem[np.isnan(prem)] = np.inf
     return prem, invalid
 
 
@@ -372,9 +375,12 @@ class TestGridKernel:
         # the first minimum in the C order of the whole grid
         assert want[:2] == (full.min(), int(np.argmin(full)))
         ref = _worst_case_grid(box, resolution=3, refinements=1)
+        blocks = sum(1 for _ in box.grid_premiums(axes)[1])
         monkeypatch.setattr(worst_case, "_BLOCK", 1)
         got = _pass_minimum(box.grid_premiums(axes)[1])
-        assert got[:2] == want[:2] and got[2] > want[2]
+        assert got[:2] == want[:2]
+        # without a running minimum no column is skipped: more, smaller blocks
+        assert sum(1 for _ in box.grid_premiums(axes)[1]) > blocks
         res = _worst_case_grid(box, resolution=3, refinements=1)
         assert res.risk_premium == ref.risk_premium
         assert (res.evaluations, res.skipped) == (ref.evaluations, ref.skipped)
@@ -394,7 +400,10 @@ class TestGridKernel:
         first = int(np.argmin(full))
         assert np.count_nonzero(full == full.flat[first]) == 3
         monkeypatch.setattr(worst_case, "_BLOCK", 1)
-        assert _pass_minimum(box.grid_premiums(axes)[1])[:2] == (full.flat[first], first)
+        val, at, _, (kept, total) = _pass_minimum(box.grid_premiums(axes)[1])
+        assert (val, at) == (full.flat[first], first)
+        # the bound skips columns between the tied ones
+        assert kept < total
         res = _worst_case_grid(box, resolution=3, refinements=0)
         at = np.unravel_index(first, full.shape)
         assert res.scenario.jump.weights[0] == axes[-2][at[-2]] == bounds.weight_lo[0]
@@ -405,13 +414,17 @@ class TestGridKernel:
         def block(values, i_s, i_b, i_g):
             return np.array(values, dtype=float), tuple(np.array(i) for i in (i_s, i_b, i_g))
 
-        assert _pass_minimum([block([[[np.inf, np.inf]]], [0], [0], [0, 1])]) == (np.inf, -1, 1)
+        def minimum(blocks):
+            # a generator that ignores the running minimum sent to it
+            return _pass_minimum(b for b in blocks)
+
+        assert minimum([block([[[np.inf, np.inf]]], [0], [0], [0, 1])]) == (np.inf, -1, 1, None)
         blocks = [block([[[np.inf, 2.0]]], [0], [9], [0, 1]),
                   block([[[1.0, 3.0], [1.0, 1.0]]], [0], [7, 5], [0, 1]),
                   block([[[1.0]]], [4], [0], [0]),
                   block([[[1.0]]], [0], [6], [0])]
-        assert _pass_minimum(blocks) == (1.0, 4, 4)
-        assert _pass_minimum(blocks[:2] + [block([[[0.5]]], [20], [0], [0])]) == (0.5, 20, 3)
+        assert minimum(blocks) == (1.0, 4, 4, None)
+        assert minimum(blocks[:2] + [block([[[0.5]]], [20], [0], [0])]) == (0.5, 20, 3, None)
 
     def test_invalid_points_never_lead(self, monkeypatch):
         monkeypatch.setattr(worst_case, "_BLOCK", 1)
@@ -428,6 +441,11 @@ class TestGridKernel:
         box = _CoordBox.build(rm.UncertaintySet.two_asset(*_BOX2, jump_bounds=bounds), None)
         with pytest.raises(rm.NotPositiveDefinite, match="invalid jump moments"):
             _worst_case_grid(box, resolution=3, refinements=0)
+        # no column is evaluated
+        axes = [np.linspace(a, b, 3) if a < b else np.array([a]) for a, b in zip(box.lo, box.hi)]
+        invalid, blocks = box.grid_premiums(axes)
+        assert invalid == 3 ** 7
+        assert _pass_minimum(blocks) == (np.inf, -1, 0, (0, 3 ** 5))
 
     def test_debug_line_per_pass(self, caplog):
         uset, _ = _kernel_cases()["n2-cp-low-mean"]
@@ -435,11 +453,16 @@ class TestGridKernel:
             res = _worst_case_grid(_CoordBox.build(uset, None), resolution=3, refinements=1)
         lines = [r.getMessage() for r in caplog.records if r.name == "robust_mv.worst_case"]
         passes = [re.fullmatch(r"grid pass (\d+): (\d+) points, (\d+) invalid, (\d+) blocks, "
-                               r"minimum (\S+), (\S+) s", line).groups() for line in lines]
+                               r"(\d+) of (\d+) columns, minimum (\S+), (\S+) s", line).groups()
+                  for line in lines]
         assert [p[0] for p in passes] == ["0", "1"]
         assert sum(int(p[1]) for p in passes) == res.evaluations
         assert sum(int(p[2]) for p in passes) == res.skipped
-        assert min(float(p[4]) for p in passes) == res.risk_premium
+        assert min(float(p[6]) for p in passes) == res.risk_premium
+        # 3 shared points (intensity, mean) times 3^5 Sigma-side points; the
+        # first pass skips at least its invalid columns
+        assert all(int(p[5]) == 3 ** 6 for p in passes)
+        assert 0 < int(passes[0][4]) < int(passes[0][5])
 
     @pytest.mark.parametrize("kwargs", [{"resolution": 1}, {"refinements": -1}])
     def test_bad_grid_arguments_raise(self, short_second_set, kwargs):
@@ -466,6 +489,177 @@ class TestGridKernel:
         res = rm.worst_case_numeric(uset, resolution=5, refinements=1)
         assert res.risk_premium == pytest.approx(rm.scenario_premium(res.scenario), rel=1e-12)
         assert min(res.scenario.jump.size_laws[0].params[:2]) > -1.0
+
+
+def _no_bound(q, lo, hi, sweep):
+    # a bound that rules nothing out: every valid column is evaluated
+    return np.full(np.broadcast_shapes(*(a.shape for a in q + lo)), -np.inf)
+
+
+def _search_digest(box, resolution, refinements=1):
+    """What `_worst_case_grid` returns, as bytes and counts, or the name
+    of the error it raises."""
+    try:
+        res = _worst_case_grid(box, resolution=resolution, refinements=refinements)
+    except rm.RobustMVError as exc:
+        return type(exc).__name__
+    return (res.scenario.drift.tobytes(), res.scenario.cov.tobytes(), res.risk_premium,
+            res.evaluations, res.skipped)
+
+
+def _pruned_and_whole(box, resolution, block, refinements=1):
+    """`_search_digest` with the column bound and with it disabled, both
+    with blocks of ``block`` elements."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(worst_case, "_BLOCK", block)
+        pruned = _search_digest(box, resolution, refinements)
+        mp.setattr(worst_case, "_column_bound", _no_bound)
+        return pruned, _search_digest(box, resolution, refinements)
+
+
+class TestColumnPruning:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_bound_is_below_the_column_minimum(self, n, sweep):
+        rng = np.random.default_rng(100 * n + sweep)
+        k = 200  # columns, one per random positive definite Q and box
+        q_full = np.array([c @ c.T + 1e-3 * np.eye(n)
+                           for c in rng.standard_normal((k, n, n))])
+        lo = rng.uniform(-1.0, 1.0, (k, n))
+        hi = lo + rng.uniform(0.0, 1.0, (k, n)) * (rng.random((k, n)) > 0.2)
+        q = [q_full[:, i, j] * (1.0 if i == j else 2.0) for i, j in worst_case._pairs(n)]
+        bound = worst_case._column_bound(q, list(lo.T), list(hi.T), sweep=sweep)
+        # the quadratic in the kernel's form on a grid of each box
+        u = np.array(list(itertools.product(np.linspace(0.0, 1.0, 6), repeat=n)))
+        z = lo[:, None, :] + u[None] * (hi - lo)[:, None, :]
+        prem = sum(t[:, None] * z[..., i] * z[..., j] for t, (i, j) in zip(q, worst_case._pairs(n)))
+        assert np.all(bound <= prem.min(axis=1))
+
+    def test_bound_is_tight_at_a_kkt_corner(self):
+        # the quadratic rises from the corner nearest 0 into the box: the
+        # tangent plane there is exact, up to the rounding margin
+        q = [np.array([1.0]), np.array([2.0]), np.array([0.5])]
+        for sweep in (False, True):
+            bound = worst_case._column_bound(q, [np.array([1.0])] * 2, [np.array([2.0])] * 2, sweep)
+            assert 3.5 - 1e-7 < bound[0] <= 3.5
+
+    def test_manifold_set_keeps_every_column(self):
+        # an IgnoreSecond set: the worst premium s1^2 is reached, between
+        # grid points, in every column, so no column can be ruled out and
+        # every block is whole
+        uset = rm.UncertaintySet.two_asset(
+            (0.114975, 0.149594), (0.035204, 0.148154), (0.19263, 0.19263),
+            (0.239384, 0.326944), (0.393131, 0.530464))
+        jump = rm.CompoundPoissonJumps(
+            loadings=np.array([[1.0], [0.0]]), intensity=np.array([0.441375]),
+            size_laws=(rm.JumpSizeLaw.two_point_from_moments(0.061592, 0.008087),))
+        assert rm.worst_case_two_asset(uset).case_label == "IgnoreSecond"
+        box = _CoordBox.build(uset, jump)
+        axes = [np.linspace(a, b, 21) if a < b else np.array([a]) for a, b in zip(box.lo, box.hi)]
+        assert _pass_minimum(box.grid_premiums(axes)[1])[3] == (441, 441)
+        pruned, whole = _pruned_and_whole(box, 9, worst_case._BLOCK)
+        assert pruned == whole
+
+    @pytest.mark.parametrize("rho", [(0.999999, 0.9999999), (1 - 1e-10, 1 - 1e-11),
+                                     (-1 + 1e-11, -1 + 1e-10), (-0.9999999, 0.9999999)])
+    @pytest.mark.parametrize("jumps", ["cp", "levy"])
+    def test_near_singular_covariance(self, rho, jumps):
+        bounds = (rm.CompoundPoissonBounds(
+            loadings=np.array([[1.0], [0.3]]), intensity_lo=np.array([0.2]),
+            intensity_hi=np.array([0.5]), mean_lo=np.array([0.02]), mean_hi=np.array([0.06]),
+            second_lo=np.array([1e-6]), second_hi=np.array([0.004]))
+            if jumps == "cp" else rm.DiscreteLevyBounds(
+            atoms=np.array([[-0.05, 0.02], [0.08, -0.03]]),
+            weight_lo=np.array([1e-6, 0.1]), weight_hi=np.array([0.5, 0.4])))
+        uset = rm.UncertaintySet.two_asset((0.10, 0.12), (0.02, 0.03), (0.15, 0.2), (0.2, 0.3),
+                                           rho, jump_bounds=bounds)
+        pruned, whole = _pruned_and_whole(_CoordBox.build(uset, None), 5, 256)
+        assert pruned == whole
+
+    def test_jump_box_prunes_most_columns(self):
+        # a compound-Poisson box with every coordinate free: the bound
+        # leaves a few columns
+        bounds = rm.CompoundPoissonBounds(
+            loadings=np.array([[1.0], [0.4]]), intensity_lo=np.array([0.3]),
+            intensity_hi=np.array([0.5]), mean_lo=np.array([0.03]), mean_hi=np.array([0.07]),
+            second_lo=np.array([0.006]), second_hi=np.array([0.03]))
+        uset = rm.UncertaintySet.two_asset((0.10, 0.12), (0.05, 0.09), (0.15, 0.2), (0.2, 0.3),
+                                           (0.2, 0.6), jump_bounds=bounds)
+        box = _CoordBox.build(uset, None)
+        axes = [np.linspace(a, b, 5) for a, b in zip(box.lo, box.hi)]
+        full, _ = _assemble(box, axes)
+        val, at, _, (kept, total) = _pass_minimum(box.grid_premiums(axes)[1])
+        assert (val, at) == (full.min(), int(np.argmin(full)))
+        assert total == 5 ** 6 and kept < total // 100
+
+
+@st.composite
+def _jump_sets(draw, max_assets=3):
+    """A set with jump ambiguity (compound-Poisson or Levy) or with a
+    fixed jump, for 1 to ``max_assets`` assets: drift boxes that may
+    straddle zero, some pinned coordinates, a correlation interval or a
+    hull of two random vertices."""
+    n = draw(st.integers(1, max_assets))
+    kind = draw(st.sampled_from(["cp-bounds", "levy-bounds", "cp-fixed", "levy-fixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b_lo = rng.uniform(-0.03, 0.1, n)
+    b_hi = b_lo + rng.uniform(0.0, 0.05, n) * (rng.random(n) > 0.2)
+    v_lo = rng.uniform(0.1, 0.3, n)
+    v_hi = v_lo + rng.uniform(0.0, 0.1, n) * (rng.random(n) > 0.2)
+    jump = bounds = None
+    if kind == "cp-bounds":
+        mean = rng.uniform(-0.1, 0.1)
+        # a second-moment floor below mean^2 leaves invalid points
+        bounds = rm.CompoundPoissonBounds(
+            loadings=rng.uniform(0.0, 1.0, (n, 1)), intensity_lo=np.array([0.2]),
+            intensity_hi=np.array([rng.uniform(0.2, 0.6)]),
+            mean_lo=np.array([mean]), mean_hi=np.array([mean + rng.uniform(0.0, 0.1)]),
+            second_lo=np.array([mean * mean + rng.uniform(-0.002, 0.01)]),
+            second_hi=np.array([mean * mean + 0.03]))
+    elif kind == "levy-bounds":
+        lo = rng.uniform(0.05, 0.3, 2)
+        bounds = rm.DiscreteLevyBounds(atoms=rng.uniform(-0.1, 0.1, (2, n)), weight_lo=lo,
+                                       weight_hi=lo + rng.uniform(0.0, 0.3, 2))
+    elif kind == "cp-fixed":
+        jump = rm.CompoundPoissonJumps(
+            loadings=rng.uniform(0.0, 1.0, (n, 1)), intensity=np.array([rng.uniform(0.2, 0.8)]),
+            size_laws=(rm.JumpSizeLaw.two_point_from_moments(0.1, 0.02),))
+    else:
+        jump = rm.DiscreteLevyJumps(atoms=rng.uniform(-0.1, 0.1, (2, n)),
+                                    weights=rng.uniform(0.1, 0.5, 2))
+    if n == 1:
+        uset = rm.UncertaintySet.single_asset((b_lo[0], b_hi[0]), (v_lo[0], v_hi[0]),
+                                              jump_bounds=bounds)
+    elif n == 2:
+        rho = np.sort(rng.uniform(-0.9, 0.9, 2))
+        uset = rm.UncertaintySet(b_lo, b_hi, v_lo, v_hi, rho_lo=rho[0], rho_hi=rho[1],
+                                 jump_bounds=bounds)
+    else:
+        uset = rm.UncertaintySet.hull(b_lo, b_hi, v_lo, v_hi,
+                                      [_random_corr(rng, n) for _ in range(2)], jump_bounds=bounds)
+    return uset, jump
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_jump_sets())
+def test_pruned_grid_matches_the_whole_grid(case):
+    # small blocks, so that the bound runs on grids of a few thousand points
+    uset, jump = case
+    box = _CoordBox.build(uset, jump)
+    res = 3 if uset.n == 3 else 4
+    axes = [np.linspace(a, b, res) if a < b else np.array([a]) for a, b in zip(box.lo, box.hi)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(worst_case, "_BLOCK", 64)
+        full, _ = _assemble(box, axes)
+        val, at, _, (kept, total) = _pass_minimum(box.grid_premiums(axes)[1])
+    first = int(np.argmin(full))
+    if np.isfinite(full.flat[first]):
+        assert (val, at) == (full.flat[first], first)
+    else:
+        assert (val, at) == (np.inf, -1)
+    event("columns skipped" if kept < total else "no column skipped")
+    pruned, whole = _pruned_and_whole(box, res, 64)
+    assert pruned == whole
 
 
 def _random_corr(rng, n):
@@ -602,11 +796,16 @@ _CRITERIA = st.builds(
     st.floats(0.1, 10.0))
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(_diffusion_sets(), _CRITERIA, _CRITERIA)
-def test_worst_case_is_bit_identical_across_aversion_and_criterion(uset, crit_a, crit_b):
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(_diffusion_sets().map(lambda uset: (uset, None)), _jump_sets(max_assets=2)),
+       _CRITERIA, _CRITERIA)
+def test_worst_case_is_bit_identical_across_aversion_and_criterion(case, crit_a, crit_b):
+    # sets with jumps take the grid path, at a small resolution
+    uset, jump = case
+    grid = ({} if jump is None and uset.jump_bounds is None
+            else {"jump": jump, "resolution": 4, "refinements": 1})
     for solver in (rm.worst_case_numeric, rm.find_worst_case):
-        a, b = solver(uset, crit_a), solver(uset, crit_b)
+        a, b = solver(uset, crit_a, **grid), solver(uset, crit_b, **grid)
         assert a.scenario.drift.tobytes() == b.scenario.drift.tobytes()
         assert a.scenario.cov.tobytes() == b.scenario.cov.tobytes()
         assert (a.risk_premium, a.gap, a.evaluations, a.case_label) == \
