@@ -2,19 +2,26 @@
 
 Four solved cases, each returning a `ClosedFormSolution` bundling the
 strategy alpha_hat, the value function V, the conditional-mean function
-g (g(t, x) = E[X_T | X_t = x] under the equilibrium pair), and the
-mean-minus-lambda-second-moment functional f, together with the worst
-case they were built from:
+g(t, x) = E[X_T | X_t = x] under the equilibrium pair and the objective
+f(t, x, y) = E[X_T] - lam(y) E[X_T^2], tied by V = f + lam(x) g^2, together
+with the worst case they were built from.
 
-* terminal wealth, constant risk aversion:
-      V = x + P (T-t) / (4 lam),        alpha_hat = Sigma^{-1} b / (2 lam)
-* log return, constant risk aversion:
-      V = x + P (T-t) / (2 (1+2 lam)),  alpha_hat = Sigma^{-1} b / (1+2 lam)
-* terminal wealth with compound Poisson jumps: the terminal-wealth
-  formulas with (b, Sigma) replaced by the jump-adjusted (b_F, Sigma_F),
-  plus a per-jump-type admissibility report (alpha.J_l must lie in [0,1]);
+In every case g is affine and E[X_T^2] quadratic in the state, so each of
+V, g and f is c0 + c1 x + c2 x^2.  One coefficient table per kind gives
+the rows (c0, c1, c2) at time t, and every value and partial is read
+from it (tau = T - t, g0 = a_g tau):
+
+* constant aversion lam (terminal wealth, log return, compound Poisson):
+      V: (a_v tau, 1, 0),  g: (g0, 1, 0),  f: (a_v tau - lam g0^2, 1 - 2 lam g0, -lam)
+  - terminal wealth: a_v = P / (4 lam), a_g = P / (2 lam),
+        alpha_hat = Sigma^{-1} b / (2 lam);
+  - log return: a_v = P / (2 (1+2 lam)), a_g = (2 lam + 1/2) P / (1+2 lam)^2,
+        alpha_hat = Sigma^{-1} b / (1+2 lam);
+  - terminal wealth with compound Poisson jumps: the terminal-wealth
+    table with (b, Sigma) replaced by the jump-adjusted (b_F, Sigma_F),
+    plus a per-jump-type admissibility report (alpha.J_l must lie in [0,1]);
 * wealth-scaled risk aversion lam(x) = lam / x with discrete Levy jumps:
-      g = A(t) x,  f = A(t) x - lam B(t) x,  V = {A + lam (A^2 - B)} x,
+      V: (0, A + lam (A^2 - B), 0),  g: (0, A, 0),  f: (0, A, -(lam / y) B),
       alpha_hat = Sigma_F^{-1} b_F (A + 2 lam (A^2 - B)) / (2 lam B) * x,
   where (A, B) solve a two-dimensional backward ODE system with
   A(T) = B(T) = 1, integrated by classical fourth-order Runge-Kutta.
@@ -28,7 +35,7 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,7 +88,9 @@ class OdeGrids:
     ``a`` is the mean growth factor (g = A x), ``b`` the second-moment
     growth factor (E[X_T^2 | X_t = x] = B x^2); slopes are the exact ODE
     right-hand sides at the nodes, reused for cubic Hermite
-    interpolation between nodes.
+    interpolation between nodes.  One piecewise polynomial holds A, B
+    and their derivatives as four columns, so a single search of the
+    nodes reads all four at once.
     """
 
     t: np.ndarray
@@ -97,26 +106,33 @@ class OdeGrids:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         # imported here: scipy.interpolate costs a third of a second at import
-        from scipy.interpolate import CubicHermiteSpline
+        from scipy.interpolate import CubicHermiteSpline, PPoly
 
-        a_spl = CubicHermiteSpline(self.t, self.a, self.a_slope)
-        b_spl = CubicHermiteSpline(self.t, self.b, self.b_slope)
-        object.__setattr__(self, "_a_spline", a_spl)
-        object.__setattr__(self, "_b_spline", b_spl)
-        object.__setattr__(self, "_a_slope_spline", a_spl.derivative())
-        object.__setattr__(self, "_b_slope_spline", b_spl.derivative())
+        spl = CubicHermiteSpline(self.t, np.stack([self.a, self.b], axis=-1),
+                                 np.stack([self.a_slope, self.b_slope], axis=-1))
+        # the derivative's quadratics get a zero cubic coefficient: it adds
+        # +0.0 to their value, so A' and B' keep the derivative spline's bits
+        coef = np.zeros(spl.c.shape[:2] + (4,))
+        coef[:, :, :2] = spl.c
+        coef[1:, :, 2:] = spl.derivative().c
+        object.__setattr__(self, "_spline", PPoly(coef, spl.x))
+
+    def _at(self, t):
+        """(A, B, A', B') at t."""
+        out = self._spline(t)
+        return out[..., 0], out[..., 1], out[..., 2], out[..., 3]
 
     def mean_factor(self, t):
-        return self._a_spline(t)
+        return self._at(t)[0]
 
     def second_factor(self, t):
-        return self._b_spline(t)
+        return self._at(t)[1]
 
     def mean_factor_slope(self, t):
-        return self._a_slope_spline(t)
+        return self._at(t)[2]
 
     def second_factor_slope(self, t):
-        return self._b_slope_spline(t)
+        return self._at(t)[3]
 
 
 def _integrate_backward(lam: float, premium: float, t0: float, horizon: float,
@@ -220,9 +236,11 @@ def solve_growth_factors(lam: float, premium: float, t0: float, horizon: float,
 class ClosedFormSolution:
     """Evaluable strategy/value bundle for one solved case.
 
-    The identity V = f + lam(x) g^2 holds pointwise by construction.
-    For the constant-aversion kinds the strategy is constant in (t, x);
-    for the wealth-scaled kind it is proportional to wealth with a
+    V, g and f are rows of the kind's coefficient table (`_table`), read
+    through one field builder (`_field`) that also gives their analytic
+    partials, so V = f + lam(x) g^2 holds pointwise up to rounding.  For
+    the constant-aversion kinds the strategy is constant in (t, x); for
+    the wealth-scaled kind it is proportional to wealth with a
     time-varying coefficient read off the ODE grids.
     """
 
@@ -251,27 +269,15 @@ class ClosedFormSolution:
             return self.direction / (1.0 + 2.0 * self.criterion.lam)
         return self.direction / (2.0 * self.criterion.lam)
 
-    def strategy_scale(self, t):
-        """Scalar multiplier on `direction`; x-proportional for wealth-scaled."""
-        lam = self.criterion.lam
-        if self.kind == "wealth_scaled":
-            a = self.ode.mean_factor(t)
-            b = self.ode.second_factor(t)
-            m = a + 2.0 * lam * (a * a - b)
-            return m / (2.0 * lam * b)
-        if self.kind == "log_return":
-            return 1.0 / (1.0 + 2.0 * lam)
-        return 1.0 / (2.0 * lam)
-
     def alpha_hat(self, t: float, x=1.0) -> np.ndarray:
+        x_arr = np.asarray(x, dtype=float)
         if self.kind == "wealth_scaled":
-            scale = self.strategy_scale(t)
-            x_arr = np.asarray(x, dtype=float)
+            lam, (a, b, _, _) = self.criterion.lam, self.ode._at(t)
+            scale = (a + 2.0 * lam * (a * a - b)) / (2.0 * lam * b)
             if x_arr.ndim == 0:
                 return self.direction * (scale * float(x_arr))
             return np.outer(scale * x_arr, self.direction)
         coef = self.alpha_coef
-        x_arr = np.asarray(x, dtype=float)
         if x_arr.ndim == 0:
             return coef
         return np.broadcast_to(coef, (x_arr.size, coef.size)).copy()
@@ -285,117 +291,74 @@ class ClosedFormSolution:
             return p / (2.0 * (1.0 + 2.0 * lam)), (2.0 * lam + 0.5) * p / (1.0 + 2.0 * lam) ** 2
         return p / (4.0 * lam), p / (2.0 * lam)
 
-    def V(self, t, x):
+    def _table(self, row: int, t, lam_y, slopes: bool = False):
+        """Row ``row`` of the kind's coefficient table at t: (c0, c1, c2)
+        of V (row 0), g (row 1) or f(., ., y) (row 2), each field being
+        c0 + c1 x + c2 x^2, with lam_y = lam(y); with ``slopes``, the
+        t-derivatives of the three coefficients."""
         lam = self.criterion.lam
         if self.kind == "wealth_scaled":
-            a = self.ode.mean_factor(t)
-            b = self.ode.second_factor(t)
-            return (a + lam * (a * a - b)) * x
-        a_v, _ = self._coeffs()
-        return x + a_v * (self.criterion.horizon - t)
+            # V = (A + lam (A^2 - B)) x, g = A x, f = A x - lam_y B x^2
+            a, b, at, bt = self.ode._at(t)
+            if row == 0:
+                return 0.0, (at + lam * (2.0 * a * at - bt) if slopes else a + lam * (a * a - b)), 0.0
+            if slopes:
+                a, b = at, bt
+            return 0.0, a, (-lam_y * b if row == 2 else 0.0)
+        # V = x + a_v tau, g = x + a_g tau with tau = T - t, f = V - lam g^2
+        a_v, a_g = self._coeffs()
+        tau = self.criterion.horizon - t
+        if row < 2:
+            a = (a_v, a_g)[row]
+            return (-a, 0.0, 0.0) if slopes else (a * tau, 1.0, 0.0)
+        g0 = a_g * tau
+        if slopes:
+            return 2.0 * lam_y * g0 * a_g - a_v, 2.0 * lam_y * a_g, 0.0
+        return a_v * tau - lam_y * g0 * g0, 1.0 - 2.0 * lam_y * g0, -lam_y
+
+    def _field(self, row: int, lam_y) -> ScalarField:
+        """Row ``row`` of `_table` as a field with its analytic partials."""
+
+        def value(t, x, slopes=False):
+            c0, c1, c2 = self._table(row, t, lam_y, slopes)
+            return c0 + c1 * x + c2 * x * x
+
+        def dx(t, x):
+            _, c1, c2 = self._table(row, t, lam_y)
+            return c1 + 2.0 * c2 * x
+
+        return ScalarField(value, lambda t, x: value(t, x, slopes=True), dx,
+                           lambda t, x: 2.0 * self._table(row, t, lam_y)[2])
+
+    def V(self, t, x):
+        return self.V_field(t, x)
 
     def g(self, t, x):
-        if self.kind == "wealth_scaled":
-            return self.ode.mean_factor(t) * x
-        _, a_g = self._coeffs()
-        return x + a_g * (self.criterion.horizon - t)
+        return self.g_field(t, x)
 
     def f(self, t, x, y=None):
-        """Mean-minus-lambda-second-moment functional.
-
-        For the wealth-scaled kind the aversion argument y (defaulting
-        to x) is kept separate from the state, matching the two-argument
-        definition f(t, x, y) = A x - (lam / y) B x^2.
-        """
-        lam, p = self.criterion.lam, self.premium
-        tau = self.criterion.horizon - t
-        if self.kind == "wealth_scaled":
-            yy = x if y is None else y
-            a = self.ode.mean_factor(t)
-            b = self.ode.second_factor(t)
-            return a * x - (lam / yy) * b * x * x
-        if self.kind == "log_return":
-            c = 1.0 + 2.0 * lam
-            lead = (1.0 - (4.0 * lam * lam + lam) / c**2 * p * tau) * x - lam * x * x
-            tail = (p * tau / c) * (0.5 - lam * (2.0 * lam + 0.5) ** 2 / c**3 * p * tau)
-            return lead + tail
-        return (1.0 - p * tau) * (x + p * tau / (4.0 * lam)) - lam * x * x
+        """f(t, x, y) = E[X_T] - lam(y) E[X_T^2 | X_t = x], with the
+        aversion argument y defaulting to x (only the wealth-scaled kind
+        depends on it)."""
+        return self.f_field(x if y is None else y)(t, x)
 
     # --- analytic fields for the PDE checker --------------------------------
 
     @property
     def V_field(self) -> ScalarField:
-        lam = self.criterion.lam
-        if self.kind == "wealth_scaled":
-            ode = self.ode
-
-            def v_t(t, x):
-                a, b = ode.mean_factor(t), ode.second_factor(t)
-                at, bt = ode.mean_factor_slope(t), ode.second_factor_slope(t)
-                return (at + lam * (2.0 * a * at - bt)) * x
-
-            def v_x(t, x):
-                a = ode.mean_factor(t)
-                return a + lam * (a ** 2 - ode.second_factor(t))
-
-            return ScalarField(
-                value=self.V,
-                dt=v_t,
-                dx=v_x,
-                dxx=lambda t, x: 0.0,
-            )
-        a_v, _ = self._coeffs()
-        return ScalarField(
-            value=self.V,
-            dt=lambda t, x: -a_v,
-            dx=lambda t, x: 1.0,
-            dxx=lambda t, x: 0.0,
-        )
+        return self._field(0, self.criterion.lam)
 
     @property
     def g_field(self) -> ScalarField:
-        if self.kind == "wealth_scaled":
-            ode = self.ode
-            return ScalarField(
-                value=self.g,
-                dt=lambda t, x: ode.mean_factor_slope(t) * x,
-                dx=lambda t, x: ode.mean_factor(t),
-                dxx=lambda t, x: 0.0,
-            )
-        _, a_g = self._coeffs()
-        return ScalarField(
-            value=self.g,
-            dt=lambda t, x: -a_g,
-            dx=lambda t, x: 1.0,
-            dxx=lambda t, x: 0.0,
-        )
+        return self._field(1, self.criterion.lam)
 
     def f_field(self, y=None) -> ScalarField:
         """f as a field in (t, x); for the wealth-scaled kind the aversion
         argument y stays frozen while differentiating (y may be an array
         matching the points the field is evaluated at)."""
-        lam = self.criterion.lam
-        if self.kind == "wealth_scaled":
-            if y is None:
-                raise InvalidBounds("wealth-scaled f-field needs an explicit aversion argument y")
-            ode = self.ode
-            return ScalarField(
-                value=lambda t, x: self.f(t, x, y),
-                dt=lambda t, x: ode.mean_factor_slope(t) * x
-                - (lam / y) * ode.second_factor_slope(t) * x * x,
-                dx=lambda t, x: ode.mean_factor(t)
-                - (2.0 * lam / y) * ode.second_factor(t) * x,
-                dxx=lambda t, x: -(2.0 * lam / y) * ode.second_factor(t),
-            )
-        v, g = self.V_field, self.g_field
-        # f = V - lam g^2 holds exactly, so partials follow the identity
-        return ScalarField(
-            value=lambda t, x: self.f(t, x),
-            dt=lambda t, x: v.dt(t, x) - 2.0 * lam * g.value(t, x) * g.dt(t, x),
-            dx=lambda t, x: v.dx(t, x) - 2.0 * lam * g.value(t, x) * g.dx(t, x),
-            dxx=lambda t, x: v.dxx(t, x)
-            - 2.0 * lam * (g.dx(t, x) ** 2 + g.value(t, x) * g.dxx(t, x)),
-        )
+        if y is None and self.kind == "wealth_scaled":
+            raise InvalidBounds("wealth-scaled f-field needs an explicit aversion argument y")
+        return self._field(2, self.criterion.lam if y is None else self.criterion.risk_aversion_at(y))
 
     # --- serialization -------------------------------------------------------
 
@@ -457,40 +420,27 @@ class ClosedFormSolution:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_worst(uset, criterion, jump, worst):
-    if worst is not None:
-        return worst
-    return find_worst_case(uset, criterion, jump=jump)
+def _solved(kind: str, uset: UncertaintySet, criterion: Criterion, jump: JumpSpec | None,
+            worst: WorstCaseResult | None) -> ClosedFormSolution:
+    """The ``kind`` solution under ``worst``, or under the worst case of the
+    set when none is given."""
+    if criterion.kind != kind:
+        raise InvalidBounds(f"criterion kind must be {kind}")
+    wc = worst if worst is not None else find_worst_case(uset, criterion, jump=jump)
+    return ClosedFormSolution(kind=kind, criterion=criterion, worst_case=wc,
+                              premium=wc.risk_premium, direction=wc.alpha_direction())
 
 
 def solve_terminal_wealth(uset: UncertaintySet, criterion: Criterion,
                           worst: WorstCaseResult | None = None) -> ClosedFormSolution:
     """Constant-aversion terminal-wealth strategy under the worst case."""
-    if criterion.kind != "terminal_wealth":
-        raise InvalidBounds("criterion kind must be terminal_wealth")
-    wc = _resolve_worst(uset, criterion, None, worst)
-    return ClosedFormSolution(
-        kind="terminal_wealth",
-        criterion=criterion,
-        worst_case=wc,
-        premium=wc.risk_premium,
-        direction=wc.alpha_direction(),
-    )
+    return _solved("terminal_wealth", uset, criterion, None, worst)
 
 
 def solve_log_return(uset: UncertaintySet, criterion: Criterion,
                      worst: WorstCaseResult | None = None) -> ClosedFormSolution:
     """Constant-aversion log-return strategy under the worst case."""
-    if criterion.kind != "log_return":
-        raise InvalidBounds("criterion kind must be log_return")
-    wc = _resolve_worst(uset, criterion, None, worst)
-    return ClosedFormSolution(
-        kind="log_return",
-        criterion=criterion,
-        worst_case=wc,
-        premium=wc.risk_premium,
-        direction=wc.alpha_direction(),
-    )
+    return _solved("log_return", uset, criterion, None, worst)
 
 
 def solve_compound_poisson(uset: UncertaintySet, criterion: Criterion,
@@ -509,9 +459,8 @@ def solve_compound_poisson(uset: UncertaintySet, criterion: Criterion,
     if not isinstance(jump, CompoundPoissonJumps):
         raise InvalidBounds("expected a compound Poisson jump spec")
     jump.validate_compensation()
-    wc = _resolve_worst(uset, criterion, jump, worst)
-    direction = wc.alpha_direction()
-    alpha = direction / (2.0 * criterion.lam)
+    sol = _solved("terminal_wealth", uset, criterion, jump, worst)
+    alpha = sol.alpha_coef
     report = NonBankruptcyReport(
         exposures=nonbankruptcy_intervals(alpha, jump),
         violating_types=tuple(nonbankruptcy_violations(alpha, jump)),
@@ -522,14 +471,7 @@ def solve_compound_poisson(uset: UncertaintySet, criterion: Criterion,
             "wealth paths may hit zero under jump dynamics",
             stacklevel=2,
         )
-    return ClosedFormSolution(
-        kind="terminal_wealth",
-        criterion=criterion,
-        worst_case=wc,
-        premium=wc.risk_premium,
-        direction=direction,
-        nonbankruptcy=report,
-    )
+    return replace(sol, nonbankruptcy=report)
 
 
 def solve_wealth_scaled(uset: UncertaintySet, criterion: Criterion,
@@ -542,17 +484,9 @@ def solve_wealth_scaled(uset: UncertaintySet, criterion: Criterion,
         raise InvalidBounds("criterion kind must be wealth_scaled")
     if jump is not None and not isinstance(jump, DiscreteLevyJumps):
         raise InvalidBounds("wealth-scaled strategies take a discrete Levy jump spec or none")
-    wc = _resolve_worst(uset, criterion, jump, worst)
-    grids = solve_growth_factors(criterion.lam, wc.risk_premium,
-                                 criterion.t0, criterion.horizon, ode)
-    return ClosedFormSolution(
-        kind="wealth_scaled",
-        criterion=criterion,
-        worst_case=wc,
-        premium=wc.risk_premium,
-        direction=wc.alpha_direction(),
-        ode=grids,
-    )
+    sol = _solved("wealth_scaled", uset, criterion, jump, worst)
+    return replace(sol, ode=solve_growth_factors(criterion.lam, sol.premium,
+                                                 criterion.t0, criterion.horizon, ode))
 
 
 def solve(uset: UncertaintySet, criterion: Criterion, jump: JumpSpec | None = None,

@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     AssumptionViolated,
@@ -224,6 +223,9 @@ class JumpSizeLaw:
         if self.sampler == "uniform":
             lo, hi = self.params
             return lo + (hi - lo) * u
+        # imported here: scipy.special costs about a third of a second at import
+        from scipy.special import ndtri
+
         m, s = self.params
         return np.exp(m + s * ndtri(u)) - 1.0
 

@@ -230,16 +230,19 @@ class ResidualTable:
                                  repr(float(r.residual))])
 
 
-def default_grid(criterion: Criterion, nt: int = 10, nx: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Interior (t, x) lattice: t away from both endpoints, x around x0
-    (strictly positive for wealth-scaled aversion)."""
-    t_nodes = criterion.t0 + criterion.span * np.linspace(0.05, 0.95, nt)
+def _x_window(criterion: Criterion, n: int = 2) -> np.ndarray:
+    """n evenly spaced states from the low to the high end of the checked
+    x-range: x0 [1/2, 2] for wealth-scaled aversion (strictly positive),
+    x0 + (1 + |x0|) [-1/2, 1] otherwise."""
     if criterion.kind == "wealth_scaled":
-        x_nodes = criterion.x0 * np.linspace(0.5, 2.0, nx)
-    else:
-        scale = 1.0 + abs(criterion.x0)
-        x_nodes = criterion.x0 + scale * np.linspace(-0.5, 1.0, nx)
-    return t_nodes, x_nodes
+        return criterion.x0 * np.linspace(0.5, 2.0, n)
+    return criterion.x0 + (1.0 + abs(criterion.x0)) * np.linspace(-0.5, 1.0, n)
+
+
+def default_grid(criterion: Criterion, nt: int = 10, nx: int = 10) -> tuple[np.ndarray, np.ndarray]:
+    """Interior (t, x) lattice: t away from both endpoints, x over `_x_window`."""
+    t_nodes = criterion.t0 + criterion.span * np.linspace(0.05, 0.95, nt)
+    return t_nodes, _x_window(criterion, nx)
 
 
 def residual_grid(sol, t_nodes: Sequence[float] | None = None,
@@ -263,7 +266,6 @@ def residual_grid(sol, t_nodes: Sequence[float] | None = None,
     dynamics = WealthDynamics.for_criterion(criterion)
     ops = OperatorSet(dynamics, criterion.span, use_analytic=use_analytic)
     theta = sol.worst_case.scenario
-    lam = criterion.lam
 
     # every lattice point at once: t outer, x inner
     t_nodes = np.asarray(t_nodes, dtype=float)
@@ -273,23 +275,13 @@ def residual_grid(sol, t_nodes: Sequence[float] | None = None,
     alpha = sol.alpha_hat(t, x)
     g_field = sol.g_field
     ag = ops.generator(g_field, alpha, theta, t, x)
-    if sol.kind == "wealth_scaled":
-        af = ops.generator(sol.f_field(y=x), alpha, theta, t, x)
-        columns = {
-            "mean_pde": ag,
-            "objective_pde": af,
-            "hjb_objective": af + 2.0 * (lam / x) * g_field.value(t, x) * ag,
-        }
-    else:
+    af = ops.generator(sol.f_field(y=x), alpha, theta, t, x)
+    columns = {"mean_pde": ag}
+    if sol.kind != "wealth_scaled":
         av = ops.generator(sol.V_field, alpha, theta, t, x)
-        hg = ops.quadratic_variation(g_field, alpha, theta, t, x)
-        af = ops.generator(sol.f_field(), alpha, theta, t, x)
-        columns = {
-            "mean_pde": ag,
-            "hjb_value": av - lam * hg,
-            "objective_pde": af,
-            "hjb_objective": af + 2.0 * lam * g_field.value(t, x) * ag,
-        }
+        columns["hjb_value"] = av - criterion.lam * ops.quadratic_variation(g_field, alpha, theta, t, x)
+    columns["objective_pde"] = af
+    columns["hjb_objective"] = af + 2.0 * criterion.risk_aversion_at(x) * g_field.value(t, x) * ag
     values = {eq: v.tolist() for eq, v in columns.items()}
     return ResidualTable(tuple(
         ResidualRow(ti, xi, eq, values[eq][i])
@@ -350,11 +342,7 @@ def saddle_check(sol, uset: UncertaintySet, samples: int = 1000, seed: int = 0) 
 
     t_lo = criterion.t0 + 0.02 * criterion.span
     t_hi = criterion.horizon - 0.02 * criterion.span
-    if criterion.kind == "wealth_scaled":
-        x_lo, x_hi = 0.5 * criterion.x0, 2.0 * criterion.x0
-    else:
-        s = 1.0 + abs(criterion.x0)
-        x_lo, x_hi = criterion.x0 - 0.5 * s, criterion.x0 + 1.0 * s
+    x_lo, x_hi = _x_window(criterion).tolist()
 
     def eps_at(x):
         return _SADDLE_EPS_REL * (1.0 + sol.premium) * (1.0 + np.abs(x))

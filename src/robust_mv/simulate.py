@@ -352,11 +352,12 @@ class _Segment:
 class ShockCache:
     """Shocks drawn once and reused across CRN runs, keyed by chunk start:
     per chunk the W nodes by step index, each (assets, paths), and for
-    jump runs the count uniforms and first-event size uniforms (steps,
-    streams, paths).  A jump-free run with constant segments adds only W
+    jump runs the count uniforms (steps, streams, paths) and, when a
+    segment has compound Poisson jumps, the first-event size uniforms of
+    the same shape.  A jump-free run with constant segments adds only W
     at its cut points and their bridge ancestors; a run that steps adds
     every node.  All runs sharing a cache must share the seed, step
-    count, asset count, jump-stream count and antithetic flag.
+    count, asset count, jump-stream count, jump kind and antithetic flag.
     """
 
     def __init__(self) -> None:
@@ -418,11 +419,12 @@ class _Shocks:
     their whole Brownian path."""
 
     def __init__(self, seed: int, n_steps: int, n_assets: int, n_streams: int, n_paths: int,
-                 antithetic: bool, cache: ShockCache | None):
+                 antithetic: bool, cache: ShockCache | None, sizes: bool = True):
         self.seed = seed
         self.n_steps = n_steps
         self.n_assets = n_assets
         self.n_streams = n_streams
+        self.sizes = sizes and n_streams > 0  # whether first-event size uniforms are drawn
         self.end = (n_paths + 1) // 2 if antithetic else n_paths  # the run's stream indices
         self.antithetic = antithetic
         self.cache = cache
@@ -432,15 +434,18 @@ class _Shocks:
         self.drawn: dict[tuple[int, int, int], tuple[np.random.Generator, np.ndarray]] = {}
 
     def chunk(self, start: int, size: int):
-        """The chunk's node table (holding W_0 = 0 when new) and its jump
-        uniforms."""
+        """The chunk's node table (holding W_0 = 0 when new), its count
+        uniforms and its first-event size uniforms (None when not drawn)."""
         if self.cache is not None and start in self.cache.store:
             return self.cache.store[start]
-        out = ({0: np.zeros((self.n_assets, size))}, None, None)
-        if self.n_streams:
-            out = (out[0], *(self._columns(functools.partial(self._uniforms, tag), start, size)
-                             .reshape(self.n_steps, -1, size)
-                             for tag in (_TAG_COUNTS, _TAG_FIRST_SIZES)))
+
+        def uniforms(tag):
+            return (self._columns(functools.partial(self._uniforms, tag), start, size)
+                    .reshape(self.n_steps, -1, size))
+
+        out = ({0: np.zeros((self.n_assets, size))},
+               uniforms(_TAG_COUNTS) if self.n_streams else None,
+               uniforms(_TAG_FIRST_SIZES) if self.sizes else None)
         if self.cache is not None:
             self.cache.store[start] = out
         return out
@@ -572,7 +577,7 @@ def simulate_paths(
     paths = np.empty((cfg.n_paths, n_steps + 1)) if cfg.keep_paths else None
 
     shocks = _Shocks(cfg.seed, n_steps, n_assets, n_streams, cfg.n_paths, cfg.antithetic,
-                     shock_cache)
+                     shock_cache, sizes=any(seg.jump_kind == "cp" for seg, _, _ in segments))
 
     for start in range(0, cfg.n_paths, chunk):
         size = min(chunk, cfg.n_paths - start)
@@ -605,7 +610,8 @@ def simulate_paths(
                     coef = _Coefficients(seg, strategy.values(t_nodes[s], x), log_state)
                 x = _advance(x, coef, s, s + 1, w)
                 if counts is not None:
-                    x = x + coef.jump_increment(_StepJumps(counts[s - lo], v[s], shocks, start, s))
+                    first_u = None if v is None else v[s]
+                    x = x + coef.jump_increment(_StepJumps(counts[s - lo], first_u, shocks, start, s))
                 if guard_wealth and np.any(x <= 0.0):
                     bad = int(np.argmax(x <= 0.0)) + start
                     raise NonBankruptcyViolated(
@@ -715,11 +721,12 @@ class _Coefficients:
 
 @dataclass(frozen=True)
 class _StepJumps:
-    """One step's jump counts and first-event size uniforms (types, paths),
-    with what it takes to key the extra-event streams."""
+    """One step's jump counts and first-event size uniforms (types, paths;
+    None without compound Poisson jumps), with what it takes to key the
+    extra-event streams."""
 
     counts: np.ndarray
-    first_u: np.ndarray
+    first_u: np.ndarray | None
     shocks: _Shocks
     chunk_start: int
     step: int

@@ -48,7 +48,6 @@ from collections.abc import Generator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     BudgetExceeded,
@@ -94,6 +93,9 @@ def risk_premium(b: np.ndarray, sigma: np.ndarray) -> float:
 
     Nonnegative, zero exactly when b = 0; dimensionless per unit time.
     """
+    # imported here: scipy.linalg costs about a third of a second at import
+    from scipy.linalg import solve_triangular
+
     b = np.asarray(b, dtype=float)
     chol = cholesky_or_raise(np.asarray(sigma, dtype=float), "risk-premium covariance")
     y = solve_triangular(chol, b, lower=True)

@@ -3,12 +3,16 @@
 import hashlib
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import robust_mv as rm
 from robust_mv.closed_form import OdeConfig, solve_growth_factors
+from robust_mv.model import WealthDynamics
+from robust_mv.pde_check import OperatorSet
 
 
 @pytest.fixture(scope="module")
@@ -300,3 +304,80 @@ class TestSerialization:
         assert doc["ode"]["A"][-1] == 1.0
         assert doc["ode"]["B"][-1] == 1.0
         json.dumps(doc)
+
+
+class TestOneForm:
+    """V, g and f of every kind are rows of one coefficient table: checked
+    at random (lam, premium, t, x, y) against the identities that tie them,
+    against finite differences and between scalar and array inputs."""
+
+    @pytest.fixture(scope="class")
+    def solutions(self, tw_solution, lr_solution, cp_solution, ws_solution):
+        return (tw_solution, lr_solution, cp_solution, ws_solution)
+
+    @staticmethod
+    def _draw(data, solutions):
+        """A fixture solution re-solved at a drawn (lam, premium, t0, T),
+        with a drawn point (t, x) and aversion argument y."""
+        base = data.draw(st.sampled_from(solutions))
+        lam = data.draw(st.floats(0.3, 5.0))
+        premium = data.draw(st.floats(0.0, 1.5))
+        t0 = data.draw(st.floats(-1.0, 1.0))
+        horizon = t0 + data.draw(st.floats(0.1, 2.0))
+        scaled = base.kind == "wealth_scaled"
+        crit = rm.Criterion(base.criterion.kind, lam=lam, horizon=horizon, t0=t0,
+                            x0=1.0 if scaled else 0.0)
+        ode = solve_growth_factors(lam, premium, t0, horizon, OdeConfig(h_rel=1e-3)) if scaled else None
+        sol = replace(base, criterion=crit, premium=premium, ode=ode)
+        states = st.floats(0.1, 5.0) if scaled else st.floats(-5.0, 5.0)
+        t = data.draw(st.floats(t0, horizon))
+        return sol, t, data.draw(states), data.draw(states)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_value_is_objective_plus_aversion_times_mean_squared(self, solutions, data):
+        sol, t, x, y = self._draw(data, solutions)
+        lam_x, lam_y = sol.criterion.risk_aversion_at(x), sol.criterion.risk_aversion_at(y)
+        v, g, f = sol.V(t, x), sol.g(t, x), sol.f(t, x)
+        scale = 1.0 + abs(v) + abs(f) + lam_x * g * g
+        assert abs(v - (f + lam_x * g * g)) <= 1e-12 * scale
+        # f(t, x, y) = E[X_T] - lam(y) E[X_T^2], and Var[X_T] >= 0
+        second = (g - f) / lam_x
+        assert abs(sol.f(t, x, y) - (g - lam_y * second)) <= 1e-12 * (scale + lam_y * abs(second))
+        assert second - g * g >= -1e-12 * scale / lam_x
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_analytic_partials_match_finite_differences(self, solutions, data):
+        sol, t, x, y = self._draw(data, solutions)
+        crit = sol.criterion
+        # keep the t stencil inside [t0, T]
+        t = min(max(t, crit.t0 + 1e-4 * crit.span), crit.horizon - 1e-4 * crit.span)
+        fd = OperatorSet(WealthDynamics.for_criterion(crit), crit.span, use_analytic=False)
+        for field in (sol.V_field, sol.g_field, sol.f_field(y)):
+            want = fd.partials(field, t, x)
+            got = (field.dt(t, x), field.dx(t, x), field.dxx(t, x))
+            scale = 1.0 + abs(field(t, x))
+            assert abs(got[0] - want[0]) <= 1e-6 * scale / crit.span
+            assert abs(got[1] - want[1]) <= 1e-7 * scale
+            assert abs(got[2] - want[2]) <= 1e-3 * scale / (1.0 + abs(x)) ** 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_scalar_and_array_inputs_agree(self, solutions, data):
+        sol, _, _, y = self._draw(data, solutions)
+        crit = sol.criterion
+        k = data.draw(st.integers(1, 6))
+        t = crit.t0 + crit.span * np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k,
+                                                              max_size=k)))
+        x = y * np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k)))
+        for field in (sol.V_field, sol.g_field, sol.f_field(y)):
+            for part in (field.value, field.dt, field.dx, field.dxx):
+                batched = np.broadcast_to(part(t, x), t.shape)
+                for i in range(k):
+                    one = part(float(t[i]), float(x[i]))
+                    assert np.ndim(one) == 0 and one == batched[i]
+        for i in range(k):
+            ti, xi = float(t[i]), float(x[i])
+            assert sol.V(ti, xi) == sol.V(t, x)[i] and sol.g(ti, xi) == sol.g(t, x)[i]
+            assert sol.f(ti, xi) == sol.f(t, x)[i]

@@ -357,9 +357,12 @@ class TestJumpDynamics:
 
     def test_discrete_levy_compensator_keeps_mean(self, ws_solution, ws_criterion):
         cfg = rm.SimConfig(n_paths=40_000, dt=0.005, seed=33)
-        batch = rm.simulate_solution(ws_solution, cfg)
+        cache = ShockCache()
+        batch = rm.simulate_solution(ws_solution, cfg, shock_cache=cache)
         est = rm.estimate_J(batch, ws_criterion)
         assert abs(est.mean_hat - ws_solution.g(0.0, 1.0)) <= 3.0 * est.standard_error_mean
+        # Levy atoms have fixed sizes: the chunks hold count uniforms and no size table
+        assert cache.store and all(u is not None and v is None for _, u, v in cache.store.values())
 
     def test_flagged_solution_is_refused(self, cp_jump):
         scen = rm.Scenario(np.array([0.1, 0.05]), np.diag([0.04, 0.0625]))
