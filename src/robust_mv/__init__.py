@@ -65,7 +65,6 @@ from .pde_check import (
     ResidualTable,
     SaddleReport,
     default_grid,
-    jump_operator_value,
     residual_grid,
     saddle_check,
     saddle_objective,

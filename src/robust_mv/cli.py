@@ -45,7 +45,6 @@ from .model import (
     DiscreteLevyJumps,
     JumpSizeLaw,
     UncertaintySet,
-    surrogate_atoms,
 )
 from .worst_case import (
     DEFAULT_REFINEMENTS,
@@ -63,7 +62,6 @@ EXIT_BUDGET = 4
 
 _TOP_KEYS = {"version", "assets", "uncertainty", "jumps", "criterion",
              "worst_case", "verify", "simulate", "perturb"}
-_CUTOFF_TIE = 1e-9  # jump atoms with | |z| - 1 | below this get a tagging warning
 
 
 # ---------------------------------------------------------------------------
@@ -399,25 +397,7 @@ def _solve_from_doc(doc: dict, em: Emitter):
     jumps = parse_jumps(doc, uset.n)
     worst = _worst_case_from_doc(doc, uset, criterion, jumps)
     sol = closed_form.solve(uset, criterion, jump=jumps, worst=worst)
-    ties = _cutoff_ties(sol.worst_case.scenario.jump)
-    if ties:
-        em.say(f"WARNING: jump atoms {ties} sit within {_CUTOFF_TIE:g} of the "
-               "small/large cutoff |z| = 1; compensation tagging is a tie")
     return uset, criterion, jumps, sol
-
-
-def _cutoff_ties(jump) -> list[int]:
-    """Indices (in `atom_arrays` order) of the atoms whose |z| lies within
-    `_CUTOFF_TIE` of 1: |size| for compound-Poisson surrogate atoms,
-    ||z|| for Levy atoms."""
-    if jump is None:
-        return []
-    if isinstance(jump, CompoundPoissonJumps):
-        norms = np.abs(surrogate_atoms(jump.loadings, jump.intensity,
-                                       jump.mean_sizes(), jump.second_moments())[0])
-    else:
-        norms = np.linalg.norm(jump.atoms, axis=1)
-    return np.flatnonzero(np.abs(norms - 1.0) < _CUTOFF_TIE).tolist()
 
 
 def cmd_strategy(doc: dict, em: Emitter) -> int:

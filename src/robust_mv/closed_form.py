@@ -122,18 +122,6 @@ class OdeGrids:
         out = self._spline(t)
         return out[..., 0], out[..., 1], out[..., 2], out[..., 3]
 
-    def mean_factor(self, t):
-        return self._at(t)[0]
-
-    def second_factor(self, t):
-        return self._at(t)[1]
-
-    def mean_factor_slope(self, t):
-        return self._at(t)[2]
-
-    def second_factor_slope(self, t):
-        return self._at(t)[3]
-
 
 def _integrate_backward(lam: float, premium: float, t0: float, horizon: float,
                         n_steps: int, max_value: float):

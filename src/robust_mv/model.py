@@ -295,9 +295,9 @@ class CompoundPoissonJumps:
     def compensation_within_unit(self) -> bool:
         """Whether sum_l |mu_l E[Y_l] J_il| < 1 for every asset i.
 
-        The drift compensation applied for the jump flow is only a small
-        correction when this holds; configurations violating it are
-        rejected by `validate_compensation`.
+        The expected jump flow is only a small correction to the drift
+        when this holds; configurations violating it are rejected by
+        `validate_compensation`.
         """
         per_asset = np.abs(self.loadings) @ np.abs(self.intensity * self.mean_sizes())
         return bool(np.all(per_asset < 1.0))
@@ -358,10 +358,9 @@ def surrogate_atoms(loadings, intensity, mean, second):
 
     Returns, atom axis first in the order (type 0 lower, type 0 upper,
     type 1 lower, ...): the sizes (2k, ...), the per-asset jumps vec
-    (2k, ..., n), the weights (2k, ...), the small-jump flags
-    |size| < 1 (2k, ...) and the validity mask (...).  A point is valid
-    when every type has variance second - mean^2 >= -_MOMENT_TOL and a
-    lower atom above -1.
+    (2k, ..., n), the weights (2k, ...) and the validity mask (...).  A
+    point is valid when every type has variance second - mean^2 >=
+    -_MOMENT_TOL and a lower atom above -1.
     """
     intensity, mean, second = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                                     for a in (intensity, mean, second)))
@@ -372,19 +371,17 @@ def surrogate_atoms(loadings, intensity, mean, second):
     weight = np.moveaxis(np.repeat(intensity * 0.5, 2, axis=-1), -1, 0)
     cols = np.asarray(loadings, dtype=float).T[np.repeat(np.arange(mean.shape[-1]), 2)]
     vec = size[..., None] * cols.reshape((cols.shape[0],) + (1,) * (size.ndim - 1) + cols.shape[1:])
-    return size, vec, weight, np.abs(size) < 1.0, valid
+    return size, vec, weight, valid
 
 
-def atom_arrays(jump: JumpSpec | None, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Finite atom table of a jump spec: vec (m, n), weight (m,) and the
-    small-jump flag (m,).  Compound-Poisson types become their
-    `surrogate_atoms`; a Levy atom z is small when ||z|| < 1, which decides
-    whether the generator compensates its drift."""
+def atom_arrays(jump: JumpSpec | None, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Finite atom table of a jump spec: vec (m, n) and weight (m,).
+    Compound-Poisson types become their `surrogate_atoms`."""
     if jump is None:
-        return np.zeros((0, n)), np.zeros(0), np.zeros(0, dtype=bool)
+        return np.zeros((0, n)), np.zeros(0)
     if isinstance(jump, CompoundPoissonJumps):
-        return surrogate_atoms(jump.loadings, jump.intensity, jump.mean_sizes(), jump.second_moments())[1:4]
-    return jump.atoms, jump.weights, np.linalg.norm(jump.atoms, axis=1) < 1.0
+        return surrogate_atoms(jump.loadings, jump.intensity, jump.mean_sizes(), jump.second_moments())[1:3]
+    return jump.atoms, jump.weights
 
 
 # ---------------------------------------------------------------------------
@@ -450,17 +447,17 @@ class ScenarioArrays:
     """Scenarios as stacked arrays over leading sample axes ``...``.
 
     drift (..., n), cov (..., n, n), and the atom table (`atom_arrays`)
-    with the atom axis first: vec (m, ..., n), weight (m, ...) and the
-    small-jump flag (m, ...).  This is the form the wealth dynamics and
-    the PDE operators broadcast over; a `Scenario` is the case with no
-    sample axis.  Validation happens where the stack is built.
+    with the atom axis first: vec (m, ..., n) and weight (m, ...).  The
+    table is finite, so no atom is compensated and ``drift`` is the raw
+    drift.  This is the form the wealth dynamics and the PDE operators
+    broadcast over; a `Scenario` is the case with no sample axis.
+    Validation happens where the stack is built.
     """
 
     drift: np.ndarray
     cov: np.ndarray
     atom_vec: np.ndarray
     atom_weight: np.ndarray
-    atom_small: np.ndarray
 
     @property
     def arrays(self) -> "ScenarioArrays":
@@ -872,15 +869,6 @@ class WealthDynamics:
                 )
             return np.log1p(move)
         return move
-
-    def levy_drift(self, x, alpha: np.ndarray, scenario: Scenario | ScenarioArrays):
-        """Drift of the compensated-small-jump representation: the raw
-        drift plus the expected flow of atoms with ||z|| < 1."""
-        arr = scenario.arrays
-        total = self.drift(alpha, arr)
-        for vec, weight, small in zip(arr.atom_vec, arr.atom_weight, arr.atom_small):
-            total = total + np.where(small, weight * self.jump_size(x, alpha, vec), 0.0)
-        return total
 
 
 def nonbankruptcy_intervals(alpha: np.ndarray, jump: CompoundPoissonJumps) -> np.ndarray:

@@ -70,7 +70,9 @@ class OperatorSet:
     `ScenarioArrays` stack; scalar inputs give a scalar.  The jump
     integral runs over the finite atom table of the scenario (compound
     Poisson types are represented by their moment-preserving two-point
-    surrogates).
+    surrogates).  The table is finite, so the generator is written
+    uncompensated: the raw drift, plus w (psi(t, x + zeta) - psi(t, x))
+    for every atom.
     """
 
     def __init__(self, dynamics: WealthDynamics, span: float, use_analytic: bool = True):
@@ -96,31 +98,26 @@ class OperatorSet:
     # --- operators ------------------------------------------------------------
 
     def jump_integral(self, field: ScalarField, alpha: np.ndarray, theta: Scenario | ScenarioArrays,
-                      t, x, fx=None):
-        """Sum over atoms of psi(t, x + zeta) - psi(t, x) - zeta 1{small} psi_x."""
+                      t, x):
+        """Sum over atoms of weight (psi(t, x + zeta) - psi(t, x))."""
         arr = theta.arrays
         if arr.atom_weight.shape[0] == 0:
             return 0.0
-        if fx is None:
-            fx = self.partials(field, t, x)[1]
         base = field.value(t, x)
         total = 0.0
-        for vec, weight, small in zip(arr.atom_vec, arr.atom_weight, arr.atom_small):
+        for vec, weight in zip(arr.atom_vec, arr.atom_weight):
             zeta = self.dynamics.jump_size(x, alpha, vec)
-            term = field.value(t, x + zeta) - base
-            term = term - np.where(small, zeta * fx, 0.0)
-            total = total + weight * term
+            total = total + weight * (field.value(t, x + zeta) - base)
         return _out(total)
 
     def generator(self, field: ScalarField, alpha: np.ndarray, theta: Scenario | ScenarioArrays,
                   t, x):
-        """Full generator of the controlled state: diffusion part with the
-        compensated-small-jump drift, plus the jump integral.  Reduces to
-        psi_t + eta psi_x + ||xi||^2 psi_xx / 2 without jumps."""
+        """Full generator of the controlled state: psi_t + eta psi_x +
+        ||xi||^2 psi_xx / 2 with the raw drift eta, plus the jump integral."""
         ft, fx, fxx = self.partials(field, t, x)
-        eta = self.dynamics.levy_drift(x, alpha, theta)
-        val = ft + eta * fx + 0.5 * self.dynamics.diffusion_sq(alpha, theta) * fxx
-        return _out(val + self.jump_integral(field, alpha, theta, t, x, fx=fx))
+        dyn = self.dynamics
+        val = ft + dyn.drift(alpha, theta) * fx + 0.5 * dyn.diffusion_sq(alpha, theta) * fxx
+        return _out(val + self.jump_integral(field, alpha, theta, t, x))
 
     def quadratic_variation(self, field: ScalarField, alpha: np.ndarray,
                             theta: Scenario | ScenarioArrays, t, x):
@@ -139,13 +136,6 @@ class OperatorSet:
                 zeta = self.dynamics.jump_size(x, alpha, vec)
                 total = total + weight * (field.value(t, x + zeta) - base) ** 2
         return _out(total)
-
-
-def jump_operator_value(field: ScalarField, alpha: np.ndarray, theta: Scenario | ScenarioArrays,
-                        t, x, dynamics: WealthDynamics, span: float = 1.0):
-    """Standalone jump-integral evaluation (linear in the field)."""
-    ops = OperatorSet(dynamics, span)
-    return ops.jump_integral(field, np.asarray(alpha, dtype=float), theta, t, x)
 
 
 # ---------------------------------------------------------------------------

@@ -174,9 +174,10 @@ class PathBatch:
     def load(path) -> tuple[int, int, np.ndarray]:
         """Read a spill file back; returns (n_paths, n_steps, path matrix)."""
         with open(path, "rb") as fh:
-            magic, version, n_paths, n_steps = struct.unpack("<4sBQQ", fh.read(21))
-            if magic != _MAGIC or version != 1:
+            header = fh.read(21)
+            if len(header) != 21 or header[:5] != _MAGIC + b"\x01":
                 raise InvalidBounds("not a version-1 path dump")
+            n_paths, n_steps = struct.unpack("<QQ", header[5:])
             data = np.frombuffer(fh.read(), dtype="<f8")
         if data.size != n_paths * (n_steps + 1):
             raise InvalidBounds("path dump payload has the wrong size")
@@ -589,7 +590,7 @@ def simulate_paths(
         group = None  # (coef, lo, hi): constant segments not yet applied
         for seg, lo, hi in segments:
             x_lo = x if group is None else _advance(x, *group, w)
-            coef = _Coefficients(seg, strategy.values(t_nodes[lo], x_lo), log_state)
+            coef = _Coefficients(seg, strategy.values(t_nodes[lo], x_lo), log_state, start)
             if check_exposure and not coef.per_path:
                 _require_admissible(coef.alpha, seg)
             if exact and not coef.per_path:
@@ -607,7 +608,7 @@ def simulate_paths(
                     counts[:, l] = _poisson_counts(u[lo:hi, l], float(seg.lam_dt[l]))
             for s in range(lo, hi):
                 if s > lo and coef.per_path:
-                    coef = _Coefficients(seg, strategy.values(t_nodes[s], x), log_state)
+                    coef = _Coefficients(seg, strategy.values(t_nodes[s], x), log_state, start)
                 x = _advance(x, coef, s, s + 1, w)
                 if counts is not None:
                     first_u = None if v is None else v[s]
@@ -684,10 +685,11 @@ class _Coefficients:
     (n,) for a strategy constant over the segment, or (paths, n) per path.
     Holds the drift times dt, the volatility loadings, and the jump
     exposures alpha.J per type (compound Poisson) or the per-atom state
-    moves (discrete Levy, added uncompensated: the compensated-small-jump
-    drift adds back exactly what the compensator subtracts)."""
+    moves (discrete Levy).  The atom table is finite, so no atom is
+    compensated: the moves are added to the raw drift as they are.
+    ``start`` is the chunk's first path, which an error names."""
 
-    def __init__(self, seg: _Segment, alpha: np.ndarray, log_state: bool):
+    def __init__(self, seg: _Segment, alpha: np.ndarray, log_state: bool, start: int):
         alpha = np.asarray(alpha, dtype=float)
         self.seg, self.log_state = seg, log_state
         self.per_path = alpha.ndim == 2
@@ -707,7 +709,10 @@ class _Coefficients:
             self.expos = _lin(seg.loadings, alpha)
         elif seg.jump_kind == "ld":
             moves = _lin(seg.atom_vecs.T, alpha)
-            self.zeta = np.log1p(moves) if log_state else moves
+            if log_state:
+                _require_log_moves(moves, start)
+                moves = np.log1p(moves)
+            self.zeta = moves
 
     def same_step(self, other: _Coefficients) -> bool:
         """Whether two constant coefficient sets move the diffusion alike."""
@@ -730,6 +735,16 @@ class _StepJumps:
     shocks: _Shocks
     chunk_start: int
     step: int
+
+
+def _require_log_moves(moves: np.ndarray, start: int) -> None:
+    """Refuse Levy moves alpha.v <= -1 under the log state, where
+    log(1 + alpha.v) does not exist: ``moves`` is (atoms,) for a constant
+    strategy, refused before any step, or (atoms, paths) per path."""
+    bad = moves <= -1.0
+    if np.any(bad):
+        where = "" if moves.ndim == 1 else f" on path {start + int(np.argmax(np.any(bad, axis=0)))}"
+        raise NonBankruptcyViolated(f"log-state jump 1 + alpha.v <= 0{where}")
 
 
 def _cp_jump_increment(seg: _Segment, expos: np.ndarray, jumps: _StepJumps,

@@ -370,7 +370,7 @@ class _CoordBox:
             mu, mean, second = jc[:k], jc[k:2 * k], jc[2 * k:3 * k]
             moments = np.broadcast_arrays(*mean, *second)
             ok = surrogate_atoms(jb.loadings, 1.0, np.stack(moments[:k], axis=-1),
-                                 np.stack(moments[k:], axis=-1))[4]
+                                 np.stack(moments[k:], axis=-1))[3]
             flow = [u * e for u, e in zip(mu, mean)]
             quad = [u * s for u, s in zip(mu, second)]
             vecs = jb.loadings.T
@@ -488,18 +488,17 @@ class _CoordBox:
         jb = self.uset.jump_bounds
         if isinstance(jb, CompoundPoissonBounds):
             n_types = jb.loadings.shape[1]
-            _, vec, weight, small, ok = surrogate_atoms(
+            _, vec, weight, ok = surrogate_atoms(
                 jb.loadings, jpts[:, :n_types], jpts[:, n_types:2 * n_types],
                 jpts[:, 2 * n_types:3 * n_types])
             valid &= ok
         else:
             # a fixed atom table; Levy ambiguity moves only the weights
-            vec, weight, small = atom_arrays(self.fixed_jump if jb is None else jb.spec_at(jb.weight_lo), n)
+            vec, weight = atom_arrays(self.fixed_jump if jb is None else jb.spec_at(jb.weight_lo), n)
             m = weight.size
             vec = np.broadcast_to(vec[:, None, :], (m, k, n))
             weight = np.broadcast_to(weight[:, None], (m, k)) if jb is None else jpts.T
-            small = np.broadcast_to(small[:, None], (m, k))
-        return ScenarioArrays(drift, cov, vec, weight, small), valid
+        return ScenarioArrays(drift, cov, vec, weight), valid
 
     def jump_at(self, point: np.ndarray) -> JumpSpec | None:
         jb = self.uset.jump_bounds

@@ -217,8 +217,11 @@ class TestWealthScaled:
     def test_interpolation_matches_nodes_and_slopes(self, ws_solution):
         grids = ws_solution.ode
         i = len(grids.t) // 3
-        assert grids.mean_factor(grids.t[i]) == pytest.approx(grids.a[i], abs=1e-14)
-        assert grids.mean_factor_slope(grids.t[i]) == pytest.approx(grids.a_slope[i], abs=1e-10)
+        a, b, a_slope, b_slope = grids._at(grids.t[i])
+        assert a == pytest.approx(grids.a[i], abs=1e-14)
+        assert b == pytest.approx(grids.b[i], abs=1e-14)
+        assert a_slope == pytest.approx(grids.a_slope[i], abs=1e-10)
+        assert b_slope == pytest.approx(grids.b_slope[i], abs=1e-10)
 
     def test_alpha_coef_rejects_wealth_scaled(self, ws_solution):
         # the strategy is (t, x)-dependent; a constant would be a wrong answer
@@ -280,8 +283,7 @@ class TestWealthScaled:
         # f(t, x, y) evaluated at y = x reproduces the one-argument form
         t, x = 0.3, 1.4
         assert ws_solution.f(t, x) == pytest.approx(ws_solution.f(t, x, y=x), abs=1e-15)
-        a = float(ws_solution.ode.mean_factor(t))
-        b = float(ws_solution.ode.second_factor(t))
+        a, b = (float(v) for v in ws_solution.ode._at(t)[:2])
         assert ws_solution.f(t, x) == pytest.approx(a * x - 1.0 * b * x, abs=1e-13)
 
     def test_rejects_compound_poisson_spec(self, ws_set, ws_criterion, cp_jump):

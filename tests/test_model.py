@@ -67,7 +67,7 @@ class TestJumpSizeLaws:
         ):
             # one jump type of unit loading and intensity: the weights are
             # the atom probabilities
-            size, _, weight, _, valid = surrogate_atoms([[1.0]], [1.0], [law.mean], [law.second_moment])
+            size, _, weight, valid = surrogate_atoms([[1.0]], [1.0], [law.mean], [law.second_moment])
             assert valid and np.array_equal(weight, [0.5, 0.5])
             assert size @ weight == pytest.approx(law.mean, abs=1e-14)
             assert size**2 @ weight == pytest.approx(law.second_moment, abs=1e-14)
@@ -235,17 +235,18 @@ class TestJumpSpecs:
         with pytest.raises(rm.InvalidBounds, match="finite"):
             rm.JumpSizeLaw.shifted_lognormal(np.nan, 0.1)
 
-    def test_atom_arrays_tag_small_jumps(self):
+    def test_atom_arrays_list_every_atom(self):
         jump = rm.DiscreteLevyJumps(np.array([[0.5, 0.0], [1.5, 0.2]]),
                                     np.array([0.3, 0.1]))
-        vec, weight, small = atom_arrays(jump, 2)
-        assert small.tolist() == [True, False]
-        # compound Poisson: the flag reads the surrogate size, not the
-        # per-asset jump (sizes 0.4 -+ 0.8 here)
+        vec, weight = atom_arrays(jump, 2)
+        assert np.array_equal(vec, jump.atoms) and np.array_equal(weight, jump.weights)
+        vec, weight = atom_arrays(None, 2)
+        assert vec.shape == (0, 2) and weight.shape == (0,)
+        # compound Poisson: the surrogate atoms, sizes 0.4 -+ 0.8 times
+        # the loadings
         jump = rm.CompoundPoissonJumps(np.array([[1.0], [0.5]]), np.array([0.3]),
                                        (rm.JumpSizeLaw.two_point(-0.4, 1.2, 0.5),))
-        vec, weight, small = atom_arrays(jump, 2)
-        assert small.tolist() == [True, False]
+        vec, weight = atom_arrays(jump, 2)
         assert np.array_equal(weight, [0.15, 0.15])
         assert np.allclose(vec, [[-0.4, -0.2], [1.2, 0.6]], rtol=1e-15, atol=1e-16)
 
@@ -254,19 +255,19 @@ class TestJumpSpecs:
         mu = np.array([[0.2, 0.5], [0.4, 0.1], [0.3, 0.3]])
         mean = np.array([[0.1, -0.2], [0.05, -0.6], [0.1, 0.0]])
         second = np.array([[0.02, 0.05], [0.01, 0.8], [0.005, 0.0]])
-        size, vec, weight, small, valid = surrogate_atoms(loadings, mu, mean, second)
-        assert size.shape == weight.shape == small.shape == (4, 3) and vec.shape == (4, 3, 2)
+        size, vec, weight, valid = surrogate_atoms(loadings, mu, mean, second)
+        assert size.shape == weight.shape == (4, 3) and vec.shape == (4, 3, 2)
         # row 1: lower atom -0.6 - sqrt(0.44) of type 1 below -1; row 2:
         # variance 0.005 - 0.01 below zero for type 0
         assert valid.tolist() == [True, False, False]
         # each point alone gives the same bits as the whole stack
         for i in range(3):
             one = surrogate_atoms(loadings, mu[i], mean[i], second[i])
-            for a, b in zip(one, (size[:, i], vec[:, i], weight[:, i], small[:, i], valid[i])):
+            for a, b in zip(one, (size[:, i], vec[:, i], weight[:, i], valid[i])):
                 assert np.array_equal(a, b)
 
     def test_zero_variance_gives_two_equal_atoms(self):
-        size, _, weight, _, valid = surrogate_atoms([[1.0]], [0.6], [0.1], [0.01])
+        size, _, weight, valid = surrogate_atoms([[1.0]], [0.6], [0.1], [0.01])
         assert valid and size.tolist() == [0.1, 0.1] and weight.tolist() == [0.3, 0.3]
 
 

@@ -194,14 +194,15 @@ class TestResidualGrids:
 
 
 class TestJumpOperator:
-    def test_linear_field_with_small_atoms_vanishes(self):
+    def test_linear_field_gives_the_jump_flow(self):
+        # uncompensated: a linear field 2x + 1 picks up sum_atoms w 2 zeta
         jump = rm.DiscreteLevyJumps(np.array([[0.3], [-0.2]]), np.array([0.5, 0.4]))
         theta = rm.Scenario(np.array([0.1]), np.array([[0.04]]), jump=jump)
         field = ScalarField(value=lambda t, x: 2.0 * x + 1.0,
                             dt=lambda t, x: 0.0, dx=lambda t, x: 2.0, dxx=lambda t, x: 0.0)
-        val = rm.jump_operator_value(field, [1.0], theta, 0.0, 1.0,
-                                     WealthDynamics("terminal_wealth"))
-        assert val == pytest.approx(0.0, abs=1e-15)
+        ops = OperatorSet(WealthDynamics("terminal_wealth"), 1.0)
+        val = ops.jump_integral(field, np.array([1.0]), theta, 0.0, 1.0)
+        assert val == pytest.approx(0.5 * 2 * 0.3 + 0.4 * 2 * -0.2, rel=1e-14)
 
     def test_quadratic_field_single_large_atom(self):
         jump = rm.DiscreteLevyJumps(np.array([[1.5]]), np.array([0.25]))
@@ -209,8 +210,8 @@ class TestJumpOperator:
         field = ScalarField(value=lambda t, x: x * x,
                             dt=lambda t, x: 0.0, dx=lambda t, x: 2.0 * x, dxx=lambda t, x: 2.0)
         alpha, x = np.array([0.8]), 1.3
-        val = rm.jump_operator_value(field, alpha, theta, 0.0, x,
-                                     WealthDynamics("terminal_wealth"))
+        ops = OperatorSet(WealthDynamics("terminal_wealth"), 1.0)
+        val = ops.jump_integral(field, alpha, theta, 0.0, x)
         zeta = 0.8 * 1.5
         assert val == pytest.approx(0.25 * ((x + zeta) ** 2 - x * x), rel=1e-14)
 
@@ -225,9 +226,9 @@ class TestJumpOperator:
         g = ws_solution.g_field
         full = ops.generator(g, alpha, theta, t, x)
         ft, fx, fxx = g.dt(t, x), g.dx(t, x), g.dxx(t, x)
-        diffusion_part = (ft + dyn.levy_drift(x, alpha, theta) * fx
+        diffusion_part = (ft + dyn.drift(alpha, theta) * fx
                           + 0.5 * dyn.diffusion_sq(alpha, theta) * fxx)
-        jump_part = rm.jump_operator_value(g, alpha, theta, t, x, dyn)
+        jump_part = ops.jump_integral(g, alpha, theta, t, x)
         assert full == pytest.approx(diffusion_part + jump_part, rel=1e-12)
 
 

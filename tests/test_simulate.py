@@ -110,9 +110,11 @@ class TestEngineBasics:
         assert raw[:4] == b"RMVP" and raw[4] == 1
         raw[0] = ord("X")
         bad = tmp_path / "bad.rmvp"
-        bad.write_bytes(bytes(raw))
-        with pytest.raises(rm.InvalidBounds):
-            rm.PathBatch.load(bad)
+        # a wrong magic, an empty file and a header cut short
+        for content in (bytes(raw), b"", b"RMVP\x01"):
+            bad.write_bytes(content)
+            with pytest.raises(rm.InvalidBounds, match="version-1 path dump"):
+                rm.PathBatch.load(bad)
 
     def test_spill_requires_kept_paths(self, flat_scenario, tmp_path):
         dyn = WealthDynamics("terminal_wealth")
@@ -391,6 +393,38 @@ class TestJumpDynamics:
         with pytest.raises(rm.NonBankruptcyViolated, match="hit zero"):
             rm.simulate_paths(dyn, ConstantStrategy(np.array([1.0])), scen,
                               rm.SimConfig(n_paths=50, dt=0.01, seed=2), 0.0, 1.0, 0.05)
+
+    def test_log_state_levy_move_at_or_below_minus_one_refused(self):
+        # log(1 + alpha.v) does not exist for alpha.v = 2.5 * -0.5: the run
+        # is refused before any step instead of returning NaN terminals
+        jump = rm.DiscreteLevyJumps(np.array([[-0.5]]), np.array([3.0]))
+        scen = rm.Scenario(np.array([0.05]), np.array([[0.01]]), jump=jump)
+        dyn = WealthDynamics("log_return")
+        cfg = rm.SimConfig(n_paths=1000, dt=0.01, seed=2)
+        with pytest.raises(rm.NonBankruptcyViolated, match=r"alpha.v <= 0$"):
+            rm.simulate_paths(dyn, ConstantStrategy(np.array([2.5])), scen, cfg, 0.0, 1.0, 0.0)
+        batch = rm.simulate_paths(dyn, ConstantStrategy(np.array([1.5])), scen, cfg, 0.0, 1.0, 0.0)
+        assert np.all(np.isfinite(batch.terminal))
+
+    def test_log_state_levy_move_names_the_first_path(self):
+        class SecondChunkBad:
+            """Per-path alpha: 1 everywhere but 2.5 on path 3 of the second chunk."""
+
+            chunks = 0
+
+            def values(self, t, x):
+                self.chunks += t == 0.0
+                alpha = np.ones((x.size, 1))
+                if self.chunks == 2:
+                    alpha[3] = 2.5
+                return alpha
+
+        jump = rm.DiscreteLevyJumps(np.array([[-0.5]]), np.array([3.0]))
+        scen = rm.Scenario(np.array([0.05]), np.array([[0.01]]), jump=jump)
+        cfg = rm.SimConfig(n_paths=16, dt=0.1, seed=2, chunk_paths=8)
+        with pytest.raises(rm.NonBankruptcyViolated, match="on path 11$"):
+            rm.simulate_paths(WealthDynamics("log_return"), SecondChunkBad(), scen,
+                              cfg, 0.0, 1.0, 0.0)
 
     def test_jump_determinism(self, cp_solution):
         cfg = rm.SimConfig(n_paths=2000, dt=0.01, seed=13, chunk_paths=500)

@@ -340,7 +340,7 @@ class TestGridKernel:
             want = scen.arrays
             for name in ("drift", "cov"):
                 assert np.array_equal(getattr(arr, name)[0], getattr(want, name))
-            for name in ("atom_vec", "atom_weight", "atom_small"):
+            for name in ("atom_vec", "atom_weight"):
                 assert np.array_equal(getattr(arr, name)[:, 0], getattr(want, name))
 
     def test_hull_tie_break_is_the_first_in_product_order(self):
@@ -775,8 +775,10 @@ class TestConvexWorstCase:
 
 
 @st.composite
-def _diffusion_sets(draw):
-    n = draw(st.integers(1, 4))
+def _diffusion_sets(draw, max_assets=4):
+    """A set without jumps for 1 to ``max_assets`` assets: an interval,
+    a two-asset correlation interval, or a random hull."""
+    n = draw(st.integers(1, max_assets))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     if n == 1:
@@ -835,6 +837,16 @@ class TestOptimalitySlack:
             for scen in rm.sample_scenarios(short_second_set, 100, 29)
         ]
         assert max(slacks) > 1e-6
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(_diffusion_sets(max_assets=5), st.integers(0, 2**32 - 1))
+    def test_nonpositive_on_random_diffusion_sets(self, uset, seed):
+        # the certified convex minimizer satisfies the optimality
+        # inequality against every sampled scenario of its own set
+        res = rm.find_worst_case(uset)
+        for scen in rm.sample_scenarios(uset, 50, seed):
+            slack = rm.worst_case_optimality_slack(res.scenario, scen)
+            assert slack <= 1e-10 * (1.0 + res.risk_premium)
 
 
 class TestInvariances:
