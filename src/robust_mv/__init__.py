@@ -14,10 +14,8 @@ from .errors import (
     InvalidBounds,
     NonBankruptcyViolated,
     NotPositiveDefinite,
-    OdeBlowup,
     RobustMVError,
     SchemaError,
-    StepTooLarge,
 )
 from .model import (
     CompoundPoissonBounds,
@@ -51,7 +49,6 @@ from .worst_case import (
 from .closed_form import (
     ClosedFormSolution,
     NonBankruptcyReport,
-    OdeConfig,
     OdeGrids,
     solve,
     solve_compound_poisson,

@@ -24,7 +24,8 @@ from it (tau = T - t, g0 = a_g tau):
       V: (0, A + lam (A^2 - B), 0),  g: (0, A, 0),  f: (0, A, -(lam / y) B),
       alpha_hat = Sigma_F^{-1} b_F (A + 2 lam (A^2 - B)) / (2 lam B) * x,
   where (A, B) solve a two-dimensional backward ODE system with
-  A(T) = B(T) = 1, integrated by classical fourth-order Runge-Kutta.
+  A(T) = B(T) = 1, reduced exactly to B = A^2 + A ln A / (2 lam) and one
+  scalar equation for A, solved by Newton at every node at once.
 
 Everywhere P denotes the worst-case risk premium b' Sigma^{-1} b (or its
 jump-adjusted version).
@@ -39,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidBounds, OdeBlowup, StepTooLarge
+from .errors import InvalidBounds, RobustMVError
 from .fields import ScalarField
 from .model import (
     CompoundPoissonJumps,
@@ -68,22 +69,8 @@ class NonBankruptcyReport:
 
 
 @dataclass(frozen=True)
-class OdeConfig:
-    """Backward integrator settings.
-
-    ``h_rel`` is the step as a fraction of the horizon; the integrator
-    also runs at half the step and uses the node-wise discrepancy as an
-    error estimate, rejected above ``step_tol``.
-    """
-
-    h_rel: float = 1e-4
-    step_tol: float = 1e-8
-    max_value: float = 1e6
-
-
-@dataclass(frozen=True)
 class OdeGrids:
-    """RK4 grids of the backward system, ascending in t up to T.
+    """Grids of the backward system, ascending in t up to T.
 
     ``a`` is the mean growth factor (g = A x), ``b`` the second-moment
     growth factor (E[X_T^2 | X_t = x] = B x^2); slopes are the exact ODE
@@ -98,7 +85,6 @@ class OdeGrids:
     b: np.ndarray
     a_slope: np.ndarray
     b_slope: np.ndarray
-    step_error: float
 
     def __post_init__(self) -> None:
         for name in ("t", "a", "b", "a_slope", "b_slope"):
@@ -123,96 +109,67 @@ class OdeGrids:
         return out[..., 0], out[..., 1], out[..., 2], out[..., 3]
 
 
-def _integrate_backward(lam: float, premium: float, t0: float, horizon: float,
-                        n_steps: int, max_value: float):
-    """Classical RK4 from the terminal condition A(T) = B(T) = 1 down to t0.
+# nodes of the growth-factor grids: T, T - h, ..., t0 with h = (T - t0) / _NODES
+_NODES = 10_000
+# Newton stops once every step is below _NEWTON_TOL (1 + s); past the root
+# the steps are rounding noise of at most about 6 eps (1 + s)
+_NEWTON_TOL = 32.0 * np.finfo(float).eps
+_NEWTON_CAP = 50
 
-    The right-hand sides (dA/dt, dB/dt) of the backward system, written
-    out at each of the four stages, are, with m = A + 2 lam (A^2 - B) and
-    q = m / (2 lam B),
-        A_t = -q P A,
-        B_t = -(2 q P + q^2 P) B.
+
+def solve_growth_factors(lam: float, premium: float, t0: float, horizon: float) -> OdeGrids:
+    """Growth factors on the node grid from the exact reduction of the
+    backward system, with Hermite interpolation attached.
+
+    The system A_t = -q P A, B_t = -(2 q + q^2) P B with
+    q = (A + 2 lam (A^2 - B)) / (2 lam B) and A(T) = B(T) = 1 keeps
+    u = B / A^2 on du / d ln A = 1 / (2 lam A) + 1 - u, so
+        B = A^2 + A ln A / (2 lam),
+    and y = ln A, s = -ln(1 - y) solve the separable equation
+        Phi(s) = 2 lam e (E1(e^-s) - E1(1)) + s - (1 - e^-s) = P (T - t).
+    Phi is convex and increasing with Phi' = 2 lam A + y in [2 lam, 2 lam e + 1],
+    so Newton from s0 = min(P tau / (2 lam), P tau + 1), which lies above the
+    root because Phi(s) >= 2 lam s and Phi(s) >= s - 1, falls monotonically
+    onto it at every node at once.  Then
+    A = e^y lies in [1, e], B = A (A + y / (2 lam)) >= A^2, and
+    q = (1 - y) / (2 lam A + y).  Each solve logs one DEBUG line.
     """
+    # imported here: `import robust_mv` loads no scipy
+    from scipy.special import exp1
+
+    tic = time.perf_counter()
     lam, premium = float(lam), float(premium)
     two_lam = 2.0 * lam
-    h = -(horizon - t0) / n_steps
-    half_h = 0.5 * h
-    a, b = 1.0, 1.0
-    t_nodes = np.empty(n_steps + 1)
-    a_nodes = np.empty(n_steps + 1)
-    b_nodes = np.empty(n_steps + 1)
-    t_nodes[0], a_nodes[0], b_nodes[0] = horizon, a, b
-    for i in range(1, n_steps + 1):
-        # stage 1 needs no guard: b passed the range check of the last step
-        q = (a + two_lam * (a * a - b)) / (two_lam * b)
-        c = q * premium
-        k1a = -c * a
-        k1b = -(2.0 * c + q * q * premium) * b
-        sa = a + half_h * k1a
-        sb = b + half_h * k1b
-        if sb <= 0.0:
-            raise OdeBlowup("second-moment factor left (0, max] during integration")
-        q = (sa + two_lam * (sa * sa - sb)) / (two_lam * sb)
-        c = q * premium
-        k2a = -c * sa
-        k2b = -(2.0 * c + q * q * premium) * sb
-        sa = a + half_h * k2a
-        sb = b + half_h * k2b
-        if sb <= 0.0:
-            raise OdeBlowup("second-moment factor left (0, max] during integration")
-        q = (sa + two_lam * (sa * sa - sb)) / (two_lam * sb)
-        c = q * premium
-        k3a = -c * sa
-        k3b = -(2.0 * c + q * q * premium) * sb
-        sa = a + h * k3a
-        sb = b + h * k3b
-        if sb <= 0.0:
-            raise OdeBlowup("second-moment factor left (0, max] during integration")
-        q = (sa + two_lam * (sa * sa - sb)) / (two_lam * sb)
-        c = q * premium
-        k4a = -c * sa
-        k4b = -(2.0 * c + q * q * premium) * sb
-        a += h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
-        b += h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
-        t = horizon + i * h
-        if not (0.0 < a <= max_value) or not (0.0 < b <= max_value):
-            raise OdeBlowup(f"growth factors left (0, {max_value}] at t = {t}")
-        t_nodes[i], a_nodes[i], b_nodes[i] = t, a, b
+    h = -(horizon - t0) / _NODES
+    t = horizon + np.arange(_NODES + 1) * h
     # ascending t, exact endpoints
-    t_nodes[-1] = t0
-    return t_nodes[::-1].copy(), a_nodes[::-1].copy(), b_nodes[::-1].copy()
-
-
-def solve_growth_factors(lam: float, premium: float, t0: float, horizon: float,
-                         ode: OdeConfig = OdeConfig()) -> OdeGrids:
-    """Integrate the backward system and attach Hermite interpolation.
-
-    The full-step and half-step runs are compared node-wise; their
-    maximal discrepancy is recorded as ``step_error`` and must not
-    exceed ``ode.step_tol``.  Each solve logs one DEBUG line.
-    """
-    tic = time.perf_counter()
-    n = max(1, round(1.0 / ode.h_rel))
-    t_c, a_c, b_c = _integrate_backward(lam, premium, t0, horizon, n, ode.max_value)
-    t_f, a_f, b_f = _integrate_backward(lam, premium, t0, horizon, 2 * n, ode.max_value)
-    err = max(
-        float(np.max(np.abs(a_c - a_f[::2]))),
-        float(np.max(np.abs(b_c - b_f[::2]))),
-    )
-    if err > ode.step_tol:
-        raise StepTooLarge(
-            f"step-halving estimate {err:.3e} exceeds tolerance {ode.step_tol:.3e}; "
-            "reduce h_rel"
-        )
-    # the right-hand sides at the nodes, as in `_integrate_backward`
-    two_lam, premium = 2.0 * float(lam), float(premium)
-    q = (a_c + two_lam * (a_c * a_c - b_c)) / (two_lam * b_c)
-    c = q * premium
-    a_slope = -c * a_c
-    b_slope = -(2.0 * c + q * q * premium) * b_c
-    _log.debug("ODE solve: %d + %d RK4 steps, step_error %.3g, %.4f s",
-               n, 2 * n, err, time.perf_counter() - tic)
-    return OdeGrids(t_c, a_c, b_c, a_slope, b_slope, err)
+    t[-1] = t0
+    t = t[::-1].copy()
+    target = premium * (horizon - t)
+    s = np.minimum(target / two_lam, target + 1.0)
+    e1_one = exp1(1.0)
+    for steps in range(1, _NEWTON_CAP + 1):
+        w = np.exp(-s)
+        y = -np.expm1(-s)
+        # E1(w) = -gamma - ln w + O(w), and w < 5e-18 from s = 40 on, before
+        # e^-s turns subnormal and loses the bits exp1 would need
+        e1 = np.where(s < 40.0, exp1(w), s - np.euler_gamma)
+        step = (two_lam * np.e * (e1 - e1_one) + s - y - target) / (two_lam * np.exp(y) + y)
+        s -= step
+        if np.all(np.abs(step) <= _NEWTON_TOL * (1.0 + s)):
+            break
+    else:
+        raise RobustMVError(f"growth-factor Newton solve did not settle in {_NEWTON_CAP} steps")
+    y = -np.expm1(-s)
+    a = np.exp(y)
+    b = a * (a + y / two_lam)
+    # 1 - y = e^-s, taken without the cancellation
+    q = np.exp(-s) / (two_lam * a + y)
+    a_slope = -q * premium * a
+    b_slope = -(2.0 * q + q * q) * premium * b
+    _log.debug("ODE solve: %d nodes, %d Newton steps, %.4f s",
+               t.size, steps, time.perf_counter() - tic)
+    return OdeGrids(t, a, b, a_slope, b_slope)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +344,6 @@ class ClosedFormSolution:
                 "t": self.ode.t[idx].tolist(),
                 "A": self.ode.a[idx].tolist(),
                 "B": self.ode.b[idx].tolist(),
-                "step_error": self.ode.step_error,
             }
         else:
             a_v, a_g = self._coeffs()
@@ -464,21 +420,19 @@ def solve_compound_poisson(uset: UncertaintySet, criterion: Criterion,
 
 def solve_wealth_scaled(uset: UncertaintySet, criterion: Criterion,
                         jump: DiscreteLevyJumps | None = None,
-                        ode: OdeConfig = OdeConfig(),
                         worst: WorstCaseResult | None = None) -> ClosedFormSolution:
     """Wealth-scaled aversion lam(x) = lam / x, optionally with discrete
-    Levy jumps; the growth factors A, B come from the backward RK4 grids."""
+    Levy jumps; the growth factors A, B come from `solve_growth_factors`."""
     if criterion.kind != "wealth_scaled":
         raise InvalidBounds("criterion kind must be wealth_scaled")
     if jump is not None and not isinstance(jump, DiscreteLevyJumps):
         raise InvalidBounds("wealth-scaled strategies take a discrete Levy jump spec or none")
     sol = _solved("wealth_scaled", uset, criterion, jump, worst)
     return replace(sol, ode=solve_growth_factors(criterion.lam, sol.premium,
-                                                 criterion.t0, criterion.horizon, ode))
+                                                 criterion.t0, criterion.horizon))
 
 
 def solve(uset: UncertaintySet, criterion: Criterion, jump: JumpSpec | None = None,
-          ode: OdeConfig = OdeConfig(),
           worst: WorstCaseResult | None = None) -> ClosedFormSolution:
     """Dispatch on the criterion kind (and jump spec type)."""
     if criterion.kind == "terminal_wealth":
@@ -492,4 +446,4 @@ def solve(uset: UncertaintySet, criterion: Criterion, jump: JumpSpec | None = No
                 "only by the simulator"
             )
         return solve_log_return(uset, criterion, worst)
-    return solve_wealth_scaled(uset, criterion, jump, ode, worst)
+    return solve_wealth_scaled(uset, criterion, jump, worst)

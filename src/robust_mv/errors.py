@@ -30,14 +30,6 @@ class NonBankruptcyViolated(RobustMVError):
     simulated wealth path hit zero under jump dynamics."""
 
 
-class OdeBlowup(RobustMVError):
-    """A backward ODE grid left its admissible range (0, max]."""
-
-
-class StepTooLarge(RobustMVError):
-    """The step-halving error estimate of the ODE integrator exceeds tolerance."""
-
-
 class DerivativeFailure(RobustMVError):
     """A finite-difference step underflowed (stencil width rounded to zero)."""
 

@@ -859,7 +859,7 @@ class WealthDynamics:
     def diffusion_sq(self, alpha: np.ndarray, scenario: Scenario | ScenarioArrays):
         return np.einsum("...i,...ij,...j->...", alpha, scenario.arrays.cov, alpha)
 
-    def jump_size(self, x, alpha: np.ndarray, vec: np.ndarray):
+    def jump_size(self, alpha: np.ndarray, vec: np.ndarray):
         move = np.einsum("...i,...i->...", alpha, vec)
         if self.state_is_log:
             if np.any(move <= -1.0):

@@ -106,7 +106,7 @@ class OperatorSet:
         base = field.value(t, x)
         total = 0.0
         for vec, weight in zip(arr.atom_vec, arr.atom_weight):
-            zeta = self.dynamics.jump_size(x, alpha, vec)
+            zeta = self.dynamics.jump_size(alpha, vec)
             total = total + weight * (field.value(t, x + zeta) - base)
         return _out(total)
 
@@ -133,7 +133,7 @@ class OperatorSet:
         if arr.atom_weight.shape[0]:
             base = field.value(t, x)
             for vec, weight in zip(arr.atom_vec, arr.atom_weight):
-                zeta = self.dynamics.jump_size(x, alpha, vec)
+                zeta = self.dynamics.jump_size(alpha, vec)
                 total = total + weight * (field.value(t, x + zeta) - base) ** 2
         return _out(total)
 
@@ -348,16 +348,18 @@ def saddle_check(sol, uset: UncertaintySet, samples: int = 1000, seed: int = 0) 
     n = a_mid.size
     t = np.empty(samples)
     x = np.empty(samples)
-    unit = np.zeros((samples, n))
+    direction = np.zeros((samples, n))
+    sq = np.zeros(samples)
     shrink = np.zeros(samples)
     for i in range(samples):
         t[i] = rng.uniform(t_lo, t_hi)
         x[i] = rng.uniform(x_lo, x_hi)
-        direction = rng.standard_normal(n)
-        norm = float(np.linalg.norm(direction))
-        if norm != 0:
-            unit[i] = direction / norm
+        d = direction[i] = rng.standard_normal(n)
+        sq[i] = d.dot(d)
+        if sq[i] != 0:
             shrink[i] = rng.random() ** (1.0 / n)
+    # a 1-D norm is sqrt(v.dot(v)): the unit vectors keep the per-vector bits
+    unit = direction / np.sqrt(np.where(sq != 0, sq, 1.0))[:, None]
 
     eps = eps_at(x)
     a_hat = np.reshape(sol.alpha_hat(t, x), (samples, n))

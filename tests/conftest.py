@@ -122,3 +122,29 @@ def random_ordered_two_asset(rng: np.random.Generator) -> rm.UncertaintySet:
     return rm.UncertaintySet.two_asset(
         (b1_lo, b1_hi), (b2_lo, b2_hi), (s1_lo, s1_hi), (s2_lo, s2_hi), (rho_lo, rho_hi)
     )
+
+
+def rk4_growth_factors(lam: float, premium: float, t0: float, horizon: float, n_steps: int):
+    """Reference for the wealth-scaled growth factors: classical RK4 from
+    A(T) = B(T) = 1 down to t0 on the backward system
+        A_t = -q P A,  B_t = -(2 q P + q^2 P) B,  q = (A + 2 lam (A^2 - B)) / (2 lam B),
+    in n_steps equal steps.  Returns (t, A, B) ascending in t."""
+    def rates(a, b):
+        q = (a + 2.0 * lam * (a * a - b)) / (2.0 * lam * b)
+        return -q * premium * a, -(2.0 * q + q * q) * premium * b
+
+    h = -(horizon - t0) / n_steps
+    a, b = 1.0, 1.0
+    t_nodes, a_nodes, b_nodes = [horizon], [a], [b]
+    for i in range(1, n_steps + 1):
+        k1 = rates(a, b)
+        k2 = rates(a + 0.5 * h * k1[0], b + 0.5 * h * k1[1])
+        k3 = rates(a + 0.5 * h * k2[0], b + 0.5 * h * k2[1])
+        k4 = rates(a + h * k3[0], b + h * k3[1])
+        a += h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
+        b += h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
+        t_nodes.append(horizon + i * h)
+        a_nodes.append(a)
+        b_nodes.append(b)
+    t_nodes[-1] = t0
+    return tuple(np.array(v[::-1]) for v in (t_nodes, a_nodes, b_nodes))

@@ -14,7 +14,7 @@ import pytest
 import robust_mv as rm
 from robust_mv.model import WealthDynamics
 from robust_mv.pde_check import OperatorSet, with_scaled_value
-from conftest import random_ordered_two_asset
+from conftest import random_ordered_two_asset, rk4_growth_factors
 
 
 def report(num: int, text: str) -> None:
@@ -162,7 +162,7 @@ def test_06_optimality_inequality(tw_solution, lr_solution, cp_solution, ws_solu
     report(6, "cross-scenario optimality slack <= 1e-10, equality only at theta_hat")
 
 
-def test_07_backward_ode_grids(ws_set, ws_criterion, ws_jump, ws_solution):
+def test_07_backward_ode_grids(ws_criterion, ws_solution):
     grids = ws_solution.ode
     lam, p = ws_criterion.lam, ws_solution.premium
     assert grids.a[-1] == 1.0 and grids.b[-1] == 1.0
@@ -176,11 +176,10 @@ def test_07_backward_ode_grids(ws_set, ws_criterion, ws_jump, ws_solution):
     q = m / (2 * lam * bm)
     assert np.max(np.abs(da + q * p * am)) <= 1e-6
     assert np.max(np.abs(db + (2 * q * p + q * q * p) * bm)) <= 1e-6
-    fine = rm.solve_wealth_scaled(ws_set, ws_criterion, jump=ws_jump,
-                                  ode=rm.OdeConfig(h_rel=1e-5))
-    assert abs(grids.a[0] - fine.ode.a[0]) <= 1e-8
-    assert abs(grids.b[0] - fine.ode.b[0]) <= 1e-8
-    report(7, "RK4 grids: residuals <= 1e-6, exact terminal, Richardson <= 1e-8")
+    _, ref_a, ref_b = rk4_growth_factors(lam, p, ws_criterion.t0, ws_criterion.horizon, 20_000)
+    assert abs(grids.a[0] - ref_a[0]) <= 1e-8
+    assert abs(grids.b[0] - ref_b[0]) <= 1e-8
+    report(7, "growth-factor grids: residuals <= 1e-6, exact terminal, RK4 reference <= 1e-8")
 
 
 def test_08_monte_carlo_consistency(tw_solution, lr_solution, cp_solution):
