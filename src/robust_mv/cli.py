@@ -14,7 +14,8 @@ explicit seed.  The optional ``worst_case`` block picks the worst-case
 solver for every command.  Counts, seeds, step sizes, grids, window
 lengths and modes are checked at parse time.  Exit codes: 0 pass, 1
 assertion failure, 2 schema error, 3 model assumption violated, 4
-runtime budget exceeded.
+runtime budget exceeded.  The solvers load with the command that needs
+them, so parsing a problem file imports none of them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import closed_form, pde_check, simulate as sim
 from .errors import (
     AssumptionViolated,
     BudgetExceeded,
@@ -38,6 +38,8 @@ from .errors import (
     SchemaError,
 )
 from .model import (
+    DEFAULT_REFINEMENTS,
+    DEFAULT_RESOLUTION,
     CompoundPoissonBounds,
     CompoundPoissonJumps,
     Criterion,
@@ -45,13 +47,6 @@ from .model import (
     DiscreteLevyJumps,
     JumpSizeLaw,
     UncertaintySet,
-)
-from .worst_case import (
-    DEFAULT_REFINEMENTS,
-    DEFAULT_RESOLUTION,
-    find_worst_case,
-    worst_case_numeric,
-    worst_case_two_asset,
 )
 
 EXIT_OK = 0
@@ -370,6 +365,8 @@ def _print_worst_case(em: Emitter, res) -> None:
 
 def _worst_case_from_doc(doc: dict, uset: UncertaintySet, criterion: Criterion, jumps):
     """The worst case the ``worst_case`` block asks for; every command uses it."""
+    from .worst_case import find_worst_case, worst_case_numeric, worst_case_two_asset
+
     method, resolution, refinements = parse_worst_case(doc)
     if method == "closed":
         if jumps is not None:
@@ -392,6 +389,8 @@ def cmd_worst_case(doc: dict, em: Emitter) -> int:
 
 
 def _solve_from_doc(doc: dict, em: Emitter):
+    from . import closed_form
+
     uset = parse_uncertainty(doc)
     criterion = parse_criterion(doc)
     jumps = parse_jumps(doc, uset.n)
@@ -430,6 +429,8 @@ def cmd_strategy(doc: dict, em: Emitter) -> int:
 
 
 def cmd_verify(doc: dict, em: Emitter) -> int:
+    from . import pde_check
+
     uset, criterion, jumps, sol = _solve_from_doc(doc, em)
     block = _block(doc, "verify", {"grid", "samples", "seed", "residual_tol"}, {"seed"})
     grid = block.get("grid", [10, 10])
@@ -480,6 +481,8 @@ def cmd_verify(doc: dict, em: Emitter) -> int:
 
 
 def cmd_simulate(doc: dict, em: Emitter) -> int:
+    from . import simulate as sim
+
     _, criterion, jumps, sol = _solve_from_doc(doc, em)
     block = _block(doc, "simulate",
                    {"n_paths", "dt", "seed", "antithetic", "keep_paths", "spill"},
@@ -521,12 +524,15 @@ def cmd_simulate(doc: dict, em: Emitter) -> int:
             "dt_effective": batch.dt,
             "n_steps": batch.n_steps,
             "rng_layout": batch.rng_layout,
+            "jump_events": batch.jump_events,
         }
     })
     return EXIT_OK if (j_ok and g_ok) else EXIT_CHECK_FAILED
 
 
 def cmd_perturb(doc: dict, em: Emitter) -> int:
+    from . import simulate as sim
+
     uset, criterion, jumps, sol = _solve_from_doc(doc, em)
     block = _block(doc, "perturb",
                    {"h_list", "w_samples", "u_samples", "n_paths", "dt", "seed",

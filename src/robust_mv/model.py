@@ -36,6 +36,11 @@ CriterionKind = Literal["terminal_wealth", "log_return", "wealth_scaled"]
 
 CRITERION_KINDS: tuple[str, ...] = ("terminal_wealth", "log_return", "wealth_scaled")
 
+# the worst-case grid search's defaults, here so that a problem file's
+# ``worst_case`` block parses without loading the solvers
+DEFAULT_RESOLUTION = 21
+DEFAULT_REFINEMENTS = 2
+
 _MOMENT_TOL = 1e-12
 
 

@@ -10,23 +10,32 @@ path and asset, in units of one step's standard deviation):
 Adjacent such segments with equal coefficients are one step, so an
 unperturbed splice gives the bits of the unspliced run.  Segments with a
 state-dependent strategy, runs with jumps and runs that keep their paths
-step once per step with increments W_{s+1} - W_s.  Compound Poisson
-counts are inverted from one uniform per step and type, sizes from the
-size law's CDF; discrete Levy atoms get independent Poisson counts.
+step once per step with increments W_{s+1} - W_s.
 
-Random numbers follow RNG layout 3 (``RNG_LAYOUT``).  W is a Brownian
-bridge over a fixed split tree of the steps (Glasserman, Monte Carlo
-Methods in Financial Engineering, 2004, section 3.1): W at one node
-costs O(log N) normals, a full fill N normals per path and asset.
-Paths are grouped into blocks of ``_BLOCK`` = 1024 stream indices; each
-(seed, block, tree level) keys one Philox stream drawn node-major, so a
-window at t0 reads a short prefix of each level.  Jump-count and
-first-event jump-size uniforms have one stream per (seed, block, tag),
-drawn path-major; later events of one (path, step, type) have their own
-stream.  Antithetic pairs share stream index path // 2.  A path's
-numbers depend only on the seed and its index and all per-path
-arithmetic is elementwise in a fixed order, so results are bit-identical
-across reruns, chunkings and path counts, and depend on the values of
+Jumps are event driven (Glasserman, Monte Carlo Methods in Financial
+Engineering, 2004, section 3.5).  Each path and jump stream (a compound
+Poisson type or a discrete Levy atom) holds a unit-rate Poisson process
+in cumulative-intensity time, with arrivals E_k = a sum of k Exp(1), and
+each arrival carries one uniform for its size (inverted by the size
+law's CDF).  Step s takes the arrivals with Lambda_s < E_k <=
+Lambda_{s+1}, where Lambda is the run's running sum of intensity times
+dt, and adds them at its end: per-step counts are Poisson(intensity dt)
+and independent across steps.  A splice whose window intensity is
+higher holds every event of the base run's window, and more.
+
+Random numbers follow RNG layout 4 (``RNG_LAYOUT``).  W is a Brownian
+bridge over a fixed split tree of the steps (ibid., section 3.1): W at
+one node costs O(log N) normals, a full fill N normals per path and
+asset.  Paths are grouped into blocks of ``_BLOCK`` = 1024 stream
+indices; each (seed, block, tree level) keys one Philox stream drawn
+node-major, so a window at t0 reads a short prefix of each level.  Jump
+arrivals come in rounds of ``_ROUND`` per path and stream; each (seed,
+block, round) keys one Philox stream drawn path-major, and a run draws
+rounds until every path's last arrival lies past Lambda at the horizon.
+Antithetic pairs share stream index path // 2.  A path's numbers depend
+only on the seed and its index and all per-path arithmetic is
+elementwise in a fixed order, so results are bit-identical across
+reruns, chunkings and path counts, and depend on the values of
 scenarios and strategies, not on object identity.
 
 The perturbation reports realize the local-variation definitions of
@@ -66,41 +75,20 @@ from .worst_case import corner_scenarios, sobol_scenarios
 
 _log = logging.getLogger(__name__)
 
-RNG_LAYOUT = 3
+RNG_LAYOUT = 4
 _BLOCK = 1024  # stream indices per Philox stream; part of the RNG layout
+_ROUND = 4  # jump arrivals per path and stream in one round; part of the RNG layout
+_MAX_EVENTS = 10_000  # expected jump events per path in one run; arrival tables grow with it
 _TAG_NORMALS = 1
-_TAG_COUNTS = 2
-_TAG_SIZES = 3
-_TAG_FIRST_SIZES = 4
+_TAG_ARRIVALS = 2
 _SE_FLOOR = float(np.finfo(float).tiny)
 _MAGIC = b"RMVP"
 
 
-def _stream(seed: int, stream_index: int, tag: int, step: int = 0, sub: int = 0) -> np.random.Generator:
+def _stream(seed: int, stream_index: int, tag: int, step: int = 0) -> np.random.Generator:
     key = np.array([seed, stream_index], dtype=np.uint64)
-    counter = np.array([0, step, sub, tag], dtype=np.uint64)
+    counter = np.array([0, step, 0, tag], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
-def _poisson_counts(u: np.ndarray, lam: float) -> np.ndarray:
-    """Invert the Poisson CDF at the given uniforms (exact, monotone in u)."""
-    counts = np.zeros(u.shape, dtype=np.int64)
-    if lam <= 0.0:
-        return counts
-    pmf = math.exp(-lam)
-    cdf = np.full(u.shape, pmf)
-    active = u > cdf
-    k = 0
-    pk = pmf
-    while active.any():
-        k += 1
-        pk *= lam / k
-        cdf += pk
-        counts[active] = k
-        active = u > cdf
-        if k > 10_000:  # lam dt is tiny here; this is unreachable in practice
-            raise InvalidBounds("Poisson inversion failed to converge")
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +128,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Simulated terminal states (and optionally full paths) plus provenance."""
+    """Simulated terminal states (and optionally full paths) plus provenance:
+    ``jump_events`` counts the jump events the run applied."""
 
     terminal: np.ndarray
     t0: float
@@ -152,6 +141,7 @@ class PathBatch:
     x0: float
     paths: np.ndarray | None = None
     rng_layout: int = RNG_LAYOUT
+    jump_events: int = 0
 
     @property
     def n_paths(self) -> int:
@@ -347,22 +337,34 @@ class _Segment:
             self.n_streams = jump.weights.size
         else:
             self.jump_kind = "none"
+            self.lam_dt = np.zeros(0)
             self.n_streams = 0
 
 
 class ShockCache:
     """Shocks drawn once and reused across CRN runs, keyed by chunk start:
     per chunk the W nodes by step index, each (assets, paths), and for
-    jump runs the count uniforms (steps, streams, paths) and, when a
-    segment has compound Poisson jumps, the first-event size uniforms of
-    the same shape.  A jump-free run with constant segments adds only W
-    at its cut points and their bridge ancestors; a run that steps adds
-    every node.  All runs sharing a cache must share the seed, step
-    count, asset count, jump-stream count, jump kind and antithetic flag.
+    jump runs the chunk's arrival table (``_Arrivals``).  A jump-free run
+    with constant segments adds only W at its cut points and their bridge
+    ancestors; a run that steps adds every node; a run whose intensities
+    reach further in cumulative-intensity time adds rounds of arrivals.
+    The arrival table does not depend on the scenario, so one cache serves
+    every splice.  All runs sharing a cache must share the seed, step
+    count, asset count, jump-stream count and antithetic flag.
     """
 
     def __init__(self) -> None:
-        self.store: dict[int, tuple[dict[int, np.ndarray], np.ndarray | None, np.ndarray | None]] = {}
+        self.store: dict[int, tuple[dict[int, np.ndarray], _Arrivals | None]] = {}
+
+
+class _Arrivals:
+    """One chunk's jump arrivals, each (streams, arrivals, paths): the
+    cumulative unit-rate arrival times and the size uniform of each
+    arrival, grown ``_ROUND`` arrivals per path and stream at a time."""
+
+    def __init__(self, n_streams: int, size: int):
+        self.times = np.empty((n_streams, 0, size))
+        self.uniforms = np.empty((n_streams, 0, size))
 
 
 class _Bridge:
@@ -417,36 +419,28 @@ _bridge = functools.lru_cache(maxsize=16)(_Bridge)
 class _Shocks:
     """The shocks of one run, chunk by chunk.  Antithetic pairs share
     stream index path // 2; odd paths negate their normals, and with them
-    their whole Brownian path."""
+    their whole Brownian path, and share their jump arrivals."""
 
     def __init__(self, seed: int, n_steps: int, n_assets: int, n_streams: int, n_paths: int,
-                 antithetic: bool, cache: ShockCache | None, sizes: bool = True):
+                 antithetic: bool, cache: ShockCache | None):
         self.seed = seed
-        self.n_steps = n_steps
         self.n_assets = n_assets
         self.n_streams = n_streams
-        self.sizes = sizes and n_streams > 0  # whether first-event size uniforms are drawn
         self.end = (n_paths + 1) // 2 if antithetic else n_paths  # the run's stream indices
         self.antithetic = antithetic
         self.cache = cache
         self.bridge = _bridge(n_steps)
-        # (block, tag, level) -> (generator, values drawn so far), kept for
-        # the blocks a later chunk of the run reads again
+        # (block, tag, level or round) -> (generator, values drawn so far),
+        # kept for the blocks a later chunk of the run reads again
         self.drawn: dict[tuple[int, int, int], tuple[np.random.Generator, np.ndarray]] = {}
 
     def chunk(self, start: int, size: int):
-        """The chunk's node table (holding W_0 = 0 when new), its count
-        uniforms and its first-event size uniforms (None when not drawn)."""
+        """The chunk's node table (holding W_0 = 0 when new) and its arrival
+        table (None in a jump-free run)."""
         if self.cache is not None and start in self.cache.store:
             return self.cache.store[start]
-
-        def uniforms(tag):
-            return (self._columns(functools.partial(self._uniforms, tag), start, size)
-                    .reshape(self.n_steps, -1, size))
-
         out = ({0: np.zeros((self.n_assets, size))},
-               uniforms(_TAG_COUNTS) if self.n_streams else None,
-               uniforms(_TAG_FIRST_SIZES) if self.sizes else None)
+               _Arrivals(self.n_streams, size) if self.n_streams else None)
         if self.cache is not None:
             self.cache.store[start] = out
         return out
@@ -474,6 +468,26 @@ class _Shocks:
                 node += np.multiply(w[b], wr, out=tmp)
                 w[m] = node
 
+    def cover(self, arrivals: _Arrivals, start: int, size: int, reach: np.ndarray) -> None:
+        """Add rounds to the chunk's arrival table until every path's last
+        arrival of stream l lies beyond ``reach[l]``.  Inter-arrival times
+        are -log(1 - u), summed in arrival order."""
+        times, uniforms = [arrivals.times], [arrivals.uniforms]
+        done = arrivals.times.shape[1] // _ROUND
+        last = arrivals.times[:, -1] if done else None
+        while last is None or np.any(last <= reach[:, None]):
+            u = self._columns(functools.partial(self._arrival_uniforms, done + len(times) - 1),
+                              start, size).reshape(self.n_streams, 2, _ROUND, size)
+            gaps = -np.log1p(-u[:, 0])
+            if last is not None:
+                gaps[:, 0] += last
+            times.append(np.cumsum(gaps, axis=1))
+            uniforms.append(u[:, 1])
+            last = times[-1][:, -1]
+        if len(times) > 1:
+            arrivals.times = np.concatenate(times, axis=1)
+            arrivals.uniforms = np.concatenate(uniforms, axis=1)
+
     def _columns(self, read, start: int, size: int) -> np.ndarray:
         """``read(lo, hi)`` returns stream indices lo..hi-1 on its last axis;
         this returns one column per path of the chunk."""
@@ -492,14 +506,16 @@ class _Shocks:
             out[:, :, a - lo:b - lo] = z[:count, :, a - block * _BLOCK:b - block * _BLOCK]
         return out
 
-    def _uniforms(self, tag: int, lo: int, hi: int) -> np.ndarray:
-        """One jump tag's uniforms at stream indices lo..hi-1, (steps *
-        streams, indices), drawn path-major: (row, step, stream)."""
-        width = self.n_steps * self.n_streams
+    def _arrival_uniforms(self, round_: int, lo: int, hi: int) -> np.ndarray:
+        """One round's arrival uniforms at stream indices lo..hi-1, (streams
+        * 2 * _ROUND, indices), drawn path-major: per row and stream the
+        round's inter-arrival uniforms, then its size uniforms."""
+        width = 2 * _ROUND * self.n_streams
         out = np.empty((width, hi - lo))
         for block, a, b in _blocks(lo, hi):
             first = block * _BLOCK
-            z = self._draws(block, tag, 0, b - first, hi, lambda gen, n: gen.random((n, width)))
+            z = self._draws(block, _TAG_ARRIVALS, round_, b - first, hi,
+                            lambda gen, n: gen.random((n, width)))
             out[:, a - lo:b - lo] = z[a - first:b - first].T
         return out
 
@@ -519,11 +535,34 @@ class _Shocks:
             self.drawn[(block, tag, level)] = (gen, z)
         return z
 
-    def extra_uniforms(self, path: int, step: int, type_index: int, count: int) -> np.ndarray:
-        """Size uniforms of the second and later jump events of one
-        (path, step, type), from a stream keyed by exactly that."""
-        stream = path // 2 if self.antithetic else path
-        return _stream(self.seed, stream, _TAG_SIZES, step=step, sub=type_index).random(count)
+
+class _Events:
+    """A chunk's jump events in one run, in step order: step s holds
+    events ``bounds[s]:bounds[s + 1]``, ordered by stream, arrival and
+    path.  Per event its path row, its stream and, in compound-Poisson
+    segments, its size under the law of the segment that holds it."""
+
+    def __init__(self, arrivals: _Arrivals, clock: np.ndarray, segments):
+        steps, streams, rows, uniforms = [], [], [], []
+        for l in range(clock.shape[1]):
+            k, row = np.nonzero(arrivals.times[l] <= clock[-1, l])
+            steps.append(np.searchsorted(clock[1:, l], arrivals.times[l, k, row]))
+            streams.append(np.full(row.size, l))
+            rows.append(row)
+            uniforms.append(arrivals.uniforms[l, k, row])
+        steps = np.concatenate(steps)
+        order = np.argsort(steps, kind="stable")
+        self.rows = np.concatenate(rows)[order]
+        self.streams = np.concatenate(streams)[order]
+        self.bounds = np.searchsorted(steps[order], np.arange(clock.shape[0])).tolist()
+        uniforms = np.concatenate(uniforms)[order]
+        self.sizes = np.zeros(uniforms.size)
+        for seg, lo, hi in segments:
+            if seg.jump_kind == "cp":
+                part = slice(self.bounds[lo], self.bounds[hi])
+                for l, law in enumerate(seg.size_laws):
+                    mine = self.streams[part] == l
+                    self.sizes[part][mine] = law.quantile(uniforms[part][mine])
 
 
 def _blocks(lo: int, hi: int):
@@ -551,7 +590,7 @@ def simulate_paths(
     (paths, n) when it depends on the state, so it is asked every step.
     Under terminal-wealth jump dynamics, admissible constant strategies
     must keep every per-type exposure in [0, 1]; a path whose wealth
-    still hits zero aborts the run.
+    still hits zero, checked after every step, aborts the run.
     """
     n_steps, dt = cfg.steps_for(horizon - t0)
     t_nodes = t0 + dt * np.arange(n_steps)
@@ -573,17 +612,29 @@ def simulate_paths(
     check_exposure = dynamics.kind == "terminal_wealth"
     exact = n_streams == 0 and not cfg.keep_paths
 
-    chunk = _effective_chunk(cfg.chunk_paths, n_steps, max(n_assets, n_streams))
+    clock = _clock(segments, n_steps, n_streams)
+    expected = float(clock[-1].sum())  # jump events per path
+    if expected > _MAX_EVENTS:
+        raise InvalidBounds(f"{expected:.3g} expected jump events per path; at most {_MAX_EVENTS} "
+                            "are simulated")
+    # per path, a chunk holds W at every step and two floats per jump arrival
+    chunk = _effective_chunk(cfg.chunk_paths, n_steps * n_assets + 2 * (expected + _ROUND * n_streams))
     terminal = np.empty(cfg.n_paths)
     paths = np.empty((cfg.n_paths, n_steps + 1)) if cfg.keep_paths else None
+    jump_events = 0
 
     shocks = _Shocks(cfg.seed, n_steps, n_assets, n_streams, cfg.n_paths, cfg.antithetic,
-                     shock_cache, sizes=any(seg.jump_kind == "cp" for seg, _, _ in segments))
+                     shock_cache)
 
     for start in range(0, cfg.n_paths, chunk):
         size = min(chunk, cfg.n_paths - start)
-        w, u, v = shocks.chunk(start, size)
+        w, arrivals = shocks.chunk(start, size)
         shocks.fill(w, start, size, cuts if exact else ())
+        events = None
+        if n_streams:
+            shocks.cover(arrivals, start, size, clock[-1])
+            events = _Events(arrivals, clock, segments)
+            jump_events += len(events.rows)
         x = np.full(size, float(x0))
         if cfg.keep_paths:
             paths[start:start + size, 0] = x
@@ -601,18 +652,12 @@ def simulate_paths(
                 continue
             x, group = x_lo, None
             shocks.fill(w, start, size, range(lo, hi + 1))
-            counts = None
-            if seg.n_streams:
-                counts = np.empty((hi - lo, seg.n_streams, size), dtype=np.int64)
-                for l in range(seg.n_streams):
-                    counts[:, l] = _poisson_counts(u[lo:hi, l], float(seg.lam_dt[l]))
             for s in range(lo, hi):
                 if s > lo and coef.per_path:
                     coef = _Coefficients(seg, strategy.values(t_nodes[s], x), log_state, start)
                 x = _advance(x, coef, s, s + 1, w)
-                if counts is not None:
-                    first_u = None if v is None else v[s]
-                    x = x + coef.jump_increment(_StepJumps(counts[s - lo], first_u, shocks, start, s))
+                if events is not None and events.bounds[s] < events.bounds[s + 1]:
+                    coef.add_jumps(x, events, s, start)
                 if guard_wealth and np.any(x <= 0.0):
                     bad = int(np.argmax(x <= 0.0)) + start
                     raise NonBankruptcyViolated(
@@ -626,8 +671,19 @@ def simulate_paths(
 
     return PathBatch(
         terminal=terminal, t0=t0, horizon=horizon, dt=dt, n_steps=n_steps,
-        seed=cfg.seed, kind=dynamics.kind, x0=float(x0), paths=paths,
+        seed=cfg.seed, kind=dynamics.kind, x0=float(x0), paths=paths, jump_events=jump_events,
     )
+
+
+def _clock(segments, n_steps: int, n_streams: int) -> np.ndarray:
+    """The run's cumulative intensity Lambda per jump stream at each step
+    boundary, (steps + 1, streams): Lambda_0 = 0 and Lambda_{s+1} =
+    Lambda_s + intensity dt of the segment holding step s (0 for a stream
+    the segment does not have)."""
+    clock = np.zeros((n_steps + 1, n_streams))
+    for seg, lo, hi in segments:
+        clock[lo + 1:hi + 1, :seg.n_streams] = seg.lam_dt
+    return np.cumsum(clock, axis=0)
 
 
 def _advance(x: np.ndarray, coef: _Coefficients, lo: int, hi: int,
@@ -650,9 +706,9 @@ def _require_admissible(alpha: np.ndarray, seg: _Segment) -> None:
             )
 
 
-def _effective_chunk(requested: int, n_steps: int, width: int) -> int:
-    budget = 12_000_000  # floats per per-chunk shock table (~96 MB)
-    cap = max(512, budget // max(1, n_steps * max(1, width)))
+def _effective_chunk(requested: int, floats_per_path: float) -> int:
+    budget = 12_000_000  # floats a chunk holds in W nodes and jump arrivals (~96 MB)
+    cap = max(512, int(budget // max(1.0, floats_per_path)))
     return min(requested, cap)
 
 
@@ -718,23 +774,23 @@ class _Coefficients:
         """Whether two constant coefficient sets move the diffusion alike."""
         return self.drift_dt == other.drift_dt and np.array_equal(self.vol, other.vol)
 
-    def jump_increment(self, jumps: _StepJumps) -> np.ndarray:
+    def add_jumps(self, x: np.ndarray, events: _Events, s: int, start: int) -> None:
+        """Add the jump events of step s to the chunk's states x in place,
+        one at a time in event order."""
+        part = slice(events.bounds[s], events.bounds[s + 1])
+        rows, streams = events.rows[part], events.streams[part]
         if self.seg.jump_kind == "ld":
-            return _dot(jumps.counts, self.zeta)
-        return _cp_jump_increment(self.seg, self.expos, jumps, self.log_state)
-
-
-@dataclass(frozen=True)
-class _StepJumps:
-    """One step's jump counts and first-event size uniforms (types, paths;
-    None without compound Poisson jumps), with what it takes to key the
-    extra-event streams."""
-
-    counts: np.ndarray
-    first_u: np.ndarray | None
-    shocks: _Shocks
-    chunk_start: int
-    step: int
+            moves = self.zeta[streams, rows] if self.per_path else self.zeta[streams]
+        else:
+            expos = self.expos[streams, rows] if self.per_path else self.expos[streams]
+            moves = expos * events.sizes[part]
+            if self.log_state:
+                bad = moves <= -1.0
+                if np.any(bad):
+                    path = start + int(rows[np.argmax(bad)])
+                    raise NonBankruptcyViolated(f"log-state jump 1 + alpha.J y <= 0 on path {path}")
+                moves = np.log1p(moves)
+        np.add.at(x, rows, moves)
 
 
 def _require_log_moves(moves: np.ndarray, start: int) -> None:
@@ -745,37 +801,6 @@ def _require_log_moves(moves: np.ndarray, start: int) -> None:
     if np.any(bad):
         where = "" if moves.ndim == 1 else f" on path {start + int(np.argmax(np.any(bad, axis=0)))}"
         raise NonBankruptcyViolated(f"log-state jump 1 + alpha.v <= 0{where}")
-
-
-def _cp_jump_increment(seg: _Segment, expos: np.ndarray, jumps: _StepJumps,
-                       log_state: bool) -> np.ndarray:
-    """Compound-Poisson increment of one step.  ``expos`` holds the
-    exposures alpha.J per type: (types,) for a constant strategy or
-    (types, paths) per path."""
-    inc = np.zeros(jumps.counts.shape[1])
-    for l in range(seg.n_streams):
-        counts = jumps.counts[l]
-        rows = np.flatnonzero(counts)
-        if rows.size == 0:
-            continue
-        law = seg.size_laws[l]
-        owners = [rows]
-        sizes = [law.quantile(jumps.first_u[l, rows])]
-        for row in rows[counts[rows] > 1]:  # rare: several events in one step
-            u = jumps.shocks.extra_uniforms(jumps.chunk_start + int(row), jumps.step, l,
-                                            int(counts[row]) - 1)
-            owners.append(np.full(u.size, row))
-            sizes.append(law.quantile(u))
-        owners = np.concatenate(owners)
-        moves = np.broadcast_to(expos[l], inc.shape)[owners] * np.concatenate(sizes)
-        if log_state:
-            bad = moves <= -1.0
-            if np.any(bad):
-                path = jumps.chunk_start + int(owners[np.argmax(bad)])
-                raise NonBankruptcyViolated(f"log-state jump 1 + alpha.J y <= 0 on path {path}")
-            moves = np.log1p(moves)
-        np.add.at(inc, owners, moves)
-    return inc
 
 
 def simulate_solution(sol: ClosedFormSolution, cfg: SimConfig,

@@ -55,6 +55,8 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .model import (
+    DEFAULT_REFINEMENTS,
+    DEFAULT_RESOLUTION,
     CompoundPoissonBounds,
     Criterion,
     DiscreteLevyBounds,
@@ -78,8 +80,6 @@ IGNORE_SECOND = "IgnoreSecond"
 NUMERIC = "Numeric"
 DEGENERATE = "Degenerate"
 
-DEFAULT_RESOLUTION = 21
-DEFAULT_REFINEMENTS = 2
 DEFAULT_MAX_EVALS = 6_000_000
 _CORNER_CAP = 4096  # most corners `corner_scenarios` enumerates
 _GAP_RTOL = 1e-10  # a convex result is certified when gap <= _GAP_RTOL (1 + premium)

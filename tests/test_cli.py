@@ -327,12 +327,25 @@ class TestStrategyCommand:
         assert run_cli(["strategy", path])[0] == 2
 
 
-def test_import_loads_no_scipy():
-    # every scipy import sits in the function that needs it
-    code = ("import sys, robust_mv, robust_mv.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_import_loads_no_scipy(tmp_path):
+    # every scipy import sits in the function that needs it, and importing
+    # the package and parsing a problem file load none of the solvers
+    path = write_problem(tmp_path, worst_case={"method": "numeric"},
+                         jumps={"kind": "levy_discrete", "atoms": [[-0.05, 0.0], [0.08, 0.02]],
+                                "weights": [0.4, 0.3]})
+    code = ("import sys, robust_mv, robust_mv.cli as cli; "
+            f"doc = cli.load_problem({str(path)!r}); uset = cli.parse_uncertainty(doc); "
+            "cli.parse_criterion(doc); cli.parse_jumps(doc, uset.n); cli.parse_worst_case(doc); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in "
+            "('robust_mv.simulate', 'robust_mv.worst_case', 'robust_mv.closed_form', "
+            "'robust_mv.pde_check')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+    # the lazy names still resolve, the solver modules among them
+    code = ("import robust_mv as rm; "
+            "print(rm.worst_case.SHORT_SECOND, rm.ShockCache.__module__, rm.RNG_LAYOUT)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["ShortSecond", "robust_mv.simulate", "4"]
 
 
 class TestVerifySimulatePerturb:
@@ -370,7 +383,26 @@ class TestVerifySimulatePerturb:
         )
         for command in ("simulate", "perturb"):
             _, out = run_cli([command, path, "--json", "--quiet"])
-            assert json.loads(out)["result"]["rng_layout"] == 3
+            assert json.loads(out)["result"]["rng_layout"] == 4
+
+    def test_simulate_counts_jump_events(self, tmp_path):
+        # the events the run applied: none without jumps, about
+        # paths x intensity x T with them
+        sim = {"n_paths": 2000, "dt": 0.05, "seed": 9}
+        counts = {}
+        for name, extra in (("plain.json", {}),
+                            ("jumps.json", {"jumps": {
+                                "kind": "compound_poisson", "loadings": [[1.0], [0.0]],
+                                "intensity": [0.5],
+                                "sizes": [{"sampler": "uniform", "lo": -0.1, "hi": 0.2}]},
+                                "worst_case": {"method": "numeric"},
+                                # lambda 3 keeps the exposure alpha.J in [0, 1]
+                                "criterion": {"kind": "terminal_wealth", "lambda": 3.0, "T": 1.0}})):
+            path = write_problem(tmp_path, name, simulate=sim, **extra)
+            _, out = run_cli(["simulate", path, "--json"])
+            counts[name] = json.loads(out)["result"]["jump_events"]
+        assert counts["plain.json"] == 0
+        assert abs(counts["jumps.json"] - 1000) <= 5 * 1000**0.5
 
     def test_perturb_pass_and_probe_fail(self, tmp_path):
         base = write_problem(

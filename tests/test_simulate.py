@@ -14,20 +14,21 @@ import robust_mv as rm
 from robust_mv.model import WealthDynamics
 from robust_mv.simulate import (
     _BLOCK,
+    _ROUND,
     _SE_FLOOR,
     ConstantStrategy,
     ShockCache,
     SolutionStrategy,
     SplicedScenario,
     SplicedStrategy,
-    _cp_jump_increment,
+    _clock,
+    _Coefficients,
     _dot,
+    _Events,
     _mix,
     _PairedBase,
-    _poisson_counts,
     _Segment,
     _Shocks,
-    _StepJumps,
     paired_difference,
     scenario_candidates,
     strategy_candidates,
@@ -179,8 +180,8 @@ def _run(name, n_paths, chunk_paths=65536):
 
 
 class TestRngLayout:
-    """RNG layout 3: Brownian-bridge normals from Philox streams per (seed,
-    path block, tree level), jump uniforms per (seed, path block, tag)."""
+    """RNG layout 4: Brownian-bridge normals from Philox streams per (seed,
+    path block, tree level), jump arrivals per (seed, path block, round)."""
 
     @pytest.mark.parametrize("name", sorted(_RUNS))
     def test_chunkings_across_block_boundaries_are_bitwise(self, name):
@@ -226,25 +227,29 @@ class TestRngLayout:
         batch = rm.simulate_paths(WealthDynamics("terminal_wealth"),
                                   ConstantStrategy(np.zeros(2)), flat_scenario,
                                   rm.SimConfig(n_paths=4, dt=0.5, seed=1), 0.0, 1.0, 1.0)
-        assert rm.RNG_LAYOUT == 3
+        assert rm.RNG_LAYOUT == 4
         assert batch.rng_layout == rm.RNG_LAYOUT
 
     def test_shock_table_digest_is_pinned(self):
         # seed 7, 2100 paths (two block boundaries), 5 steps (four tree
-        # levels), 2 assets, 1 jump stream
+        # levels), 2 assets, 1 jump stream; each table hashed path-major
+        # (path, then node or round, then component), little-endian
         shocks = _Shocks(7, 5, 2, 1, 2100, antithetic=False, cache=None)
-        nodes, u, v = shocks.chunk(0, 2100)
+        nodes = shocks.chunk(0, 2100)[0]
         shocks.fill(nodes, 0, 2100, range(6))
         w = np.stack([nodes[k] for k in range(6)])
-        assert _BLOCK == 1024
-        assert w.shape == (6, 2, 2100) and u.shape == v.shape == (5, 1, 2100)
-        digest = hashlib.sha256()
-        for table in (w, u, v):
-            # hashed path-major: (path, node or step, component), little-endian
-            per_path = np.ascontiguousarray(table.transpose(2, 0, 1), dtype="<f8")
-            digest.update(per_path.tobytes())
-        assert digest.hexdigest() == (
-            "adcf1c6e8cad19782d4d7beea391cc5238222c990ab907119febc3523e5b8f4b")
+        assert _BLOCK == 1024 and _ROUND == 4
+        assert w.shape == (6, 2, 2100)
+        assert hashlib.sha256(np.ascontiguousarray(w.transpose(2, 0, 1), dtype="<f8")
+                              .tobytes()).hexdigest() == (
+            "fdbe5190a609ab910ad5f509cb734352490c2c11176a23201b35612d91af5219")
+        # the raw uniforms of the first two arrival rounds: per path 4
+        # inter-arrival uniforms, then 4 size uniforms, per round
+        rounds = np.stack([shocks._arrival_uniforms(r, 0, 2100) for r in range(2)])
+        assert rounds.shape == (2, 8, 2100)
+        assert hashlib.sha256(np.ascontiguousarray(rounds.transpose(2, 0, 1), dtype="<f8")
+                              .tobytes()).hexdigest() == (
+            "bcfbd23207a1cf4e2084f73e60281b8af9be868626932e30806dd0587b49e76b")
 
     def test_bridge_nodes_have_brownian_covariance(self):
         # Cov(W_j, W_k) = min(j, k) in units of one step, checked at 5 SE
@@ -291,32 +296,144 @@ class TestRngLayout:
     @pytest.mark.parametrize("log_state", [False, True])
     @pytest.mark.parametrize("per_path", [False, True])
     def test_jump_increment_matches_event_loop(self, log_state, per_path):
-        jump = _busy_jumps()
-        scen = rm.Scenario(np.array([0.08, 0.02]), np.diag([0.04, 0.09]), jump=jump)
-        seg = _Segment(scen, 0.1)
+        # every arrival of a chunk's table, one at a time: step s takes the
+        # arrivals with Lambda_s < E <= Lambda_{s+1}; a window of two steps
+        # with other intensities and sizes precedes two base steps
+        cp = _busy_jumps()
+        levy = rm.DiscreteLevyJumps(np.array([[-0.05, 0.02], [0.08, 0.0]]), np.array([20.0, 12.0]))
+        for base, window in (
+                (cp, rm.CompoundPoissonJumps(
+                    loadings=cp.loadings, intensity=np.array([30.0, 6.0]),
+                    size_laws=(rm.JumpSizeLaw.uniform(-0.1, 0.2), cp.size_laws[0]))),
+                (levy, rm.DiscreteLevyJumps(levy.atoms, np.array([30.0, 6.0])))):
+            self._check_event_loop(base, window, log_state, per_path)
+
+    @staticmethod
+    def _check_event_loop(base, window, log_state, per_path):
+        scens = [rm.Scenario(np.array([0.08, 0.02]), np.diag([0.04, 0.09]), jump=j)
+                 for j in (window, base)]
+        segments = [(_Segment(scens[0], 0.1), 0, 2), (_Segment(scens[1], 0.1), 2, 4)]
         shocks = _Shocks(5, 4, 2, 2, 1300, antithetic=False, cache=None)
-        start, size, step = 1000, 300, 2
-        _, u, v = shocks.chunk(start, size)
-        counts = np.stack([_poisson_counts(u[step, l], float(seg.lam_dt[l])) for l in range(2)])
-        assert np.any(counts > 1)
+        start, size = 1000, 300
+        arrivals = shocks.chunk(start, size)[1]
+        clock = _clock(segments, 4, 2)
+        shocks.cover(arrivals, start, size, clock[-1])
+        events = _Events(arrivals, clock, segments)
         rng = np.random.default_rng(0)
-        alpha = rng.uniform(0.0, 0.4, (2, size)) if per_path else np.array([0.3, 0.2])
-        expos = seg.loadings.T @ alpha  # (types,) or (types, paths)
-        got = _cp_jump_increment(seg, expos, _StepJumps(counts, v[step], shocks, start, step),
-                                 log_state)
-        want = np.zeros(size)
-        for row in range(size):
-            for l in range(2):
-                n = int(counts[l, row])
-                if n == 0:
-                    continue
-                law = jump.size_laws[l]
-                ys = [float(law.quantile(v[step, l, row]))]
-                ys += list(law.quantile(shocks.extra_uniforms(start + row, step, l, n - 1)))
-                e = expos[l, row] if per_path else expos[l]
-                for y in ys:
-                    want[row] += np.log1p(e * y) if log_state else e * y
+        alpha = rng.uniform(0.0, 0.4, (size, 2)) if per_path else np.array([0.3, 0.2])
+        got, want = np.zeros(size), np.zeros(size)
+        for seg, lo, hi in segments:
+            coef = _Coefficients(seg, alpha, log_state, start)
+            for s in range(lo, hi):
+                if events.bounds[s] < events.bounds[s + 1]:
+                    coef.add_jumps(got, events, s, start)
+                for row in range(size):
+                    for l in range(2):
+                        for k, e in enumerate(arrivals.times[l, :, row]):
+                            if not clock[s, l] < e <= clock[s + 1, l]:
+                                continue
+                            if seg.jump_kind == "ld":
+                                want[row] += coef.zeta[l, row] if per_path else coef.zeta[l]
+                                continue
+                            y = float(seg.scenario.jump.size_laws[l]
+                                      .quantile(arrivals.uniforms[l, k, row]))
+                            move = (coef.expos[l, row] if per_path else coef.expos[l]) * y
+                            want[row] += np.log1p(move) if log_state else move
         assert np.array_equal(got, want)
+        # the table reaches past the horizon, and paths take several events per step
+        assert np.all(arrivals.times[:, -1] > clock[-1][:, None])
+        steps = np.repeat(np.arange(4), np.diff(events.bounds))
+        assert np.bincount(steps * size + events.rows).max() > 2
+
+
+class TestJumpEvents:
+    """Event-driven jumps: the laws of per-step counts and the coupling of
+    spliced runs."""
+
+    @staticmethod
+    def _events(segments, n_steps, n_paths, seed, cache=None):
+        n_streams = max(seg.n_streams for seg, _, _ in segments)
+        shocks = _Shocks(seed, n_steps, 1, n_streams, n_paths, antithetic=False, cache=cache)
+        arrivals = shocks.chunk(0, n_paths)[1]
+        clock = _clock(segments, n_steps, n_streams)
+        shocks.cover(arrivals, 0, n_paths, clock[-1])
+        return _Events(arrivals, clock, segments)
+
+    def test_step_counts_are_poisson_and_independent(self):
+        # per path and step: count mean and variance lam dt, and no
+        # covariance across steps, each at 5 SE; in the window (steps 0-2)
+        # stream 0 runs at 8 and stream 1 is absent, then 3 and 1.5
+        n, n_steps, dt = 20_000, 10, 0.1
+        law = rm.JumpSizeLaw.uniform(-0.1, 0.1)
+        base = rm.CompoundPoissonJumps(np.array([[1.0, 0.0], [0.5, 1.0]]), np.array([3.0, 1.5]),
+                                       (law, law))
+        window = rm.CompoundPoissonJumps(np.array([[1.0], [0.5]]), np.array([8.0]), (law,))
+        segments = [(_Segment(rm.Scenario(np.array([0.05, 0.02]), np.diag([0.04, 0.09]), jump=j),
+                              dt), lo, hi)
+                    for j, lo, hi in ((window, 0, 3), (base, 3, n_steps))]
+        events = self._events(segments, n_steps, n, seed=12)
+        rates = np.array([[8.0, 0.0]] * 3 + [[3.0, 1.5]] * 7) * dt
+        steps = np.repeat(np.arange(n_steps), np.diff(events.bounds))
+        for l in range(2):
+            mu = rates[:, l]
+            counts = np.zeros((n_steps, n))
+            mine = events.streams == l
+            np.add.at(counts, (steps[mine], events.rows[mine]), 1.0)
+            assert np.all(np.abs(counts.mean(axis=1) - mu) <= 5.0 * np.sqrt(mu / n))
+            assert np.all(np.abs(counts.var(axis=1) - mu) <= 5.0 * np.sqrt((mu + 2 * mu**2) / n))
+            c = counts - mu[:, None]
+            cov = c @ c.T / n
+            off = ~np.eye(n_steps, dtype=bool)
+            assert np.all(np.abs(cov[off]) <= 5.0 * np.sqrt(np.outer(mu, mu) / n)[off])
+
+    def test_higher_window_intensity_holds_the_base_window_events(self):
+        # on every path, the base run's window events are the first of the
+        # splice's window events, size for size
+        n, n_steps, dt, k = 3000, 50, 0.02, 10
+        law = rm.JumpSizeLaw.uniform(-0.2, 0.3)
+        scen = {lam: rm.Scenario(np.array([0.05]), np.array([[0.04]]),
+                                 jump=rm.CompoundPoissonJumps(np.array([[1.0]]), np.array([lam]),
+                                                              (law,)))
+                for lam in (2.0, 5.0)}
+        cache = ShockCache()
+        base = self._events([(_Segment(scen[2.0], dt), 0, n_steps)], n_steps, n, 67, cache)
+        spliced = self._events([(_Segment(scen[5.0], dt), 0, k), (_Segment(scen[2.0], dt), k, n_steps)],
+                               n_steps, n, 67, cache)
+        windows = []
+        for ev in (base, spliced):
+            rows, sizes = ev.rows[:ev.bounds[k]], ev.sizes[:ev.bounds[k]]
+            order = np.argsort(rows, kind="stable")  # per path, in arrival order
+            windows.append((rows[order], sizes[order], np.bincount(rows, minlength=n)))
+        (rb, yb, cb), (rs, ys, cs) = windows
+        assert np.all(cs >= cb) and cs.sum() > 2 * cb.sum()
+        first_b, first_s = np.cumsum(cb) - cb, np.cumsum(cs) - cs
+        assert np.array_equal(ys[first_s[rb] + np.arange(rb.size) - first_b[rb]], yb)
+
+    @pytest.mark.parametrize("family", ["cp", "ws"])
+    def test_splices_keep_the_base_bits(self, family, cp_solution, ws_solution):
+        # a u = theta_hat splice is the base run bit for bit; a busier
+        # window splice grows the shared table, and the base run read from
+        # that table keeps the bits of a standalone run
+        sol = cp_solution if family == "cp" else ws_solution
+        theta = sol.worst_case.scenario
+        jump = theta.jump
+        if family == "cp":
+            busy = rm.CompoundPoissonJumps(jump.loadings, 20.0 * jump.intensity, jump.size_laws)
+        else:
+            busy = rm.DiscreteLevyJumps(jump.atoms, 20.0 * jump.weights)
+        cfg = rm.SimConfig(n_paths=3000, dt=0.02, seed=67)
+        alone = rm.simulate_solution(sol, cfg)
+        cache = ShockCache()
+        runs = {}
+        for name, window in (("busy", rm.Scenario(theta.drift, theta.cov, jump=busy)),
+                             ("base", None),
+                             ("twin", rm.Scenario(theta.drift, theta.cov, jump=jump))):
+            timeline = None if window is None else SplicedScenario(window, 0.5, theta)
+            runs[name] = rm.simulate_solution(sol, cfg, scenario=timeline, shock_cache=cache)
+        assert np.array_equal(runs["base"].terminal, alone.terminal)
+        assert np.array_equal(runs["twin"].terminal, alone.terminal)
+        assert runs["twin"].jump_events == runs["base"].jump_events == alone.jump_events > 0
+        assert runs["busy"].jump_events > 5 * alone.jump_events
 
 
 class TestEstimates:
@@ -363,8 +480,12 @@ class TestJumpDynamics:
         batch = rm.simulate_solution(ws_solution, cfg, shock_cache=cache)
         est = rm.estimate_J(batch, ws_criterion)
         assert abs(est.mean_hat - ws_solution.g(0.0, 1.0)) <= 3.0 * est.standard_error_mean
-        # Levy atoms have fixed sizes: the chunks hold count uniforms and no size table
-        assert cache.store and all(u is not None and v is None for _, u, v in cache.store.values())
+        # one arrival stream per Levy atom, drawn past the horizon's cumulative intensity
+        reach = ws_solution.worst_case.scenario.jump.weights * ws_criterion.span
+        assert cache.store and all(
+            arrivals.times.shape[0] == 2 and np.all(arrivals.times[:, -1] > reach[:, None])
+            for _, arrivals in cache.store.values())
+        assert batch.jump_events > 0
 
     def test_flagged_solution_is_refused(self, cp_jump):
         scen = rm.Scenario(np.array([0.1, 0.05]), np.diag([0.04, 0.0625]))
@@ -393,6 +514,16 @@ class TestJumpDynamics:
         with pytest.raises(rm.NonBankruptcyViolated, match="hit zero"):
             rm.simulate_paths(dyn, ConstantStrategy(np.array([1.0])), scen,
                               rm.SimConfig(n_paths=50, dt=0.01, seed=2), 0.0, 1.0, 0.05)
+
+    def test_runs_beyond_the_event_cap_are_refused(self):
+        # 2 x 10^4 expected events per path would need an arrival table of
+        # 4 x 10^4 floats per path: refused before anything is drawn
+        jump = rm.DiscreteLevyJumps(np.array([[-0.001], [0.001]]), np.array([1e4, 1e4]))
+        scen = rm.Scenario(np.array([0.05]), np.array([[0.01]]), jump=jump)
+        cfg = rm.SimConfig(n_paths=10, dt=0.1, seed=2)
+        with pytest.raises(rm.InvalidBounds, match="expected jump events per path"):
+            rm.simulate_paths(WealthDynamics("log_return"), ConstantStrategy(np.array([1.0])), scen,
+                              cfg, 0.0, 1.0, 0.0)
 
     def test_log_state_levy_move_at_or_below_minus_one_refused(self):
         # log(1 + alpha.v) does not exist for alpha.v = 2.5 * -0.5: the run
@@ -729,8 +860,8 @@ class TestLinearSplices:
                     x = want.terminal
                     assert np.all(np.abs(got.terminal - x) <= 1e-12 * (1.0 + np.abs(x))), (h, iu)
         # the one-step runs hold W at their cut points only, the stepped runs every node
-        assert all(len(w) < 12 for w, _, _ in cache.store.values())
-        assert all(len(w) == 21 for w, _, _ in stepped_cache.store.values())
+        assert all(len(w) < 12 for w, _ in cache.store.values())
+        assert all(len(w) == 21 and arrivals is None for w, arrivals in stepped_cache.store.values())
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_trivial_rows_are_exactly_zero(self, antithetic, lr_solution, short_second_set):
