@@ -92,6 +92,8 @@ _LAZY = {
     ),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
+__all__ = sorted([name for name in globals() if not name.startswith("_")
+                  and name not in ("importlib", "errors", "model")] + list(_HOME))
 
 
 def __getattr__(name: str):
@@ -102,6 +104,10 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
     globals()[name] = value
     return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME) | set(_LAZY))
 
 
 __version__ = "0.1.0"

@@ -78,7 +78,7 @@ _log = logging.getLogger(__name__)
 RNG_LAYOUT = 4
 _BLOCK = 1024  # stream indices per Philox stream; part of the RNG layout
 _ROUND = 4  # jump arrivals per path and stream in one round; part of the RNG layout
-_MAX_EVENTS = 10_000  # expected jump events per path in one run; arrival tables grow with it
+_CHUNK_FLOATS = 12_000_000  # floats a chunk holds in W nodes and jump arrivals (~96 MB)
 _TAG_NORMALS = 1
 _TAG_ARRIVALS = 2
 _SE_FLOOR = float(np.finfo(float).tiny)
@@ -349,12 +349,15 @@ class ShockCache:
     ancestors; a run that steps adds every node; a run whose intensities
     reach further in cumulative-intensity time adds rounds of arrivals.
     The arrival table does not depend on the scenario, so one cache serves
-    every splice.  All runs sharing a cache must share the seed, step
+    every splice.  The first run fixes the paths per chunk (``chunk``), and
+    every later run cuts its paths the same way, whatever its intensities
+    or ``chunk_paths``.  All runs sharing a cache must share the seed, step
     count, asset count, jump-stream count and antithetic flag.
     """
 
     def __init__(self) -> None:
         self.store: dict[int, tuple[dict[int, np.ndarray], _Arrivals | None]] = {}
+        self.chunk: int | None = None
 
 
 class _Arrivals:
@@ -613,12 +616,11 @@ def simulate_paths(
     exact = n_streams == 0 and not cfg.keep_paths
 
     clock = _clock(segments, n_steps, n_streams)
-    expected = float(clock[-1].sum())  # jump events per path
-    if expected > _MAX_EVENTS:
-        raise InvalidBounds(f"{expected:.3g} expected jump events per path; at most {_MAX_EVENTS} "
-                            "are simulated")
     # per path, a chunk holds W at every step and two floats per jump arrival
-    chunk = _effective_chunk(cfg.chunk_paths, n_steps * n_assets + 2 * (expected + _ROUND * n_streams))
+    chunk = _effective_chunk(cfg.chunk_paths, n_steps * n_assets,
+                             2 * (float(clock[-1].sum()) + _ROUND * n_streams))
+    if shock_cache is not None:
+        chunk = shock_cache.chunk = shock_cache.chunk or chunk
     terminal = np.empty(cfg.n_paths)
     paths = np.empty((cfg.n_paths, n_steps + 1)) if cfg.keep_paths else None
     jump_events = 0
@@ -706,10 +708,13 @@ def _require_admissible(alpha: np.ndarray, seg: _Segment) -> None:
             )
 
 
-def _effective_chunk(requested: int, floats_per_path: float) -> int:
-    budget = 12_000_000  # floats a chunk holds in W nodes and jump arrivals (~96 MB)
-    cap = max(512, int(budget // max(1.0, floats_per_path)))
-    return min(requested, cap)
+def _effective_chunk(requested: int, w_floats: int, arrival_floats: float) -> int:
+    """Paths per chunk: at most ``requested`` and within ``_CHUNK_FLOATS``.
+    W alone never cuts a chunk below 512 paths, so a long run stays
+    vectorized; a run with more arrivals than that allows per path gets
+    down to one path per chunk."""
+    cap = max(512, int(_CHUNK_FLOATS // max(1.0, w_floats + arrival_floats)))
+    return min(requested, cap, max(1, int(_CHUNK_FLOATS // max(1.0, arrival_floats))))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

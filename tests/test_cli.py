@@ -329,11 +329,14 @@ class TestStrategyCommand:
 
 def test_import_loads_no_scipy(tmp_path):
     # every scipy import sits in the function that needs it, and importing
-    # the package and parsing a problem file load none of the solvers
+    # the package, listing its names and parsing a problem file load none
+    # of the solvers
     path = write_problem(tmp_path, worst_case={"method": "numeric"},
                          jumps={"kind": "levy_discrete", "atoms": [[-0.05, 0.0], [0.08, 0.02]],
                                 "weights": [0.4, 0.3]})
     code = ("import sys, robust_mv, robust_mv.cli as cli; "
+            "assert {'find_worst_case', 'simulate_paths', 'Scenario'} <= set(dir(robust_mv)); "
+            "assert {'solve', 'ShockCache', 'InvalidBounds'} <= set(robust_mv.__all__); "
             f"doc = cli.load_problem({str(path)!r}); uset = cli.parse_uncertainty(doc); "
             "cli.parse_criterion(doc); cli.parse_jumps(doc, uset.n); cli.parse_worst_case(doc); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in "

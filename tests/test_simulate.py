@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import robust_mv as rm
+from robust_mv import simulate
 from robust_mv.model import WealthDynamics
 from robust_mv.simulate import (
     _BLOCK,
@@ -24,6 +25,7 @@ from robust_mv.simulate import (
     _clock,
     _Coefficients,
     _dot,
+    _effective_chunk,
     _Events,
     _mix,
     _PairedBase,
@@ -435,6 +437,39 @@ class TestJumpEvents:
         assert runs["twin"].jump_events == runs["base"].jump_events == alone.jump_events > 0
         assert runs["busy"].jump_events > 5 * alone.jump_events
 
+    def test_ladder_with_busier_windows_keeps_the_first_runs_chunks(self, monkeypatch,
+                                                                    cp_criterion):
+        # the intensity corners change Lambda(T) of their splices, so their
+        # own budgets would cut the paths into other chunks than the base
+        # run's; on the shared cache every splice keeps the base run's
+        # chunks, and the report keeps the bits of a one-chunk run
+        jb = rm.CompoundPoissonBounds(
+            loadings=np.array([[1.0], [0.5]]),
+            intensity_lo=np.array([0.2]), intensity_hi=np.array([0.6]),
+            mean_lo=np.array([0.04]), mean_hi=np.array([0.09]),
+            second_lo=np.array([0.007]), second_hi=np.array([0.03]),
+        )
+        uset = rm.UncertaintySet.two_asset(
+            (0.10, 0.12), (0.02, 0.03), (0.15, 0.2), (0.2, 0.3), (0.4, 0.6), jump_bounds=jb)
+        sol = rm.solve_terminal_wealth(uset, cp_criterion,
+                                       worst=rm.worst_case_numeric(uset, resolution=5,
+                                                                   refinements=1))
+        cfg = rm.SimConfig(n_paths=1500, dt=0.05, seed=29)
+        whole = rm.perturb_worst_case(sol, uset, [0.5, 0.25], u_samples=36, cfg=cfg)
+        budgets = []
+
+        def spy(*args):
+            budgets.append(_effective_chunk(*args))
+            return budgets[-1]
+
+        # per path, 40 floats of W and about 9 of arrivals: ~600 paths a chunk
+        monkeypatch.setattr(simulate, "_CHUNK_FLOATS", 30_000)
+        monkeypatch.setattr(simulate, "_effective_chunk", spy)
+        cut = rm.perturb_worst_case(sol, uset, [0.5, 0.25], u_samples=36, cfg=cfg)
+        assert len(set(budgets)) > 1 and max(budgets) < cfg.n_paths
+        assert cut.rows == whole.rows
+        assert any(row.quotient != 0.0 for row in cut.rows)
+
 
 class TestEstimates:
     def _const_batch(self, values):
@@ -515,15 +550,22 @@ class TestJumpDynamics:
             rm.simulate_paths(dyn, ConstantStrategy(np.array([1.0])), scen,
                               rm.SimConfig(n_paths=50, dt=0.01, seed=2), 0.0, 1.0, 0.05)
 
-    def test_runs_beyond_the_event_cap_are_refused(self):
-        # 2 x 10^4 expected events per path would need an arrival table of
-        # 4 x 10^4 floats per path: refused before anything is drawn
+    def test_busy_runs_cut_their_chunks_below_512_paths(self):
+        # 2 x 10^4 expected events per path take 4 x 10^4 floats of arrival
+        # table per path: 299 paths a chunk, each path with its own bits
         jump = rm.DiscreteLevyJumps(np.array([[-0.001], [0.001]]), np.array([1e4, 1e4]))
         scen = rm.Scenario(np.array([0.05]), np.array([[0.01]]), jump=jump)
-        cfg = rm.SimConfig(n_paths=10, dt=0.1, seed=2)
-        with pytest.raises(rm.InvalidBounds, match="expected jump events per path"):
-            rm.simulate_paths(WealthDynamics("log_return"), ConstantStrategy(np.array([1.0])), scen,
-                              cfg, 0.0, 1.0, 0.0)
+        assert _effective_chunk(65536, 10, 2 * (2e4 + 2 * _ROUND)) == 299
+
+        def run(n_paths, chunk_paths=65536):
+            return rm.simulate_paths(WealthDynamics("log_return"), ConstantStrategy(np.array([1.0])),
+                                     scen, rm.SimConfig(n_paths=n_paths, dt=0.1, seed=2,
+                                                        chunk_paths=chunk_paths), 0.0, 1.0, 0.0)
+
+        whole, cut = run(10), run(10, chunk_paths=3)
+        assert np.array_equal(whole.terminal, cut.terminal)
+        assert whole.jump_events == cut.jump_events
+        assert abs(whole.jump_events - 2e5) <= 5.0 * math.sqrt(2e5)
 
     def test_log_state_levy_move_at_or_below_minus_one_refused(self):
         # log(1 + alpha.v) does not exist for alpha.v = 2.5 * -0.5: the run
