@@ -579,6 +579,19 @@ class TestJumpDynamics:
         batch = rm.simulate_paths(dyn, ConstantStrategy(np.array([1.5])), scen, cfg, 0.0, 1.0, 0.0)
         assert np.all(np.isfinite(batch.terminal))
 
+    def test_log_state_compound_poisson_move_refused_per_event(self):
+        # alpha y = 2.5 * -0.5 only on the lower atom's events: the run is
+        # refused at the first such event, which names its path
+        jump = rm.CompoundPoissonJumps(np.array([[1.0]]), np.array([3.0]),
+                                       (rm.JumpSizeLaw.two_point(-0.5, 0.1, 0.5),))
+        scen = rm.Scenario(np.array([0.05]), np.array([[0.01]]), jump=jump)
+        dyn = WealthDynamics("log_return")
+        cfg = rm.SimConfig(n_paths=100, dt=0.01, seed=2)
+        with pytest.raises(rm.NonBankruptcyViolated, match=r"alpha.J y <= 0 on path 71$"):
+            rm.simulate_paths(dyn, ConstantStrategy(np.array([2.5])), scen, cfg, 0.0, 1.0, 0.0)
+        batch = rm.simulate_paths(dyn, ConstantStrategy(np.array([1.5])), scen, cfg, 0.0, 1.0, 0.0)
+        assert np.all(np.isfinite(batch.terminal)) and batch.jump_events > 0
+
     def test_log_state_levy_move_names_the_first_path(self):
         class SecondChunkBad:
             """Per-path alpha: 1 everywhere but 2.5 on path 3 of the second chunk."""
