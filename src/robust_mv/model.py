@@ -314,6 +314,19 @@ class CompoundPoissonJumps:
                 "reduce intensities or mean jump sizes"
             )
 
+    def atom_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """vec (2k, n) and weight (2k,) of the types' `surrogate_atoms`."""
+        return surrogate_atoms(self.loadings, self.intensity, self.mean_sizes(), self.second_moments())[1:3]
+
+    @property
+    def streams(self) -> tuple:
+        """One `jump_streams` stream per type."""
+        return self.loadings, self.intensity, self.size_laws
+
+    def exposure_violations(self, alpha: np.ndarray) -> list[int]:
+        """Types whose exposure alpha.J_l leaves [0, 1] (`nonbankruptcy_violations`)."""
+        return nonbankruptcy_violations(alpha, self)
+
 
 @dataclass(frozen=True)
 class DiscreteLevyJumps:
@@ -346,6 +359,18 @@ class DiscreteLevyJumps:
 
     def covariance_adjustment(self) -> np.ndarray:
         return (self.atoms.T * self.weights) @ self.atoms
+
+    def atom_table(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.atoms, self.weights
+
+    @property
+    def streams(self) -> tuple:
+        """One `jump_streams` stream per atom, at its weight and of unit size."""
+        return self.atoms.T, self.weights, (None,) * self.weights.size
+
+    def exposure_violations(self, alpha: np.ndarray) -> list[int]:
+        """None: the atoms put no constraint on exposures."""
+        return []
 
 
 JumpSpec = CompoundPoissonJumps | DiscreteLevyJumps
@@ -380,13 +405,28 @@ def surrogate_atoms(loadings, intensity, mean, second):
 
 
 def atom_arrays(jump: JumpSpec | None, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Finite atom table of a jump spec: vec (m, n) and weight (m,).
-    Compound-Poisson types become their `surrogate_atoms`."""
-    if jump is None:
-        return np.zeros((0, n)), np.zeros(0)
-    if isinstance(jump, CompoundPoissonJumps):
-        return surrogate_atoms(jump.loadings, jump.intensity, jump.mean_sizes(), jump.second_moments())[1:3]
-    return jump.atoms, jump.weights
+    """Finite atom table of a jump spec: vec (m, n) and weight (m,), empty
+    without jumps.  Compound-Poisson types become their `surrogate_atoms`."""
+    return (np.zeros((0, n)), np.zeros(0)) if jump is None else jump.atom_table()
+
+
+def jump_streams(jump: JumpSpec | None, n: int) -> tuple:
+    """Independent Poisson streams of a jump spec, none without jumps:
+    loadings (n, k), intensity (k,) and size laws, where stream l fires at
+    intensity[l] and moves the assets by loadings[:, l] times a size drawn
+    from size_laws[l], or by loadings[:, l] itself where that is None (a
+    stream of unit size, whose move is known before any arrival)."""
+    return (np.zeros((n, 0)), np.zeros(0), ()) if jump is None else jump.streams
+
+
+def _moment_sums(flow, quad, vecs) -> tuple:
+    """sum_l flow_l v_l (..., n) and sum_l quad_l v_l v_l' (..., n, n) over
+    broadcasting coefficient arrays, in stream order."""
+    d = m = 0.0
+    for f, q, v in zip(flow, quad, vecs):
+        d = d + f[..., None] * v
+        m = m + q[..., None, None] * np.outer(v, v)
+    return d, m
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +565,41 @@ class CompoundPoissonBounds:
         if np.linalg.matrix_rank(self.loadings) != k:
             raise InvalidBounds("jump loading matrix must have full column rank")
 
-    def spec_at(self, intensity, means, seconds) -> CompoundPoissonJumps:
-        laws = tuple(
-            JumpSizeLaw.two_point_from_moments(m, s) for m, s in zip(means, seconds)
-        )
-        return CompoundPoissonJumps(self.loadings, np.asarray(intensity, dtype=float), laws)
+    assets_axis = "loadings row count"
+
+    @property
+    def n_assets(self) -> int:
+        return self.loadings.shape[0]
+
+    @property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat coordinates (lo, hi): the k intensities, k means, k second moments."""
+        return (np.concatenate([self.intensity_lo, self.mean_lo, self.second_lo]),
+                np.concatenate([self.intensity_hi, self.mean_hi, self.second_hi]))
+
+    def spec_at(self, point) -> CompoundPoissonJumps:
+        """The spec at one flat coordinate vector: two-point size laws."""
+        intensity, means, seconds = np.split(np.asarray(point, dtype=float), 3)
+        laws = tuple(JumpSizeLaw.two_point_from_moments(m, s) for m, s in zip(means, seconds))
+        return CompoundPoissonJumps(self.loadings, intensity, laws)
+
+    def moment_terms(self, jc: list[np.ndarray]) -> tuple:
+        """Jump flow (..., n), second-moment term (..., n, n) and validity
+        mask (...) over broadcasting coordinate arrays, one per coordinate:
+        flow sum_l mu_l E[Y_l] J_l, second moment sum_l mu_l E[Y_l^2] J_l
+        J_l', valid where every type passes `surrogate_atoms`."""
+        k = self.loadings.shape[1]
+        mu, mean, second = jc[:k], jc[k:2 * k], jc[2 * k:3 * k]
+        moments = np.broadcast_arrays(*mean, *second)
+        ok = surrogate_atoms(self.loadings, 1.0, np.stack(moments[:k], axis=-1),
+                             np.stack(moments[k:], axis=-1))[3]
+        return _moment_sums([u * e for u, e in zip(mu, mean)], [u * s for u, s in zip(mu, second)],
+                            self.loadings.T) + (ok,)
+
+    def atom_stack(self, pts: np.ndarray) -> tuple:
+        """Atom tables at (count, 3k) coordinate rows: vec (2k, count, n),
+        weight (2k, count) and validity (count,) of `surrogate_atoms`."""
+        return surrogate_atoms(self.loadings, *np.split(pts, 3, axis=1))[1:]
 
 
 @dataclass(frozen=True)
@@ -551,8 +621,28 @@ class DiscreteLevyBounds:
         if np.any(self.weight_lo > self.weight_hi) or np.any(self.weight_lo <= 0):
             raise InvalidBounds("atom weight intervals must be ordered and positive")
 
-    def spec_at(self, weights) -> DiscreteLevyJumps:
-        return DiscreteLevyJumps(self.atoms, np.asarray(weights, dtype=float))
+    assets_axis = "atom column count"
+
+    @property
+    def n_assets(self) -> int:
+        return self.atoms.shape[1]
+
+    @property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat coordinates (lo, hi): one weight per atom."""
+        return self.weight_lo, self.weight_hi
+
+    def spec_at(self, point) -> DiscreteLevyJumps:
+        return DiscreteLevyJumps(self.atoms, np.asarray(point, dtype=float))
+
+    def moment_terms(self, jc: list[np.ndarray]) -> tuple:
+        """As `CompoundPoissonBounds.moment_terms`; every weight is valid (None)."""
+        return _moment_sums(jc, jc, self.atoms) + (None,)
+
+    def atom_stack(self, pts: np.ndarray) -> tuple:
+        """The fixed atoms at every (count, m) weight row, all valid."""
+        shape = (self.atoms.shape[0], pts.shape[0], self.n_assets)
+        return np.broadcast_to(self.atoms[:, None, :], shape), pts.T, np.ones(pts.shape[0], bool)
 
 
 JumpBounds = CompoundPoissonBounds | DiscreteLevyBounds
@@ -623,10 +713,8 @@ class UncertaintySet:
                     raise DimensionMismatch("correlation vertices must be n x n")
                 build_covariance(np.ones(n), v)
         jb = self.jump_bounds
-        if isinstance(jb, CompoundPoissonBounds) and jb.loadings.shape[0] != n:
-            raise DimensionMismatch("jump bounds loadings row count must match assets")
-        if isinstance(jb, DiscreteLevyBounds) and jb.atoms.shape[1] != n:
-            raise DimensionMismatch("jump bounds atom column count must match assets")
+        if jb is not None and jb.n_assets != n:
+            raise DimensionMismatch(f"jump bounds {jb.assets_axis} must match assets")
         # every corner must factor: with |rho| < 1 (or PD vertices) any
         # vol corner yields a PD covariance, so only the hull needs work
         # and the loop above already did it.
@@ -711,21 +799,11 @@ class UncertaintySet:
 
     @property
     def is_singleton(self) -> bool:
-        point = bool(
+        jb = self.jump_bounds
+        return bool(
             np.all(self.drift_lo == self.drift_hi) and np.all(self.vol_lo == self.vol_hi)
-            and len(self.corr_hull) == 1
+            and len(self.corr_hull) == 1 and (jb is None or np.all(jb.box[0] == jb.box[1]))
         )
-        if self.jump_bounds is not None:
-            jb = self.jump_bounds
-            if isinstance(jb, CompoundPoissonBounds):
-                point = point and bool(
-                    np.all(jb.intensity_lo == jb.intensity_hi)
-                    and np.all(jb.mean_lo == jb.mean_hi)
-                    and np.all(jb.second_lo == jb.second_hi)
-                )
-            else:
-                point = point and bool(np.all(jb.weight_lo == jb.weight_hi))
-        return point
 
     def check_two_asset_ordering(self) -> None:
         """Standing assumptions of the two-asset case solver.

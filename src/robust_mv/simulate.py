@@ -61,14 +61,12 @@ import numpy as np
 
 from .errors import InvalidBounds, NonBankruptcyViolated
 from .model import (
-    CompoundPoissonJumps,
     Criterion,
-    DiscreteLevyJumps,
     JumpSpec,
     Scenario,
     UncertaintySet,
     WealthDynamics,
-    nonbankruptcy_violations,
+    jump_streams,
 )
 from .closed_form import ClosedFormSolution
 from .worst_case import corner_scenarios, sobol_scenarios
@@ -315,30 +313,18 @@ class SplicedScenario:
 
 
 class _Segment:
-    """Per-scenario precomputation shared by all steps of one segment."""
+    """Per-scenario precomputation shared by all steps of one segment, with
+    the jumps as Poisson streams (`jump_streams`): loadings (n, streams),
+    intensity times dt, and a size law per stream or None for unit size."""
 
     def __init__(self, scenario: Scenario, dt: float):
-        self.scenario = scenario
+        self.jump = scenario.jump
         self.chol_dt = scenario.chol() * math.sqrt(dt)  # volatility loadings of one step
-        self.drift = np.asarray(scenario.drift, dtype=float)
-        self.cov = np.asarray(scenario.cov, dtype=float)
-        self.dt = dt
-        jump = scenario.jump
-        if isinstance(jump, CompoundPoissonJumps):
-            self.jump_kind = "cp"
-            self.loadings = np.asarray(jump.loadings, dtype=float)
-            self.lam_dt = np.asarray(jump.intensity, dtype=float) * dt
-            self.size_laws = jump.size_laws
-            self.n_streams = jump.n_types
-        elif isinstance(jump, DiscreteLevyJumps):
-            self.jump_kind = "ld"
-            self.atom_vecs = np.asarray(jump.atoms, dtype=float)
-            self.lam_dt = np.asarray(jump.weights, dtype=float) * dt
-            self.n_streams = jump.weights.size
-        else:
-            self.jump_kind = "none"
-            self.lam_dt = np.zeros(0)
-            self.n_streams = 0
+        self.drift, self.cov, self.dt = scenario.drift, scenario.cov, dt
+        self.loadings, intensity, self.size_laws = jump_streams(scenario.jump, scenario.n)
+        self.lam_dt = intensity * dt
+        self.n_streams = intensity.size
+        self.unit = np.array([law is None for law in self.size_laws], dtype=bool)
 
 
 class ShockCache:
@@ -542,8 +528,9 @@ class _Shocks:
 class _Events:
     """A chunk's jump events in one run, in step order: step s holds
     events ``bounds[s]:bounds[s + 1]``, ordered by stream, arrival and
-    path.  Per event its path row, its stream and, in compound-Poisson
-    segments, its size under the law of the segment that holds it."""
+    path.  Per event its path row, its stream and its size under the law
+    of the segment that holds it (1 for a stream of unit size, which
+    leaves its size uniform unread)."""
 
     def __init__(self, arrivals: _Arrivals, clock: np.ndarray, segments):
         steps, streams, rows, uniforms = [], [], [], []
@@ -559,11 +546,11 @@ class _Events:
         self.streams = np.concatenate(streams)[order]
         self.bounds = np.searchsorted(steps[order], np.arange(clock.shape[0])).tolist()
         uniforms = np.concatenate(uniforms)[order]
-        self.sizes = np.zeros(uniforms.size)
+        self.sizes = np.ones(uniforms.size)
         for seg, lo, hi in segments:
-            if seg.jump_kind == "cp":
-                part = slice(self.bounds[lo], self.bounds[hi])
-                for l, law in enumerate(seg.size_laws):
+            part = slice(self.bounds[lo], self.bounds[hi])
+            for l, law in enumerate(seg.size_laws):
+                if law is not None:
                     mine = self.streams[part] == l
                     self.sizes[part][mine] = law.quantile(uniforms[part][mine])
 
@@ -644,8 +631,12 @@ def simulate_paths(
         for seg, lo, hi in segments:
             x_lo = x if group is None else _advance(x, *group, w)
             coef = _Coefficients(seg, strategy.values(t_nodes[lo], x_lo), log_state, start)
-            if check_exposure and not coef.per_path:
-                _require_admissible(coef.alpha, seg)
+            if check_exposure and not coef.per_path and seg.jump is not None:
+                bad = seg.jump.exposure_violations(coef.alpha)
+                if bad:
+                    raise NonBankruptcyViolated(
+                        f"strategy exposure alpha.J outside [0, 1] for jump types {bad}; "
+                        "refusing to simulate jump dynamics")
             if exact and not coef.per_path:
                 if group is not None and coef.same_step(group[0]):
                     group = (group[0], group[1], hi)
@@ -698,16 +689,6 @@ def _advance(x: np.ndarray, coef: _Coefficients, lo: int, hi: int,
     return dx
 
 
-def _require_admissible(alpha: np.ndarray, seg: _Segment) -> None:
-    if seg.jump_kind == "cp":
-        bad = nonbankruptcy_violations(alpha, seg.scenario.jump)
-        if bad:
-            raise NonBankruptcyViolated(
-                f"strategy exposure alpha.J outside [0, 1] for jump types {bad}; "
-                "refusing to simulate jump dynamics"
-            )
-
-
 def _effective_chunk(requested: int, w_floats: int, arrival_floats: float) -> int:
     """Paths per chunk: at most ``requested`` and within ``_CHUNK_FLOATS``.
     W alone never cuts a chunk below 512 paths, so a long run stays
@@ -744,11 +725,11 @@ def _lin(m: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 class _Coefficients:
     """Step coefficients of one segment under one strategy value: alpha
     (n,) for a strategy constant over the segment, or (paths, n) per path.
-    Holds the drift times dt, the volatility loadings, and the jump
-    exposures alpha.J per type (compound Poisson) or the per-atom state
-    moves (discrete Levy).  The atom table is finite, so no atom is
-    compensated: the moves are added to the raw drift as they are.
-    ``start`` is the chunk's first path, which an error names."""
+    Holds the drift times dt, the volatility loadings, and the exposures
+    alpha.loadings per jump stream; an event moves the state by its
+    stream's exposure times its size.  The atom table is finite, so no
+    atom is compensated: the moves are added to the raw drift as they
+    are.  ``start`` is the chunk's first path, which an error names."""
 
     def __init__(self, seg: _Segment, alpha: np.ndarray, log_state: bool, start: int):
         alpha = np.asarray(alpha, dtype=float)
@@ -766,14 +747,13 @@ class _Coefficients:
         self.alpha = alpha
         self.drift_dt = drift * seg.dt
         self.vol = _lin(seg.chol_dt, alpha)
-        if seg.jump_kind == "cp":
-            self.expos = _lin(seg.loadings, alpha)
-        elif seg.jump_kind == "ld":
-            moves = _lin(seg.atom_vecs.T, alpha)
-            if log_state:
-                _require_log_moves(moves, start)
-                moves = np.log1p(moves)
-            self.zeta = moves
+        self.expos = _lin(seg.loadings, alpha)
+        # under the log state a unit-size move alpha.v <= -1 has no log(1 +
+        # alpha.v): refused before the segment steps, per path naming the first
+        bad = self.expos[seg.unit] <= -1.0 if log_state else False
+        if np.any(bad):
+            where = "" if bad.ndim == 1 else f" on path {start + int(np.argmax(np.any(bad, axis=0)))}"
+            raise NonBankruptcyViolated(f"log-state jump 1 + alpha.v <= 0{where}")
 
     def same_step(self, other: _Coefficients) -> bool:
         """Whether two constant coefficient sets move the diffusion alike."""
@@ -781,31 +761,20 @@ class _Coefficients:
 
     def add_jumps(self, x: np.ndarray, events: _Events, s: int, start: int) -> None:
         """Add the jump events of step s to the chunk's states x in place,
-        one at a time in event order."""
+        one at a time in event order.  Under the log state a move
+        alpha.J y <= -1 is refused at its event (unit-size moves were
+        refused before any step)."""
         part = slice(events.bounds[s], events.bounds[s + 1])
         rows, streams = events.rows[part], events.streams[part]
-        if self.seg.jump_kind == "ld":
-            moves = self.zeta[streams, rows] if self.per_path else self.zeta[streams]
-        else:
-            expos = self.expos[streams, rows] if self.per_path else self.expos[streams]
-            moves = expos * events.sizes[part]
-            if self.log_state:
-                bad = moves <= -1.0
-                if np.any(bad):
-                    path = start + int(rows[np.argmax(bad)])
-                    raise NonBankruptcyViolated(f"log-state jump 1 + alpha.J y <= 0 on path {path}")
-                moves = np.log1p(moves)
+        expos = self.expos[streams, rows] if self.per_path else self.expos[streams]
+        moves = expos * events.sizes[part]
+        if self.log_state:
+            bad = moves <= -1.0
+            if np.any(bad):
+                path = start + int(rows[np.argmax(bad)])
+                raise NonBankruptcyViolated(f"log-state jump 1 + alpha.J y <= 0 on path {path}")
+            moves = np.log1p(moves)
         np.add.at(x, rows, moves)
-
-
-def _require_log_moves(moves: np.ndarray, start: int) -> None:
-    """Refuse Levy moves alpha.v <= -1 under the log state, where
-    log(1 + alpha.v) does not exist: ``moves`` is (atoms,) for a constant
-    strategy, refused before any step, or (atoms, paths) per path."""
-    bad = moves <= -1.0
-    if np.any(bad):
-        where = "" if moves.ndim == 1 else f" on path {start + int(np.argmax(np.any(bad, axis=0)))}"
-        raise NonBankruptcyViolated(f"log-state jump 1 + alpha.v <= 0{where}")
 
 
 def simulate_solution(sol: ClosedFormSolution, cfg: SimConfig,
@@ -1029,8 +998,8 @@ def perturb_equilibrium(
     jump = sol.worst_case.scenario.jump
     alpha_ref = np.atleast_1d(sol.alpha_hat(criterion.t0, criterion.x0))
     ws = strategy_candidates(alpha_ref, w_samples, cfg.seed)
-    if isinstance(jump, CompoundPoissonJumps) and criterion.kind == "terminal_wealth":
+    if jump is not None and criterion.kind == "terminal_wealth":
         # only admissible window strategies are simulable under jump dynamics
-        ws = [w for w in ws if not nonbankruptcy_violations(w, jump)]
+        ws = [w for w in ws if not jump.exposure_violations(w)]
     base_strat = SolutionStrategy(sol) if base_strategy is None else ConstantStrategy(base_strategy)
     return _perturb("equilibrium", sol, uset, h_list, u_samples, cfg, base_strat, ws)

@@ -30,8 +30,9 @@ are present).  Three solvers are provided:
 Every solver except the case split reads the correlation family in one
 normal form, `UncertaintySet.corr_hull`: the hull of m correlation
 matrices ([[1]] for one asset, the two interval ends for two), reached
-through m - 1 stick-breaking weights, and compound-Poisson jump boxes
-through the two-point atoms of `surrogate_atoms`.
+through m - 1 stick-breaking weights, and jump bounds in one form too:
+their coordinate box, moment terms and atom tables (`model.py`), with
+compound-Poisson boxes read through the two-point `surrogate_atoms`.
 
 The minimizer never depends on the risk-aversion level or on whether
 the criterion targets wealth or log return; solvers accept the
@@ -57,9 +58,7 @@ from .errors import (
 from .model import (
     DEFAULT_REFINEMENTS,
     DEFAULT_RESOLUTION,
-    CompoundPoissonBounds,
     Criterion,
-    DiscreteLevyBounds,
     JumpSpec,
     Scenario,
     ScenarioArrays,
@@ -69,7 +68,6 @@ from .model import (
     build_covariance,
     cholesky_or_raise,
     factorizes,
-    surrogate_atoms,
 )
 
 _log = logging.getLogger(__name__)
@@ -185,11 +183,7 @@ def _two_asset_scenario(uset: UncertaintySet, b, vols, rho) -> Scenario:
 
 def _degenerate_result(uset: UncertaintySet, jump: JumpSpec | None) -> WorstCaseResult:
     if jump is None and uset.jump_bounds is not None:
-        jb = uset.jump_bounds
-        if isinstance(jb, CompoundPoissonBounds):
-            jump = jb.spec_at(jb.intensity_lo, jb.mean_lo, jb.second_lo)
-        else:
-            jump = jb.spec_at(jb.weight_lo)
+        jump = uset.jump_bounds.spec_at(uset.jump_bounds.box[0])
     scen = Scenario(uset.drift_lo, build_covariance(uset.vol_lo, uset.corr_hull[0]), jump)
     return WorstCaseResult(scen, scenario_premium(scen), DEGENERATE)
 
@@ -294,9 +288,8 @@ class _CoordBox:
     """Flat coordinate view of an uncertainty set (plus jump ambiguity).
 
     Layout: n drifts, n vols, m - 1 stick-breaking weights of the m
-    matrices of `UncertaintySet.corr_hull`, then jump coordinates (per
-    compound-Poisson type intensity, mean and second moment, or one
-    weight per Levy atom).  The layout does not depend on the asset
+    matrices of `UncertaintySet.corr_hull`, then the jump bounds' own
+    coordinates (their ``box``).  The layout does not depend on the asset
     count; two assets put their correlation interval on one stick
     coordinate u, with rho = u rho_hi + (1 - u) rho_lo.
     """
@@ -312,18 +305,11 @@ class _CoordBox:
         if fixed_jump is not None and uset.jump_bounds is not None:
             raise InvalidBounds("a fixed jump spec and jump ambiguity bounds are exclusive")
         n_corr = len(uset.corr_hull) - 1
-        lo = [uset.drift_lo, uset.vol_lo, np.zeros(n_corr)]
-        hi = [uset.drift_hi, uset.vol_hi, np.ones(n_corr)]
         jb = uset.jump_bounds
-        if isinstance(jb, CompoundPoissonBounds):
-            lo += [jb.intensity_lo, jb.mean_lo, jb.second_lo]
-            hi += [jb.intensity_hi, jb.mean_hi, jb.second_hi]
-        elif isinstance(jb, DiscreteLevyBounds):
-            lo.append(jb.weight_lo)
-            hi.append(jb.weight_hi)
+        j_lo, j_hi = (np.zeros(0), np.zeros(0)) if jb is None else jb.box
         return cls(uset, fixed_jump,
-                   np.concatenate([np.atleast_1d(np.asarray(a, dtype=float)) for a in lo]),
-                   np.concatenate([np.atleast_1d(np.asarray(a, dtype=float)) for a in hi]),
+                   np.concatenate([uset.drift_lo, uset.vol_lo, np.zeros(n_corr), j_lo]),
+                   np.concatenate([uset.drift_hi, uset.vol_hi, np.ones(n_corr), j_hi]),
                    n_corr)
 
     @property
@@ -354,34 +340,16 @@ class _CoordBox:
 
     def _jump_shifts(self, jc: list[np.ndarray]):
         """Drift shift (..., n), covariance shift (..., n, n) and moment
-        consistency mask (...) from broadcasting jump coordinates, one
-        array per coordinate; each result spans only the coordinates it
-        depends on.  The shifts are constant without jump ambiguity; the
-        mask is None unless the ambiguity is compound-Poisson."""
-        jb = self.uset.jump_bounds
-        if self.fixed_jump is not None:
-            return self.fixed_jump.drift_adjustment(), self.fixed_jump.covariance_adjustment(), None
-        if jb is None:
-            n = self.uset.n
+        validity mask (...) or None from broadcasting jump coordinates,
+        one array per coordinate (the bounds' `moment_terms`); each result
+        spans only the coordinates it depends on.  The shifts are constant
+        without jump ambiguity."""
+        jump, n = self.fixed_jump, self.uset.n
+        if self.uset.jump_bounds is not None:
+            return self.uset.jump_bounds.moment_terms(jc)
+        if jump is None:
             return np.zeros(n), np.zeros((n, n)), None
-        ok = None
-        if isinstance(jb, CompoundPoissonBounds):
-            k = jb.loadings.shape[1]
-            mu, mean, second = jc[:k], jc[k:2 * k], jc[2 * k:3 * k]
-            moments = np.broadcast_arrays(*mean, *second)
-            ok = surrogate_atoms(jb.loadings, 1.0, np.stack(moments[:k], axis=-1),
-                                 np.stack(moments[k:], axis=-1))[3]
-            flow = [u * e for u, e in zip(mu, mean)]
-            quad = [u * s for u, s in zip(mu, second)]
-            vecs = jb.loadings.T
-        else:
-            flow = quad = jc
-            vecs = jb.atoms
-        d = m = 0.0
-        for f, q, v in zip(flow, quad, vecs):
-            d = d + f[..., None] * v
-            m = m + q[..., None, None] * np.outer(v, v)
-        return d, m, ok
+        return jump.drift_adjustment(), jump.covariance_adjustment(), None
 
     def grid_premiums(self, axes: list[np.ndarray]) -> tuple[int, Generator]:
         """Jump-adjusted premiums b_F' Sigma_F^{-1} b_F on the grid product
@@ -392,8 +360,8 @@ class _CoordBox:
         + d_i its drift axis and the jump-flow axes, Sigma_ij = vol_i vol_j
         C_ij + M_ij the vol, correlation and jump-moment axes.  Sigma is
         factored and inverted once per point of its own axes.  A point is
-        valid when Sigma factorizes and, under compound-Poisson ambiguity,
-        the jump moments of every type pass `surrogate_atoms`.
+        valid when Sigma factorizes and its jump coordinates are valid
+        (compound-Poisson moments must pass `surrogate_atoms`).
 
         The grid is then laid out as (axes shared by b and the Sigma side)
         x (b-only axes) x (Sigma-side-only axes), where the Sigma side is
@@ -486,29 +454,20 @@ class _CoordBox:
         valid[valid] = factorizes(cov[valid])
 
         jb = self.uset.jump_bounds
-        if isinstance(jb, CompoundPoissonBounds):
-            n_types = jb.loadings.shape[1]
-            _, vec, weight, ok = surrogate_atoms(
-                jb.loadings, jpts[:, :n_types], jpts[:, n_types:2 * n_types],
-                jpts[:, 2 * n_types:3 * n_types])
+        if jb is not None:
+            vec, weight, ok = jb.atom_stack(jpts)
             valid &= ok
         else:
-            # a fixed atom table; Levy ambiguity moves only the weights
-            vec, weight = atom_arrays(self.fixed_jump if jb is None else jb.spec_at(jb.weight_lo), n)
-            m = weight.size
-            vec = np.broadcast_to(vec[:, None, :], (m, k, n))
-            weight = np.broadcast_to(weight[:, None], (m, k)) if jb is None else jpts.T
+            vec, weight = atom_arrays(self.fixed_jump, n)
+            vec = np.broadcast_to(vec[:, None, :], (weight.size, k, n))
+            weight = np.broadcast_to(weight[:, None], (weight.size, k))
         return ScenarioArrays(drift, cov, vec, weight), valid
 
     def jump_at(self, point: np.ndarray) -> JumpSpec | None:
         jb = self.uset.jump_bounds
         if jb is None:
             return self.fixed_jump
-        j = self.split(np.asarray(point, dtype=float)[None, :])[3][0]
-        if isinstance(jb, CompoundPoissonBounds):
-            k = jb.loadings.shape[1]
-            return jb.spec_at(j[:k], j[k:2 * k], j[2 * k:3 * k])
-        return jb.spec_at(j)
+        return jb.spec_at(self.split(np.asarray(point, dtype=float)[None, :])[3][0])
 
     def scenarios(self, pts: np.ndarray) -> list[Scenario]:
         """Scenario objects at the valid rows of (k, dim) points, in order."""
@@ -1087,25 +1046,16 @@ def find_worst_case(
     """
     if jump is not None and uset.jump_bounds is not None:
         raise InvalidBounds("a fixed jump spec and jump ambiguity bounds are exclusive")
-    jump_null = jump is not None and (
-        not np.any(jump.drift_adjustment()) and not np.any(jump.covariance_adjustment())
-    )
+    jump_null = jump is not None and not (np.any(jump.drift_adjustment())
+                                          or np.any(jump.covariance_adjustment()))
     effective_jump = None if jump_null else jump
     if uset.is_singleton:
         return _degenerate_result(uset, jump)
-    if (
-        uset.n == 2
-        and effective_jump is None
-        and uset.jump_bounds is None
-        and uset.two_asset_ordering_holds()
-    ):
+    if (uset.n == 2 and effective_jump is None and uset.jump_bounds is None
+            and uset.two_asset_ordering_holds()):
         res = worst_case_two_asset(uset, criterion)
-        if jump is not None:
-            # re-attach the null jump so downstream simulation still jumps
-            return replace(res, scenario=res.scenario.with_jump(jump))
-        return res
-    res = worst_case_numeric(uset, criterion, jump=effective_jump,
-                             resolution=resolution, refinements=refinements)
-    if jump is not None and jump_null:
-        return replace(res, scenario=res.scenario.with_jump(jump))
-    return res
+    else:
+        res = worst_case_numeric(uset, criterion, jump=effective_jump,
+                                 resolution=resolution, refinements=refinements)
+    # re-attach a null jump so downstream simulation still jumps
+    return replace(res, scenario=res.scenario.with_jump(jump)) if jump_null else res

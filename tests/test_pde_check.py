@@ -74,13 +74,8 @@ def sequential_scenarios(uset, count, rng, fixed_jump=None):
         sticks, jpts = pt[2 * n:2 * n + m - 1], pt[2 * n + m - 1:]
         try:
             corr_mat = uset.corr_matrix_from_weights(box.hull_weights(sticks[None, :])[0])
-            jump = fixed_jump
             jb = uset.jump_bounds
-            if isinstance(jb, rm.CompoundPoissonBounds):
-                k = jb.loadings.shape[1]
-                jump = jb.spec_at(jpts[:k], jpts[k:2 * k], jpts[2 * k:3 * k])
-            elif jb is not None:
-                jump = jb.spec_at(jpts)
+            jump = fixed_jump if jb is None else jb.spec_at(jpts)
             out.append(rm.Scenario(drift, rm.build_covariance(vols, corr_mat), jump))
         except (rm.NotPositiveDefinite, rm.InvalidBounds):
             rejected += 1

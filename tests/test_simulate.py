@@ -324,8 +324,10 @@ class TestRngLayout:
         rng = np.random.default_rng(0)
         alpha = rng.uniform(0.0, 0.4, (size, 2)) if per_path else np.array([0.3, 0.2])
         got, want = np.zeros(size), np.zeros(size)
-        for seg, lo, hi in segments:
+        for (seg, lo, hi), scen in zip(segments, scens):
             coef = _Coefficients(seg, alpha, log_state, start)
+            # the public stream table: a size law per stream, None for unit size
+            laws = scen.jump.streams[2]
             for s in range(lo, hi):
                 if events.bounds[s] < events.bounds[s + 1]:
                     coef.add_jumps(got, events, s, start)
@@ -334,11 +336,8 @@ class TestRngLayout:
                         for k, e in enumerate(arrivals.times[l, :, row]):
                             if not clock[s, l] < e <= clock[s + 1, l]:
                                 continue
-                            if seg.jump_kind == "ld":
-                                want[row] += coef.zeta[l, row] if per_path else coef.zeta[l]
-                                continue
-                            y = float(seg.scenario.jump.size_laws[l]
-                                      .quantile(arrivals.uniforms[l, k, row]))
+                            y = 1.0 if laws[l] is None else float(
+                                laws[l].quantile(arrivals.uniforms[l, k, row]))
                             move = (coef.expos[l, row] if per_path else coef.expos[l]) * y
                             want[row] += np.log1p(move) if log_state else move
         assert np.array_equal(got, want)
