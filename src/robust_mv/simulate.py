@@ -860,9 +860,12 @@ def scenario_candidates(uset: UncertaintySet, count: int,
                         theta_hat: Scenario,
                         fixed_jump: JumpSpec | None = None) -> list[Scenario]:
     """Deterministic u-candidates: the worst case itself, then box
-    corners, then a low-discrepancy interior fill, deduplicated."""
+    corners, then a low-discrepancy interior fill, deduplicated on drift,
+    covariance and atom table (so corners that differ in their jump law
+    alone are kept)."""
     def key(s: Scenario):
-        return (tuple(np.round(s.drift, 12)), tuple(np.round(s.cov.ravel(), 12)))
+        a = s.arrays
+        return tuple(tuple(np.round(x, 12).ravel()) for x in (a.drift, a.cov, a.atom_vec, a.atom_weight))
 
     out: list[Scenario] = [theta_hat]
     seen = {key(theta_hat)}

@@ -778,6 +778,30 @@ class TestPerturbations:
             keys = [key(s) for s in got]
             assert len(set(keys)) == count and keys == longest[:count]
 
+    def test_candidates_vary_the_jump_law(self):
+        # corners that differ from an earlier one in their jump law alone are
+        # candidates of their own: the first few already reach the upper
+        # intensity (compound Poisson) or the second atom's upper weight (Levy)
+        cp = rm.CompoundPoissonBounds(
+            loadings=np.array([[1.0], [0.5]]), intensity_lo=np.array([0.3]),
+            intensity_hi=np.array([0.6]), mean_lo=np.array([0.04]), mean_hi=np.array([0.09]),
+            second_lo=np.array([0.007]), second_hi=np.array([0.03]))
+        levy = rm.DiscreteLevyBounds(atoms=np.array([[-0.05], [0.08]]),
+                                     weight_lo=np.array([0.2, 0.1]), weight_hi=np.array([0.6, 0.4]))
+        box2 = ((0.10, 0.13), (0.04, 0.05), (0.2, 0.23), (0.3, 0.33), (0.25, 0.35))
+        for uset, at_hi in (
+                (rm.UncertaintySet.two_asset(*box2, jump_bounds=cp),
+                 lambda u: u.jump.intensity[0] == cp.intensity_hi[0]),
+                (rm.UncertaintySet.single_asset((0.10, 0.12), (0.2, 0.25), jump_bounds=levy),
+                 lambda u: u.jump.weights[1] == levy.weight_hi[1])):
+            theta = rm.worst_case_numeric(uset, resolution=5, refinements=1).scenario
+            assert not at_hi(theta)
+            us = scenario_candidates(uset, 8, theta)
+            assert len(us) == 8 and any(at_hi(u) for u in us[1:])
+            tables = {(u.drift.tobytes(), u.cov.tobytes(), u.arrays.atom_vec.tobytes(),
+                       u.arrays.atom_weight.tobytes()) for u in us}
+            assert len(tables) == 8
+
     @pytest.mark.parametrize("h_list", [[5.0], [0.05, -0.1], []])
     def test_window_lengths_outside_the_horizon_are_refused(self, tw_solution, short_second_set,
                                                             h_list):
