@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -197,19 +198,31 @@ class ResidualRow:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualTable:
-    rows: tuple[ResidualRow, ...]
+    """Residuals on a (t, x) lattice as columns: per lattice point its t
+    and x (t outer, x inner), and one residual array per equation in
+    ``columns``, in the order of the equations.  ``rows`` lists them as
+    `ResidualRow` objects, point by point; it is built on first read."""
+
+    t: np.ndarray
+    x: np.ndarray
+    columns: dict[str, np.ndarray]
+
+    @cached_property
+    def rows(self) -> tuple[ResidualRow, ...]:
+        values = {eq: v.tolist() for eq, v in self.columns.items()}
+        return tuple(ResidualRow(ti, xi, eq, values[eq][i])
+                     for i, (ti, xi) in enumerate(zip(self.t.tolist(), self.x.tolist()))
+                     for eq in values)
 
     @property
     def max_abs(self) -> float:
-        return max((abs(r.residual) for r in self.rows), default=0.0)
+        """Largest |residual| over every equation (NaN if any residual is NaN)."""
+        return float(np.max(list(self.max_by_equation().values()), initial=0.0))
 
     def max_by_equation(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for r in self.rows:
-            out[r.eq_id] = max(out.get(r.eq_id, 0.0), abs(r.residual))
-        return out
+        return {eq: float(np.max(np.abs(v))) for eq, v in self.columns.items() if v.size}
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -272,12 +285,7 @@ def residual_grid(sol, t_nodes: Sequence[float] | None = None,
         columns["hjb_value"] = av - criterion.lam * ops.quadratic_variation(g_field, alpha, theta, t, x)
     columns["objective_pde"] = af
     columns["hjb_objective"] = af + 2.0 * criterion.risk_aversion_at(x) * g_field.value(t, x) * ag
-    values = {eq: v.tolist() for eq, v in columns.items()}
-    return ResidualTable(tuple(
-        ResidualRow(ti, xi, eq, values[eq][i])
-        for i, (ti, xi) in enumerate(zip(t.tolist(), x.tolist()))
-        for eq in columns
-    ))
+    return ResidualTable(t, x, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,24 @@ class TestBatchedVerification:
             assert np.array_equal(stack.drift, np.array([b.drift for b in want]))
             assert np.array_equal(stack.cov, np.array([b.cov for b in want]))
 
+    def test_residual_columns_give_the_rows_and_maxima(self, tw_solution):
+        # the table holds columns; its rows are a view built once, and the
+        # maxima read from the columns equal those of a loop over the rows
+        table = rm.residual_grid(tw_solution, nt=4, nx=3)
+        assert table.t.size == table.x.size == 12 and list(table.columns) == [
+            "mean_pde", "hjb_value", "objective_pde", "hjb_objective"]
+        rows = table.rows
+        assert table.rows is rows and len(rows) == 48
+        want: dict[str, float] = {}
+        for r in rows:
+            want[r.eq_id] = max(want.get(r.eq_id, 0.0), abs(r.residual))
+        assert table.max_by_equation() == want
+        assert table.max_abs == max(abs(r.residual) for r in rows)
+        nan = rm.ResidualTable(np.zeros(2), np.zeros(2), {"mean_pde": np.array([1e-3, np.nan])})
+        assert math.isnan(nan.max_abs)
+        empty = rm.ResidualTable(np.zeros(0), np.zeros(0), {"mean_pde": np.zeros(0)})
+        assert (empty.max_abs, empty.max_by_equation(), empty.rows) == (0.0, {}, ())
+
     def test_residual_rows_keep_their_order(self, tw_solution, ws_solution):
         for sol, eqs in ((tw_solution, ["mean_pde", "hjb_value", "objective_pde", "hjb_objective"]),
                          (ws_solution, ["mean_pde", "objective_pde", "hjb_objective"])):
