@@ -750,10 +750,11 @@ class _Coefficients:
         self.expos = _lin(seg.loadings, alpha)
         # under the log state a unit-size move alpha.v <= -1 has no log(1 +
         # alpha.v): refused before the segment steps, per path naming the first
-        bad = self.expos[seg.unit] <= -1.0 if log_state else False
-        if np.any(bad):
-            where = "" if bad.ndim == 1 else f" on path {start + int(np.argmax(np.any(bad, axis=0)))}"
-            raise NonBankruptcyViolated(f"log-state jump 1 + alpha.v <= 0{where}")
+        if log_state:
+            bad = self.expos[seg.unit] <= -1.0
+            if bad.any():
+                where = "" if bad.ndim == 1 else f" on path {start + int(np.argmax(bad.any(axis=0)))}"
+                raise NonBankruptcyViolated(f"log-state jump 1 + alpha.v <= 0{where}")
 
     def same_step(self, other: _Coefficients) -> bool:
         """Whether two constant coefficient sets move the diffusion alike."""
