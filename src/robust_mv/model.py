@@ -278,10 +278,6 @@ class CompoundPoissonJumps:
     def n_assets(self) -> int:
         return self.loadings.shape[0]
 
-    @property
-    def n_types(self) -> int:
-        return self.loadings.shape[1]
-
     def mean_sizes(self) -> np.ndarray:
         return np.array([law.mean for law in self.size_laws])
 
@@ -412,10 +408,9 @@ def atom_arrays(jump: JumpSpec | None, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def jump_streams(jump: JumpSpec | None, n: int) -> tuple:
     """Independent Poisson streams of a jump spec, none without jumps:
-    loadings (n, k), intensity (k,) and size laws, where stream l fires at
-    intensity[l] and moves the assets by loadings[:, l] times a size drawn
-    from size_laws[l], or by loadings[:, l] itself where that is None (a
-    stream of unit size, whose move is known before any arrival)."""
+    loadings (n, k), intensity (k,) and size laws.  Stream l fires at
+    intensity[l] and moves the assets by loadings[:, l] times a size from
+    size_laws[l], or by loadings[:, l] itself where that is None (unit size)."""
     return (np.zeros((n, 0)), np.zeros(0), ()) if jump is None else jump.streams
 
 
@@ -584,10 +579,9 @@ class CompoundPoissonBounds:
         return CompoundPoissonJumps(self.loadings, intensity, laws)
 
     def moment_terms(self, jc: list[np.ndarray]) -> tuple:
-        """Jump flow (..., n), second-moment term (..., n, n) and validity
-        mask (...) over broadcasting coordinate arrays, one per coordinate:
-        flow sum_l mu_l E[Y_l] J_l, second moment sum_l mu_l E[Y_l^2] J_l
-        J_l', valid where every type passes `surrogate_atoms`."""
+        """Jump flow sum_l mu_l E[Y_l] J_l (..., n), second-moment term sum_l
+        mu_l E[Y_l^2] J_l J_l' (..., n, n) and validity under `surrogate_atoms`
+        (...) over broadcasting coordinate arrays, one per coordinate."""
         k = self.loadings.shape[1]
         mu, mean, second = jc[:k], jc[k:2 * k], jc[2 * k:3 * k]
         moments = np.broadcast_arrays(*mean, *second)

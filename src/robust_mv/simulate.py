@@ -733,7 +733,7 @@ class _Coefficients:
 
     def __init__(self, seg: _Segment, alpha: np.ndarray, log_state: bool, start: int):
         alpha = np.asarray(alpha, dtype=float)
-        self.seg, self.log_state = seg, log_state
+        self.log_state = log_state
         self.per_path = alpha.ndim == 2
         if self.per_path:
             alpha = alpha.T  # (assets, paths)

@@ -30,9 +30,8 @@ are present).  Three solvers are provided:
 Every solver except the case split reads the correlation family in one
 normal form, `UncertaintySet.corr_hull`: the hull of m correlation
 matrices ([[1]] for one asset, the two interval ends for two), reached
-through m - 1 stick-breaking weights, and jump bounds in one form too:
-their coordinate box, moment terms and atom tables (`model.py`), with
-compound-Poisson boxes read through the two-point `surrogate_atoms`.
+through m - 1 stick-breaking weights, and jump bounds through their own
+coordinate box, moment terms and atom tables (`model.py`).
 
 The minimizer never depends on the risk-aversion level or on whether
 the criterion targets wealth or log return; solvers accept the
@@ -1046,13 +1045,18 @@ def find_worst_case(
     """
     if jump is not None and uset.jump_bounds is not None:
         raise InvalidBounds("a fixed jump spec and jump ambiguity bounds are exclusive")
-    jump_null = jump is not None and not (np.any(jump.drift_adjustment())
-                                          or np.any(jump.covariance_adjustment()))
+    jump_null = jump is not None and (
+        not np.any(jump.drift_adjustment()) and not np.any(jump.covariance_adjustment())
+    )
     effective_jump = None if jump_null else jump
     if uset.is_singleton:
         return _degenerate_result(uset, jump)
-    if (uset.n == 2 and effective_jump is None and uset.jump_bounds is None
-            and uset.two_asset_ordering_holds()):
+    if (
+        uset.n == 2
+        and effective_jump is None
+        and uset.jump_bounds is None
+        and uset.two_asset_ordering_holds()
+    ):
         res = worst_case_two_asset(uset, criterion)
     else:
         res = worst_case_numeric(uset, criterion, jump=effective_jump,
