@@ -574,7 +574,7 @@ class CompoundPoissonBounds:
 
     def spec_at(self, point) -> CompoundPoissonJumps:
         """The spec at one flat coordinate vector: two-point size laws."""
-        intensity, means, seconds = np.split(np.asarray(point, dtype=float), 3)
+        intensity, means, seconds = np.asarray(point, dtype=float).reshape(3, -1)
         laws = tuple(JumpSizeLaw.two_point_from_moments(m, s) for m, s in zip(means, seconds))
         return CompoundPoissonJumps(self.loadings, intensity, laws)
 
