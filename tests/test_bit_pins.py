@@ -1,13 +1,15 @@
-"""Bit pins of the jump paths: sha256 digests of simulated terminals and
-of grid worst cases under jump ambiguity.
+"""Bit pins of the jump paths and the solutions: sha256 digests of
+simulated terminals, of grid worst cases under jump ambiguity and of the
+four solution fixtures' JSON.
 
-Each digest hashes its arrays as little-endian float64 in the order
+Each array digest hashes its arrays as little-endian float64 in the order
 given.  A refactor of the jump code must keep every digest; a change
 that moves them on purpose (a new RNG layout, another grid) says so and
 pins the new values.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -104,3 +106,15 @@ def test_grid_worst_cases_are_pinned(name, evaluations, skipped, digest, adjuste
     assert _digest(scen.drift, scen.cov, [res.risk_premium]) == digest
     # the jump law through its adjusted moments (b_F, Sigma_F)
     assert _digest(*rm.adjusted_moments(scen)) == adjusted
+
+
+@pytest.mark.parametrize("fixture, digest", [
+    ("tw_solution", "bf1337b6d6df8819e4d765dd04ad4bec595240fca8b990335821cb0479d58dd3"),
+    ("lr_solution", "26c1838db021d8b8e099570fa66a464d04ca33501b963911108a90c127448a7d"),
+    ("cp_solution", "222c70fedecca7fb4f286344fdac788b4a1019c8ad9267b3639e21ce69668927"),
+    ("ws_solution", "c5e3b101bc600aa76a32cea61e891dee1c8aaeccc0214ccb2f763410eda3e194"),
+])
+def test_solutions_are_pinned(request, fixture, digest):
+    sol = request.getfixturevalue(fixture)
+    text = json.dumps(sol.to_json_dict(ode_stride=100), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
