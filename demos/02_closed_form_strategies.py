@@ -37,10 +37,10 @@ def main() -> None:
                                       (0.15, 0.2), (0.2, 0.3), (0.4, 0.6))
 
     print("--- terminal wealth, lam = 1")
-    show(rm.solve_terminal_wealth(box, rm.Criterion("terminal_wealth", 1.0, 1.0)))
+    show(rm.solve(box, rm.Criterion("terminal_wealth", 1.0, 1.0)))
 
     print("--- log return, lam = 1  (state is log wealth; x0 = 0)")
-    show(rm.solve_log_return(box, rm.Criterion("log_return", 1.0, 1.0, x0=0.0)), x0=0.0)
+    show(rm.solve(box, rm.Criterion("log_return", 1.0, 1.0, x0=0.0)), x0=0.0)
 
     print("--- terminal wealth + compound Poisson jumps, lam = 2")
     jump = rm.CompoundPoissonJumps(
@@ -50,7 +50,7 @@ def main() -> None:
     )
     jump_box = rm.UncertaintySet.two_asset((0.10, 0.12), (0.02, 0.03),
                                            (0.2, 0.2), (0.2, 0.3), (0.4, 0.6))
-    sol = rm.solve_compound_poisson(jump_box, rm.Criterion("terminal_wealth", 2.0, 1.0), jump)
+    sol = rm.solve(jump_box, rm.Criterion("terminal_wealth", 2.0, 1.0), jump)
     show(sol)
     print(f"  jump exposures  {np.array2string(sol.nonbankruptcy.exposures, precision=4)} "
           f"(admissible: {sol.nonbankruptcy.ok})")
@@ -58,7 +58,7 @@ def main() -> None:
 
     print("--- wealth-scaled aversion lam/x + discrete Levy jumps, lam = 1")
     levy = rm.DiscreteLevyJumps(np.array([[-0.05], [0.08]]), np.array([0.4, 0.3]))
-    ws = rm.solve_wealth_scaled(
+    ws = rm.solve(
         rm.UncertaintySet.single_asset((0.10, 0.12), (0.2, 0.25)),
         rm.Criterion("wealth_scaled", 1.0, 1.0, x0=1.0),
         jump=levy,

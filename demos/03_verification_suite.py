@@ -23,7 +23,7 @@ BOX = rm.UncertaintySet.two_asset((0.10, 0.12), (0.02, 0.03),
 
 def main() -> None:
     crit = rm.Criterion("terminal_wealth", lam=1.0, horizon=1.0)
-    sol = rm.solve_terminal_wealth(BOX, crit)
+    sol = rm.solve(BOX, crit)
 
     table = rm.residual_grid(sol, nt=10, nx=10)
     print("residuals at the equilibrium pair (10 x 10 lattice):")
@@ -51,7 +51,7 @@ def main() -> None:
         rm.build_covariance([0.15, 0.3], np.array([[1.0, 0.6], [0.6, 1.0]])),
     )
     fake = rm.WorstCaseResult(corner, rm.risk_premium(corner.drift, corner.cov), "Numeric")
-    wrong = rm.solve_terminal_wealth(BOX, crit, worst=fake)
+    wrong = rm.solve(BOX, crit, worst=fake)
     rep_bad = rm.saddle_check(wrong, BOX, samples=500, seed=0)
     worst_theta = min((v.value for v in rep_bad.violations if v.side == "theta"), default=0.0)
     print(f"non-minimizer scenario        -> {len(rep_bad.violations)} saddle violations "

@@ -32,9 +32,9 @@ def check(sol: rm.ClosedFormSolution, label: str, n_paths: int = 50_000) -> None
 def main() -> None:
     box = rm.UncertaintySet.two_asset((0.10, 0.12), (0.02, 0.03),
                                       (0.15, 0.2), (0.2, 0.3), (0.4, 0.6))
-    check(rm.solve_terminal_wealth(box, rm.Criterion("terminal_wealth", 1.0, 1.0)),
+    check(rm.solve(box, rm.Criterion("terminal_wealth", 1.0, 1.0)),
           "terminal wealth")
-    check(rm.solve_log_return(box, rm.Criterion("log_return", 1.0, 1.0, x0=0.0)),
+    check(rm.solve(box, rm.Criterion("log_return", 1.0, 1.0, x0=0.0)),
           "log return")
 
     jump = rm.CompoundPoissonJumps(
@@ -44,18 +44,18 @@ def main() -> None:
     )
     jump_box = rm.UncertaintySet.two_asset((0.10, 0.12), (0.02, 0.03),
                                            (0.2, 0.2), (0.2, 0.3), (0.4, 0.6))
-    check(rm.solve_compound_poisson(jump_box, rm.Criterion("terminal_wealth", 2.0, 1.0), jump),
+    check(rm.solve(jump_box, rm.Criterion("terminal_wealth", 2.0, 1.0), jump),
           "terminal wealth with compound Poisson jumps")
 
     levy = rm.DiscreteLevyJumps(np.array([[-0.05], [0.08]]), np.array([0.4, 0.3]))
-    ws = rm.solve_wealth_scaled(
+    ws = rm.solve(
         rm.UncertaintySet.single_asset((0.10, 0.12), (0.2, 0.25)),
         rm.Criterion("wealth_scaled", 1.0, 1.0, x0=1.0), jump=levy)
     check(ws, "wealth-scaled aversion with discrete Levy jumps")
 
     # step-size ladder: a wealth-proportional strategy has genuine
     # first-order Euler bias, visible as shrinking |J(dt) - J(dt/2)|
-    strong = rm.solve_wealth_scaled(
+    strong = rm.solve(
         rm.UncertaintySet.point(rm.Scenario(np.array([0.3]), np.array([[0.04]]))),
         rm.Criterion("wealth_scaled", 1.0, 1.0, x0=1.0))
     print("--- Euler step-size ladder (wealth-proportional strategy)")

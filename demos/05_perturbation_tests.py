@@ -32,7 +32,7 @@ def show(rep: rm.PerturbationReport) -> None:
 
 def main() -> None:
     crit = rm.Criterion("terminal_wealth", lam=1.0, horizon=1.0)
-    sol = rm.solve_terminal_wealth(BOX, crit)
+    sol = rm.solve(BOX, crit)
     cfg = rm.SimConfig(n_paths=30_000, dt=0.0125, seed=424242)
     h_list = [0.1, 0.05, 0.025]
 

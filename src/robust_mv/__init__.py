@@ -56,11 +56,7 @@ _LAZY = {
         "NonBankruptcyReport",
         "OdeGrids",
         "solve",
-        "solve_compound_poisson",
         "solve_growth_factors",
-        "solve_log_return",
-        "solve_terminal_wealth",
-        "solve_wealth_scaled",
     ),
     "pde_check": (
         "OperatorSet",

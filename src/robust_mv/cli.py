@@ -76,6 +76,14 @@ def _no_extras(obj: dict, allowed: set[str], where: str) -> None:
         raise SchemaError(f"{where}: unknown keys {sorted(extras)}")
 
 
+def _object(value, where: str, kind: type = dict):
+    """``value`` if it is a JSON object (a JSON array with ``kind=list``)."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"{where} must be a JSON {'object' if kind is dict else 'array'}, "
+                          f"got {value!r}")
+    return value
+
+
 def _is_number(value) -> bool:
     return (not isinstance(value, bool) and isinstance(value, (int, float))
             and math.isfinite(value))
@@ -122,13 +130,12 @@ def load_problem(path) -> dict:
 
 
 def parse_uncertainty(doc: dict) -> UncertaintySet:
-    n = _need(doc, "assets", "problem")
-    if not isinstance(n, int) or n < 1:
-        raise SchemaError("assets must be a positive integer")
-    unc = _need(doc, "uncertainty", "problem")
-    allowed = {"drift_lo", "drift_hi", "vol_lo", "vol_hi", "rho_lo", "rho_hi",
-               "corr_vertices", "jump_bounds"}
-    _no_extras(unc, allowed, "uncertainty")
+    n = _integer(doc, "assets", None, 1, "problem")
+    unc = _object(_need(doc, "uncertainty", "problem"), "uncertainty")
+    # the correlation keys the asset count reads: none, a range, or hull vertices
+    corr = set() if n == 1 else {"rho_lo", "rho_hi"} if n == 2 else {"corr_vertices"}
+    _no_extras(unc, {"drift_lo", "drift_hi", "vol_lo", "vol_hi", "jump_bounds"} | corr,
+               "uncertainty")
     kwargs = dict(
         drift_lo=_vector(_need(unc, "drift_lo", "uncertainty"), n, "drift_lo"),
         drift_hi=_vector(_need(unc, "drift_hi", "uncertainty"), n, "drift_hi"),
@@ -150,7 +157,7 @@ def parse_uncertainty(doc: dict) -> UncertaintySet:
 
 
 def parse_jump_bounds(obj: dict, n: int):
-    kind = _need(obj, "kind", "jump_bounds")
+    kind = _need(_object(obj, "jump_bounds"), "kind", "jump_bounds")
     if kind == "compound_poisson":
         _no_extras(obj, {"kind", "loadings", "intensity_lo", "intensity_hi",
                          "mean_lo", "mean_hi", "second_lo", "second_hi"}, "jump_bounds")
@@ -179,7 +186,7 @@ def parse_jump_bounds(obj: dict, n: int):
 
 def parse_size_law(obj: dict, index: int) -> JumpSizeLaw:
     where = f"jumps.sizes[{index}]"
-    sampler = _need(obj, "sampler", where)
+    sampler = _need(_object(obj, where), "sampler", where)
     if sampler == "two-point":
         _no_extras(obj, {"sampler", "values", "prob", "mean", "second_moment"}, where)
         if "values" in obj:
@@ -209,13 +216,14 @@ def parse_size_law(obj: dict, index: int) -> JumpSizeLaw:
 def parse_jumps(doc: dict, n: int):
     if "jumps" not in doc:
         return None
-    obj = doc["jumps"]
+    obj = _object(doc["jumps"], "jumps")
     kind = _need(obj, "kind", "jumps")
     try:
         if kind == "compound_poisson":
             _no_extras(obj, {"kind", "loadings", "intensity", "sizes"}, "jumps")
             loadings = _numbers(_need(obj, "loadings", "jumps"), (n, None), "jumps.loadings")
-            sizes = [parse_size_law(s, i) for i, s in enumerate(_need(obj, "sizes", "jumps"))]
+            laws = _object(_need(obj, "sizes", "jumps"), "jumps.sizes", list)
+            sizes = [parse_size_law(s, i) for i, s in enumerate(laws)]
             return CompoundPoissonJumps(
                 loadings=loadings,
                 intensity=_vector(_need(obj, "intensity", "jumps"), loadings.shape[1], "jumps.intensity"),
@@ -236,7 +244,7 @@ def parse_jumps(doc: dict, n: int):
 
 
 def parse_criterion(doc: dict) -> Criterion:
-    obj = _need(doc, "criterion", "problem")
+    obj = _object(_need(doc, "criterion", "problem"), "criterion")
     _no_extras(obj, {"kind", "lambda", "T", "t0", "x0"}, "criterion")
     try:
         return Criterion(
@@ -280,7 +288,7 @@ def _flag(obj: dict, key: str, where: str) -> bool:
 
 def parse_worst_case(doc: dict) -> tuple[str, int, int]:
     """The optional ``worst_case`` block: method, grid resolution, refinements."""
-    block = doc.get("worst_case", {})
+    block = _object(doc.get("worst_case", {}), "worst_case")
     _no_extras(block, {"method", "grid_resolution", "refinements"}, "worst_case")
     method = block.get("method", "auto")
     if method not in ("closed", "numeric", "auto"):
@@ -294,7 +302,7 @@ def _block(doc: dict, name: str, allowed: set[str], required: set[str]) -> dict:
     obj = doc.get(name)
     if obj is None:
         raise SchemaError(f"problem: command needs a {name!r} block")
-    _no_extras(obj, allowed, name)
+    _no_extras(_object(obj, name), allowed, name)
     for key in required:
         _need(obj, key, name)
     return obj

@@ -1,34 +1,38 @@
 """Explicit time-consistent strategies under the worst-case scenario.
 
-Four solved cases, each returning a `ClosedFormSolution` bundling the
-strategy alpha_hat, the value function V, the conditional-mean function
-g(t, x) = E[X_T | X_t = x] under the equilibrium pair and the objective
-f(t, x, y) = E[X_T] - lam(y) E[X_T^2], tied by V = f + lam(x) g^2, together
-with the worst case they were built from.
+`solve` returns a `ClosedFormSolution`: a criterion and the worst case
+theta_hat it is solved under.  It gives the strategy alpha_hat, the value
+function V, the conditional mean g(t, x) = E[X_T | X_t = x] under the
+equilibrium pair and the objective f(t, x, y) = E[X_T] - lam(y) E[X_T^2],
+tied by V = f + lam(x) g^2.
+
+The jump law is theta_hat's own, fixed or chosen from jump bounds, and
+enters only through the adjusted moments (b_F, Sigma_F).  One rule admits
+it: terminal wealth takes compound Poisson jumps (exposures alpha.J_l
+reported against [0, 1]), wealth-scaled discrete Levy jumps, and every
+kind no jumps.  Anything else raises `InvalidBounds` (CLI exit 3):
+terminal wealth under Levy jumps, wealth-scaled under compound Poisson
+and log return under any jumps, fixed or bounded.
 
 In every case g is affine and E[X_T^2] quadratic in the state, so each of
 V, g and f is c0 + c1 x + c2 x^2.  One coefficient table per kind gives
 the rows (c0, c1, c2) at time t, and every value and partial is read
 from it (tau = T - t, g0 = a_g tau):
 
-* constant aversion lam (terminal wealth, log return, compound Poisson):
+* constant aversion lam (terminal wealth, log return):
       V: (a_v tau, 1, 0),  g: (g0, 1, 0),  f: (a_v tau - lam g0^2, 1 - 2 lam g0, -lam)
   - terminal wealth: a_v = P / (4 lam), a_g = P / (2 lam),
-        alpha_hat = Sigma^{-1} b / (2 lam);
+        alpha_hat = Sigma_F^{-1} b_F / (2 lam);
   - log return: a_v = P / (2 (1+2 lam)), a_g = (2 lam + 1/2) P / (1+2 lam)^2,
         alpha_hat = Sigma^{-1} b / (1+2 lam);
-  - terminal wealth with compound Poisson jumps: the terminal-wealth
-    table with (b, Sigma) replaced by the jump-adjusted (b_F, Sigma_F),
-    plus a per-jump-type admissibility report (alpha.J_l must lie in [0,1]);
-* wealth-scaled risk aversion lam(x) = lam / x with discrete Levy jumps:
+* wealth-scaled risk aversion lam(x) = lam / x:
       V: (0, A + lam (A^2 - B), 0),  g: (0, A, 0),  f: (0, A, -(lam / y) B),
       alpha_hat = Sigma_F^{-1} b_F (A + 2 lam (A^2 - B)) / (2 lam B) * x,
   where (A, B) solve a two-dimensional backward ODE system with
   A(T) = B(T) = 1, reduced exactly to B = A^2 + A ln A / (2 lam) and one
   scalar equation for A, solved by Newton at every node at once.
 
-Everywhere P denotes the worst-case risk premium b' Sigma^{-1} b (or its
-jump-adjusted version).
+P is the worst-case risk premium b_F' Sigma_F^{-1} b_F (b' Sigma^{-1} b without jumps).
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .model import (
     JumpSpec,
     UncertaintySet,
     nonbankruptcy_intervals,
-    nonbankruptcy_violations,
 )
 from .worst_case import WorstCaseResult, find_worst_case
 
@@ -179,28 +182,39 @@ def solve_growth_factors(lam: float, premium: float, t0: float, horizon: float) 
 
 @dataclass(frozen=True)
 class ClosedFormSolution:
-    """Evaluable strategy/value bundle for one solved case.
+    """One solved case: its criterion and the worst case it is solved
+    under, from which ``kind``, ``premium`` and ``direction`` are read.
 
     V, g and f are rows of the kind's coefficient table (`_table`), read
-    through one field builder (`_field`) that also gives their analytic
-    partials, so V = f + lam(x) g^2 holds pointwise up to rounding.  For
-    the constant-aversion kinds the strategy is constant in (t, x); for
-    the wealth-scaled kind it is proportional to wealth with a
-    time-varying coefficient read off the ODE grids.
+    through one field builder (`_field`) with their analytic partials, so
+    V = f + lam(x) g^2 holds pointwise up to rounding.  The constant-
+    aversion strategy is constant in (t, x); the wealth-scaled one is
+    proportional to wealth with a coefficient read off the ODE grids.
     """
 
-    kind: str
     criterion: Criterion
     worst_case: WorstCaseResult
-    premium: float
-    direction: np.ndarray
     ode: OdeGrids | None = None
     nonbankruptcy: NonBankruptcyReport | None = None
 
+    @property
+    def kind(self) -> str:
+        return self.criterion.kind
+
+    @property
+    def premium(self) -> float:
+        """The worst case's (jump-adjusted) risk premium."""
+        return self.worst_case.risk_premium
+
+    @property
+    def direction(self) -> np.ndarray:
+        """Sigma_F^{-1} b_F at the worst case, read-only."""
+        return self._direction
+
     def __post_init__(self) -> None:
-        d = np.array(self.direction, dtype=float)
+        d = self.worst_case.alpha_direction()
         d.setflags(write=False)
-        object.__setattr__(self, "direction", d)
+        object.__setattr__(self, "_direction", d)
 
     # --- strategy ---------------------------------------------------------
 
@@ -223,9 +237,7 @@ class ClosedFormSolution:
                 return self.direction * (scale * float(x_arr))
             return np.outer(scale * x_arr, self.direction)
         coef = self.alpha_coef
-        if x_arr.ndim == 0:
-            return coef
-        return np.broadcast_to(coef, (x_arr.size, coef.size)).copy()
+        return coef if x_arr.ndim == 0 else np.broadcast_to(coef, (x_arr.size, coef.size)).copy()
 
     # --- value / mean / objective functions ---------------------------------
 
@@ -308,16 +320,11 @@ class ClosedFormSolution:
     # --- serialization -------------------------------------------------------
 
     def to_json_dict(self, ode_stride: int = 1) -> dict:
-        scen = self.worst_case.scenario
+        scen, crit = self.worst_case.scenario, self.criterion
         out = {
             "kind": self.kind,
-            "criterion": {
-                "kind": self.criterion.kind,
-                "lambda": self.criterion.lam,
-                "T": self.criterion.horizon,
-                "t0": self.criterion.t0,
-                "x0": self.criterion.x0,
-            },
+            "criterion": {"kind": crit.kind, "lambda": crit.lam, "T": crit.horizon,
+                          "t0": crit.t0, "x0": crit.x0},
             "premium": self.premium,
             "direction": self.direction.tolist(),
             "worst_case": {
@@ -350,100 +357,58 @@ class ClosedFormSolution:
             out["alpha_hat"] = self.alpha_coef.tolist()
             out["value_slope"] = a_v
             out["mean_slope"] = a_g
-        if self.nonbankruptcy is not None:
-            out["nonbankruptcy"] = {
-                "exposures": self.nonbankruptcy.exposures.tolist(),
-                "violating_types": list(self.nonbankruptcy.violating_types),
-                "ok": self.nonbankruptcy.ok,
-            }
+        rep = self.nonbankruptcy
+        if rep is not None:
+            out["nonbankruptcy"] = {"exposures": rep.exposures.tolist(), "ok": rep.ok,
+                                    "violating_types": list(rep.violating_types)}
         return out
 
 
 # ---------------------------------------------------------------------------
-# solvers
+# the solver
 # ---------------------------------------------------------------------------
 
-
-def _solved(kind: str, uset: UncertaintySet, criterion: Criterion, jump: JumpSpec | None,
-            worst: WorstCaseResult | None) -> ClosedFormSolution:
-    """The ``kind`` solution under ``worst``, or under the worst case of the
-    set when none is given."""
-    if criterion.kind != kind:
-        raise InvalidBounds(f"criterion kind must be {kind}")
-    wc = worst if worst is not None else find_worst_case(uset, criterion, jump=jump)
-    return ClosedFormSolution(kind=kind, criterion=criterion, worst_case=wc,
-                              premium=wc.risk_premium, direction=wc.alpha_direction())
+# the jump class each criterion kind has a closed form for, besides no jumps
+_SOLVED_JUMPS = {"terminal_wealth": CompoundPoissonJumps, "log_return": (),
+                 "wealth_scaled": DiscreteLevyJumps}
 
 
-def solve_terminal_wealth(uset: UncertaintySet, criterion: Criterion,
-                          worst: WorstCaseResult | None = None) -> ClosedFormSolution:
-    """Constant-aversion terminal-wealth strategy under the worst case."""
-    return _solved("terminal_wealth", uset, criterion, None, worst)
-
-
-def solve_log_return(uset: UncertaintySet, criterion: Criterion,
-                     worst: WorstCaseResult | None = None) -> ClosedFormSolution:
-    """Constant-aversion log-return strategy under the worst case."""
-    return _solved("log_return", uset, criterion, None, worst)
-
-
-def solve_compound_poisson(uset: UncertaintySet, criterion: Criterion,
-                           jump: CompoundPoissonJumps,
-                           worst: WorstCaseResult | None = None) -> ClosedFormSolution:
-    """Terminal-wealth strategy with compound Poisson jumps.
-
-    Identical functional form to the no-jump case with (b, Sigma)
-    replaced by (b_F, Sigma_F).  The per-type exposures alpha.J_l are
-    checked against [0, 1]; violations are reported (and warned about),
-    not fatal - the closed form stays well defined, but the simulator
-    will refuse the strategy under jump dynamics.
-    """
-    if criterion.kind != "terminal_wealth":
-        raise InvalidBounds("jump strategies are solved for the terminal-wealth criterion")
-    if not isinstance(jump, CompoundPoissonJumps):
-        raise InvalidBounds("expected a compound Poisson jump spec")
-    jump.validate_compensation()
-    sol = _solved("terminal_wealth", uset, criterion, jump, worst)
-    alpha = sol.alpha_coef
-    report = NonBankruptcyReport(
-        exposures=nonbankruptcy_intervals(alpha, jump),
-        violating_types=tuple(nonbankruptcy_violations(alpha, jump)),
-    )
-    if not report.ok:
-        warnings.warn(
-            f"strategy exposure alpha.J outside [0, 1] for jump types {report.violating_types}; "
-            "wealth paths may hit zero under jump dynamics",
-            stacklevel=2,
-        )
-    return replace(sol, nonbankruptcy=report)
-
-
-def solve_wealth_scaled(uset: UncertaintySet, criterion: Criterion,
-                        jump: DiscreteLevyJumps | None = None,
-                        worst: WorstCaseResult | None = None) -> ClosedFormSolution:
-    """Wealth-scaled aversion lam(x) = lam / x, optionally with discrete
-    Levy jumps; the growth factors A, B come from `solve_growth_factors`."""
-    if criterion.kind != "wealth_scaled":
-        raise InvalidBounds("criterion kind must be wealth_scaled")
-    if jump is not None and not isinstance(jump, DiscreteLevyJumps):
-        raise InvalidBounds("wealth-scaled strategies take a discrete Levy jump spec or none")
-    sol = _solved("wealth_scaled", uset, criterion, jump, worst)
-    return replace(sol, ode=solve_growth_factors(criterion.lam, sol.premium,
-                                                 criterion.t0, criterion.horizon))
+def _admitted(kind: str, law: JumpSpec | None) -> JumpSpec | None:
+    """``law`` if the ``kind`` criterion has a closed form with it."""
+    if law is not None and not isinstance(law, _SOLVED_JUMPS[kind]):
+        raise InvalidBounds(f"no closed form for the {kind} criterion with {type(law).__name__}")
+    return law
 
 
 def solve(uset: UncertaintySet, criterion: Criterion, jump: JumpSpec | None = None,
           worst: WorstCaseResult | None = None) -> ClosedFormSolution:
-    """Dispatch on the criterion kind (and jump spec type)."""
-    if criterion.kind == "terminal_wealth":
-        if jump is None:
-            return solve_terminal_wealth(uset, criterion, worst)
-        return solve_compound_poisson(uset, criterion, jump, worst)
-    if criterion.kind == "log_return":
-        if jump is not None:
-            raise InvalidBounds(
-                "log-return with jumps has no closed form; it is supported "
-                "only by the simulator"
-            )
-        return solve_log_return(uset, criterion, worst)
-    return solve_wealth_scaled(uset, criterion, jump, worst)
+    """The solved case of ``criterion.kind`` under ``worst``, or under the
+    worst case of the set for the fixed ``jump`` when none is given.
+
+    The jump law is ``worst.scenario.jump``: ``jump`` only feeds the search
+    (it is checked first, as a fixed law is the worst case's), and one
+    other than the worst case's is refused.  Under terminal wealth the
+    law's flow must stay below one per asset; exposures alpha.J_l outside
+    [0, 1] are reported and warned about, not fatal: the simulator
+    refuses them.
+    """
+    if worst is None:
+        worst = find_worst_case(uset, criterion, jump=_admitted(criterion.kind, jump))
+    elif jump is not None and worst.scenario.jump is not jump:
+        raise InvalidBounds("the jump spec is not the worst case's jump law")
+    law = _admitted(criterion.kind, worst.scenario.jump)
+    if criterion.kind == "wealth_scaled":
+        return ClosedFormSolution(criterion, worst, ode=solve_growth_factors(
+            criterion.lam, worst.risk_premium, criterion.t0, criterion.horizon))
+    sol = ClosedFormSolution(criterion, worst)
+    if law is None:
+        return sol
+    law.validate_compensation()
+    alpha = sol.alpha_coef
+    report = NonBankruptcyReport(exposures=nonbankruptcy_intervals(alpha, law),
+                                 violating_types=tuple(law.exposure_violations(alpha)))
+    if not report.ok:
+        warnings.warn(f"strategy exposure alpha.J outside [0, 1] for jump types "
+                      f"{report.violating_types}; wealth paths may hit zero under jump dynamics",
+                      stacklevel=2)
+    return replace(sol, nonbankruptcy=report)

@@ -784,18 +784,9 @@ def simulate_solution(sol: ClosedFormSolution, cfg: SimConfig,
     dynamics = WealthDynamics.for_criterion(sol.criterion)
     strategy = SolutionStrategy(sol)
     timeline = scenario if scenario is not None else sol.worst_case.scenario
-    _require_simulable(sol)
     return simulate_paths(dynamics, strategy, timeline, cfg,
                           sol.criterion.t0, sol.criterion.horizon, sol.criterion.x0,
                           shock_cache=shock_cache)
-
-
-def _require_simulable(sol: ClosedFormSolution) -> None:
-    if sol.nonbankruptcy is not None and not sol.nonbankruptcy.ok:
-        raise NonBankruptcyViolated(
-            "solution is flagged inadmissible for jump dynamics "
-            f"(types {sol.nonbankruptcy.violating_types})"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -966,7 +957,6 @@ def perturb_worst_case(
     A true worst case keeps every quotient below +3 se/h (se from the
     CRN-paired difference).
     """
-    _require_simulable(sol)
     return _perturb("worst_case", sol, uset, h_list, u_samples, cfg,
                     SolutionStrategy(sol), [None])
 

@@ -88,22 +88,22 @@ def ws_criterion() -> rm.Criterion:
 
 @pytest.fixture(scope="session")
 def tw_solution(short_second_set, tw_criterion) -> rm.ClosedFormSolution:
-    return rm.solve_terminal_wealth(short_second_set, tw_criterion)
+    return rm.solve(short_second_set, tw_criterion)
 
 
 @pytest.fixture(scope="session")
 def lr_solution(short_second_set, lr_criterion) -> rm.ClosedFormSolution:
-    return rm.solve_log_return(short_second_set, lr_criterion)
+    return rm.solve(short_second_set, lr_criterion)
 
 
 @pytest.fixture(scope="session")
 def cp_solution(cp_set, cp_criterion, cp_jump) -> rm.ClosedFormSolution:
-    return rm.solve_compound_poisson(cp_set, cp_criterion, cp_jump)
+    return rm.solve(cp_set, cp_criterion, cp_jump)
 
 
 @pytest.fixture(scope="session")
 def ws_solution(ws_set, ws_criterion, ws_jump) -> rm.ClosedFormSolution:
-    return rm.solve_wealth_scaled(ws_set, ws_criterion, jump=ws_jump)
+    return rm.solve(ws_set, ws_criterion, jump=ws_jump)
 
 
 def random_ordered_two_asset(rng: np.random.Generator) -> rm.UncertaintySet:

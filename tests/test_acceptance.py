@@ -141,7 +141,7 @@ def test_05_saddle_structure(tw_solution, lr_solution, cp_solution,
     )
     fake = rm.WorstCaseResult(fake_scen, rm.risk_premium(fake_scen.drift, fake_scen.cov),
                               "Numeric")
-    wrong = rm.solve_terminal_wealth(short_second_set, tw_criterion, worst=fake)
+    wrong = rm.solve(short_second_set, tw_criterion, worst=fake)
     rep = rm.saddle_check(wrong, short_second_set, samples=1000, seed=0)
     assert any(v.side == "theta" for v in rep.violations)
     report(5, "1000-sample saddle checks stable over 5 seeds; probes violate")

@@ -59,7 +59,7 @@ def _sim(name: str) -> rm.PathBatch:
     if name == "levy_lr":
         return rm.simulate_paths(lr, ConstantStrategy(np.array([0.4, 0.3])), levy, _CFG, 0.0, 1.0, 0.0)
     crit = rm.Criterion("wealth_scaled", lam=1.0, horizon=1.0)
-    sol = rm.solve_wealth_scaled(
+    sol = rm.solve(
         rm.UncertaintySet.single_asset((0.10, 0.12), (0.2, 0.25)), crit,
         jump=rm.DiscreteLevyJumps(np.array([[-0.05], [0.08]]), np.array([0.4, 0.3])))
     return rm.simulate_solution(sol, rm.SimConfig(n_paths=2500, dt=0.02, seed=11))

@@ -246,6 +246,51 @@ def test_non_numeric_model_input_is_schema_error(tmp_path, capsys, block, patch)
     assert "schema error" in capsys.readouterr().err
 
 
+_CP_BOUNDS = {"kind": "compound_poisson", "loadings": [[1.0], [0.5]],
+              "intensity_lo": [0.3], "intensity_hi": [0.6], "mean_lo": [0.04], "mean_hi": [0.09],
+              "second_lo": [0.007], "second_hi": [0.03]}
+# the uncertainty blocks of jump_ambiguity.json and levy_bounds.json
+_JUMP_BOUNDS_SETS = {
+    "cp": (2, {"drift_lo": [0.10, 0.04], "drift_hi": [0.13, 0.05], "vol_lo": [0.2, 0.3],
+               "vol_hi": [0.23, 0.33], "rho_lo": 0.25, "rho_hi": 0.35, "jump_bounds": _CP_BOUNDS}),
+    "levy": (1, {"drift_lo": [0.10], "drift_hi": [0.12], "vol_lo": [0.2], "vol_hi": [0.25],
+                 "jump_bounds": {"kind": "levy_discrete", "atoms": [[-0.05], [0.08]],
+                                 "weight_lo": [0.2, 0.1], "weight_hi": [0.6, 0.4]}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JUMP_BOUNDS_SETS))
+def test_log_return_on_jump_bounds_exits_3(tmp_path, capsys, name):
+    assets, unc = _JUMP_BOUNDS_SETS[name]
+    path = write_problem(tmp_path, assets=assets, uncertainty=unc,
+                         criterion={**_CRITERION, "kind": "log_return", "x0": 0.0},
+                         worst_case={"method": "numeric", "grid_resolution": 5, "refinements": 1})
+    assert run_cli(["strategy", path])[0] == 3
+    assert "no closed form for the log_return criterion" in capsys.readouterr().err
+
+
+_ONE_ASSET = {"drift_lo": [0.1], "drift_hi": [0.12], "vol_lo": [0.2], "vol_hi": [0.25]}
+
+
+@pytest.mark.parametrize("patch", [
+    {"uncertainty": 5},
+    {"verify": 5},
+    {"worst_case": 5},
+    {"jumps": 5},
+    {"jumps": {**_CP, "sizes": 5}},
+    {"jumps": {**_CP, "sizes": [5]}},
+    {"assets": True, "uncertainty": _ONE_ASSET},
+    {"assets": 1, "uncertainty": {**_ONE_ASSET, "rho_lo": 0.1, "rho_hi": 0.2}},
+    {"uncertainty": {**_UNCERTAINTY, "corr_vertices": [[[1.0, 0.0], [0.0, 1.0]]]}},
+], ids=lambda v: json.dumps(v))
+def test_malformed_blocks_are_schema_errors(tmp_path, capsys, patch):
+    # a block of the wrong JSON type, a boolean asset count, or a
+    # correlation key that the asset count does not read
+    path = write_problem(tmp_path, **{"verify": _BLOCKS["verify"], **patch})
+    assert run_cli(["verify", path])[0] == 2
+    assert "schema error" in capsys.readouterr().err
+
+
 class TestStrategyCommand:
     def test_single_asset_point(self, tmp_path):
         path = write_problem(

@@ -24,7 +24,7 @@ def point_set():
 class TestTerminalWealth:
     def test_scalar_display_values(self, point_set):
         crit = rm.Criterion("terminal_wealth", lam=1.0, horizon=1.0)
-        sol = rm.solve_terminal_wealth(point_set, crit)
+        sol = rm.solve(point_set, crit)
         assert sol.premium == pytest.approx(0.16, abs=1e-15)
         assert sol.alpha_coef == pytest.approx([1.0], abs=1e-14)
         assert sol.V(0.0, 1.0) == pytest.approx(1.04, abs=1e-14)
@@ -32,7 +32,7 @@ class TestTerminalWealth:
 
     def test_terminal_conditions(self, point_set):
         crit = rm.Criterion("terminal_wealth", lam=1.5, horizon=2.0)
-        sol = rm.solve_terminal_wealth(point_set, crit)
+        sol = rm.solve(point_set, crit)
         for x in (-0.5, 0.3, 2.0):
             assert sol.V(2.0, x) == pytest.approx(x, abs=1e-14)
             assert sol.g(2.0, x) == pytest.approx(x, abs=1e-14)
@@ -41,7 +41,7 @@ class TestTerminalWealth:
     def test_two_asset_values_from_numeric_premium(self, short_second_set, tw_criterion):
         # plug the premium found by the independent convex search
         oracle = rm.worst_case_numeric(short_second_set)
-        sol = rm.solve_terminal_wealth(short_second_set, tw_criterion)
+        sol = rm.solve(short_second_set, tw_criterion)
         p = oracle.risk_premium
         assert sol.V(0.0, 1.0) == pytest.approx(1.0 + p / 4.0, abs=1e-6)
         assert sol.g(0.0, 1.0) == pytest.approx(1.0 + p / 2.0, abs=1e-6)
@@ -62,12 +62,12 @@ class TestTerminalWealth:
 class TestLogReturn:
     def test_scalar_strategy(self, point_set):
         crit = rm.Criterion("log_return", lam=1.0, horizon=1.0)
-        sol = rm.solve_log_return(point_set, crit)
+        sol = rm.solve(point_set, crit)
         assert sol.alpha_coef == pytest.approx([2.0 / 3.0], abs=1e-14)
 
     def test_terminal_condition(self, point_set):
         crit = rm.Criterion("log_return", lam=2.0, horizon=1.0)
-        sol = rm.solve_log_return(point_set, crit)
+        sol = rm.solve(point_set, crit)
         assert sol.V(1.0, 0.4) == pytest.approx(0.4, abs=1e-14)
         assert sol.g(1.0, 0.4) == pytest.approx(0.4, abs=1e-14)
 
@@ -75,7 +75,7 @@ class TestLogReturn:
         norms = []
         for lam in (1.0, 10.0, 100.0):
             crit = rm.Criterion("log_return", lam=lam, horizon=1.0)
-            norms.append(np.linalg.norm(rm.solve_log_return(point_set, crit).alpha_coef))
+            norms.append(np.linalg.norm(rm.solve(point_set, crit).alpha_coef))
         assert norms[0] > norms[1] > norms[2]
 
     def test_value_gap_slope(self, lr_solution):
@@ -108,8 +108,8 @@ class TestCompoundPoisson:
             intensity=np.array([0.5]),
             size_laws=(rm.JumpSizeLaw.two_point(0.0, 0.0, 0.5),),
         )
-        plain = rm.solve_terminal_wealth(cp_set, cp_criterion)
-        jumped = rm.solve_compound_poisson(cp_set, cp_criterion, null_jump)
+        plain = rm.solve(cp_set, cp_criterion)
+        jumped = rm.solve(cp_set, cp_criterion, null_jump)
         assert jumped.premium == plain.premium
         assert np.array_equal(jumped.direction, plain.direction)
         assert jumped.worst_case.case_label == plain.worst_case.case_label
@@ -120,7 +120,7 @@ class TestCompoundPoisson:
         uset = rm.UncertaintySet.point(scen)
         crit = rm.Criterion("terminal_wealth", lam=1.0, horizon=1.0)
         with pytest.warns(UserWarning, match="alpha.J"):
-            sol = rm.solve_compound_poisson(uset, crit, cp_jump)
+            sol = rm.solve(uset, crit, cp_jump)
         # oracle: moments by hand, premium by explicit 2x2 inverse
         b_f = np.array([0.15, 0.05])
         sigma_f = np.diag([0.05, 0.0625])
@@ -137,7 +137,7 @@ class TestCompoundPoisson:
             import warnings
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                sol = rm.solve_compound_poisson(cp_set, crit, cp_jump)
+                sol = rm.solve(cp_set, crit, cp_jump)
             return float(sol.nonbankruptcy.exposures[0])
 
         lo, hi = 0.5, 4.0
@@ -151,10 +151,10 @@ class TestCompoundPoisson:
         lam_star = 0.5 * (lo + hi)
         crit_bad = rm.Criterion("terminal_wealth", lam=0.9 * lam_star, horizon=1.0)
         with pytest.warns(UserWarning):
-            bad = rm.solve_compound_poisson(cp_set, crit_bad, cp_jump)
+            bad = rm.solve(cp_set, crit_bad, cp_jump)
         assert not bad.nonbankruptcy.ok
         crit_ok = rm.Criterion("terminal_wealth", lam=1.1 * lam_star, horizon=1.0)
-        good = rm.solve_compound_poisson(cp_set, crit_ok, cp_jump)
+        good = rm.solve(cp_set, crit_ok, cp_jump)
         assert good.nonbankruptcy.ok
 
     def test_indicator_guard_rejects_heavy_jump_flow(self, cp_set, cp_criterion):
@@ -164,7 +164,86 @@ class TestCompoundPoisson:
             size_laws=(rm.JumpSizeLaw.two_point(0.3, 0.3, 0.5),),
         )
         with pytest.raises(rm.InvalidBounds):
-            rm.solve_compound_poisson(cp_set, cp_criterion, heavy)
+            rm.solve(cp_set, cp_criterion, heavy)
+
+
+# the demo problems' jump-bounds sets (jump_ambiguity.json, levy_bounds.json)
+_CP_BOUNDS = rm.CompoundPoissonBounds(
+    loadings=np.array([[1.0], [0.5]]), intensity_lo=np.array([0.3]),
+    intensity_hi=np.array([0.6]), mean_lo=np.array([0.04]), mean_hi=np.array([0.09]),
+    second_lo=np.array([0.007]), second_hi=np.array([0.03]))
+_LEVY_BOUNDS = rm.DiscreteLevyBounds(atoms=np.array([[-0.05], [0.08]]),
+                                     weight_lo=np.array([0.2, 0.1]),
+                                     weight_hi=np.array([0.6, 0.4]))
+
+
+@pytest.fixture(scope="module")
+def cp_bounds_set():
+    return rm.UncertaintySet.two_asset((0.10, 0.13), (0.04, 0.05), (0.2, 0.23), (0.3, 0.33),
+                                       (0.25, 0.35), jump_bounds=_CP_BOUNDS)
+
+
+@pytest.fixture(scope="module")
+def levy_bounds_set():
+    return rm.UncertaintySet.single_asset((0.10, 0.12), (0.2, 0.25), jump_bounds=_LEVY_BOUNDS)
+
+
+def _grid_worst(uset):
+    return rm.worst_case_numeric(uset, resolution=5, refinements=1)
+
+
+class TestJumpLawFromWorstCase:
+    """`solve` reads the jump law from the worst case: on a jump-bounds set
+    theta_hat's law meets the same rule as a fixed spec."""
+
+    @pytest.mark.parametrize("bounds", ["cp_bounds_set", "levy_bounds_set"])
+    def test_log_return_on_jump_bounds_is_refused(self, request, bounds):
+        uset = request.getfixturevalue(bounds)
+        crit = rm.Criterion("log_return", lam=2.0, horizon=1.0, x0=0.0)
+        with pytest.raises(rm.InvalidBounds, match="log_return"):
+            rm.solve(uset, crit, worst=_grid_worst(uset))
+
+    def test_terminal_wealth_on_cp_bounds_reports_exposures(self, cp_bounds_set, cp_criterion):
+        sol = rm.solve(cp_bounds_set, cp_criterion, worst=_grid_worst(cp_bounds_set))
+        law = sol.worst_case.scenario.jump
+        assert isinstance(law, rm.CompoundPoissonJumps)
+        assert np.array_equal(sol.nonbankruptcy.exposures,
+                              rm.nonbankruptcy_intervals(sol.alpha_coef, law))
+        assert sol.nonbankruptcy.ok
+
+    @pytest.mark.parametrize("kind, bounds, twin", [
+        ("terminal_wealth", "levy_bounds_set", "ws_jump"),
+        ("wealth_scaled", "cp_bounds_set", "cp_jump"),
+    ])
+    def test_unsolved_pairs_are_refused_like_their_fixed_twins(self, request, kind, bounds, twin):
+        uset = request.getfixturevalue(bounds)
+        crit = rm.Criterion(kind, lam=1.0, horizon=1.0, x0=1.0)
+        with pytest.raises(rm.InvalidBounds, match=kind):
+            rm.solve(uset, crit, worst=_grid_worst(uset))
+        jump = request.getfixturevalue(twin)
+        box = rm.UncertaintySet.point(rm.Scenario(np.full(jump.n_assets, 0.1),
+                                                  0.04 * np.eye(jump.n_assets)))
+        with pytest.raises(rm.InvalidBounds, match=kind):
+            rm.solve(box, crit, jump)
+
+    def test_jump_other_than_the_worst_cases_is_refused(self, cp_set, cp_criterion, cp_jump):
+        worst = rm.find_worst_case(cp_set, cp_criterion, jump=cp_jump)
+        assert rm.solve(cp_set, cp_criterion, cp_jump, worst).worst_case is worst
+        twin = replace(cp_jump)
+        with pytest.raises(rm.InvalidBounds, match="jump law"):
+            rm.solve(cp_set, cp_criterion, twin, worst)
+        with pytest.raises(rm.InvalidBounds, match="jump law"):
+            rm.solve(cp_set, cp_criterion, cp_jump, rm.find_worst_case(cp_set, cp_criterion))
+
+    def test_kind_premium_and_direction_come_from_criterion_and_worst_case(self, cp_solution):
+        wc = cp_solution.worst_case
+        assert cp_solution.kind == cp_solution.criterion.kind
+        assert cp_solution.premium == wc.risk_premium
+        assert np.array_equal(cp_solution.direction, wc.alpha_direction())
+        assert cp_solution.direction is cp_solution.direction
+        assert not cp_solution.direction.flags.writeable
+        with pytest.raises(AttributeError):
+            cp_solution.direction = wc.alpha_direction()
 
 
 class TestWealthScaled:
@@ -173,7 +252,7 @@ class TestWealthScaled:
         jump = rm.DiscreteLevyJumps(np.array([[0.05]]), np.array([0.4]))
         uset = rm.UncertaintySet.single_asset((-0.02, -0.02), (0.2, 0.2))
         crit = rm.Criterion("wealth_scaled", lam=1.0, horizon=1.0, x0=1.0)
-        sol = rm.solve_wealth_scaled(uset, crit, jump=jump)
+        sol = rm.solve(uset, crit, jump=jump)
         assert sol.premium == pytest.approx(0.0, abs=1e-18)
         assert np.allclose(sol.ode.a, 1.0, atol=1e-15)
         assert np.allclose(sol.ode.b, 1.0, atol=1e-15)
@@ -330,7 +409,7 @@ class TestWealthScaled:
 
     def test_rejects_compound_poisson_spec(self, ws_set, ws_criterion, cp_jump):
         with pytest.raises(rm.InvalidBounds):
-            rm.solve_wealth_scaled(ws_set, ws_criterion, jump=cp_jump)
+            rm.solve(ws_set, ws_criterion, jump=cp_jump)
 
 
 class TestSerialization:
@@ -372,7 +451,8 @@ class TestOneForm:
         crit = rm.Criterion(base.criterion.kind, lam=lam, horizon=horizon, t0=t0,
                             x0=1.0 if scaled else 0.0)
         ode = solve_growth_factors(lam, premium, t0, horizon) if scaled else None
-        sol = replace(base, criterion=crit, premium=premium, ode=ode)
+        sol = replace(base, criterion=crit, ode=ode,
+                      worst_case=replace(base.worst_case, risk_premium=premium))
         states = st.floats(0.1, 5.0) if scaled else st.floats(-5.0, 5.0)
         t = data.draw(st.floats(t0, horizon))
         return sol, t, data.draw(states), data.draw(states)

@@ -450,9 +450,8 @@ class TestJumpEvents:
         )
         uset = rm.UncertaintySet.two_asset(
             (0.10, 0.12), (0.02, 0.03), (0.15, 0.2), (0.2, 0.3), (0.4, 0.6), jump_bounds=jb)
-        sol = rm.solve_terminal_wealth(uset, cp_criterion,
-                                       worst=rm.worst_case_numeric(uset, resolution=5,
-                                                                   refinements=1))
+        sol = rm.solve(uset, cp_criterion,
+                       worst=rm.worst_case_numeric(uset, resolution=5, refinements=1))
         cfg = rm.SimConfig(n_paths=1500, dt=0.05, seed=29)
         whole = rm.perturb_worst_case(sol, uset, [0.5, 0.25], u_samples=36, cfg=cfg)
         budgets = []
@@ -526,7 +525,24 @@ class TestJumpDynamics:
         uset = rm.UncertaintySet.point(scen)
         crit = rm.Criterion("terminal_wealth", lam=1.0, horizon=1.0)
         with pytest.warns(UserWarning):
-            sol = rm.solve_compound_poisson(uset, crit, cp_jump)
+            sol = rm.solve(uset, crit, cp_jump)
+        with pytest.raises(rm.NonBankruptcyViolated):
+            rm.simulate_solution(sol, rm.SimConfig(n_paths=10, dt=0.1, seed=1))
+
+    def test_flagged_solution_on_jump_bounds_is_refused(self, tw_criterion):
+        # theta_hat's mean jump size is negative: alpha.J is about -3.2e-4
+        jb = rm.CompoundPoissonBounds(
+            loadings=np.array([[1.0], [0.5]]),
+            intensity_lo=np.array([0.2]), intensity_hi=np.array([0.6]),
+            mean_lo=np.array([-0.2]), mean_hi=np.array([0.2]),
+            second_lo=np.array([0.005]), second_hi=np.array([0.05]),
+        )
+        uset = rm.UncertaintySet.two_asset(
+            (0.10, 0.12), (0.02, 0.03), (0.15, 0.2), (0.2, 0.3), (0.4, 0.6), jump_bounds=jb)
+        worst = rm.worst_case_numeric(uset, resolution=5, refinements=1)
+        with pytest.warns(UserWarning, match="alpha.J"):
+            sol = rm.solve(uset, tw_criterion, worst=worst)
+        assert sol.nonbankruptcy.violating_types == (0,)
         with pytest.raises(rm.NonBankruptcyViolated):
             rm.simulate_solution(sol, rm.SimConfig(n_paths=10, dt=0.1, seed=1))
 
@@ -698,7 +714,7 @@ class TestCommonRandomNumbers:
         scen = rm.Scenario(np.array([0.3]), np.array([[0.04]]))
         uset = rm.UncertaintySet.point(scen)
         crit = rm.Criterion("wealth_scaled", lam=1.0, horizon=1.0, x0=1.0)
-        sol = rm.solve_wealth_scaled(uset, crit)
+        sol = rm.solve(uset, crit)
         js = {}
         for dt in (0.1, 0.05, 0.025, 0.0125):
             cfg = rm.SimConfig(n_paths=100_000, dt=dt, seed=99)
@@ -754,7 +770,7 @@ class TestPerturbations:
         )
         fake = rm.WorstCaseResult(fake_scen, rm.risk_premium(fake_scen.drift, fake_scen.cov),
                                   "Numeric")
-        sol = rm.solve_terminal_wealth(short_second_set, tw_criterion, worst=fake)
+        sol = rm.solve(short_second_set, tw_criterion, worst=fake)
         cfg = rm.SimConfig(n_paths=50_000, dt=0.0125, seed=37)
         rep = rm.perturb_worst_case(sol, short_second_set, [0.025], u_samples=8, cfg=cfg)
         assert not rep.ok
