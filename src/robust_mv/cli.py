@@ -8,11 +8,15 @@ verify       residual grid plus saddle sampling, PASS/FAIL
 simulate     Monte Carlo consistency of J and the mean against V and g
 perturb      local-splice difference-quotient tests
 
-Problem files are strict JSON: unknown top-level keys are rejected, the
-version tag must be "1", and every randomized command must carry an
-explicit seed.  The optional ``worst_case`` block picks the worst-case
-solver for every command.  Counts, seeds, step sizes, grids, window
-lengths and modes are checked at parse time.  Exit codes: 0 pass, 1
+Problem files are strict JSON: the version tag must be "1", and every
+randomized command must carry an explicit seed.  Each block is read by
+one reader, `_read`, from one table that names each key of the block
+once, with its value reader and its default; only that reader refuses
+a block that is not a JSON object, a missing required key or an unknown
+key.  Counts, seeds, step sizes, grids, modes, the ``spill`` file name
+and each stated jump-size moment are checked at parse time, and the
+run block before any solve.  The optional ``worst_case`` block picks
+the worst-case solver for every command.  Exit codes: 0 pass, 1
 assertion failure, 2 schema error, 3 model assumption violated, 4
 runtime budget exceeded.  The solvers load with the command that needs
 them, so parsing a problem file imports none of them.
@@ -55,25 +59,54 @@ EXIT_SCHEMA = 2
 EXIT_ASSUMPTION = 3
 EXIT_BUDGET = 4
 
-_TOP_KEYS = {"version", "assets", "uncertainty", "jumps", "criterion",
-             "worst_case", "verify", "simulate", "perturb"}
-
 
 # ---------------------------------------------------------------------------
 # strict parsing
 # ---------------------------------------------------------------------------
 
-
-def _need(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise SchemaError(f"{where}: missing required key {key!r}")
-    return obj[key]
+_REQUIRED = object()  # the default of a key the block must state
 
 
-def _no_extras(obj: dict, allowed: set[str], where: str) -> None:
-    extras = set(obj) - allowed
+def _read(obj, where: str, fields: dict) -> dict:
+    """The values of block ``obj``, one per key of ``fields``.
+
+    ``fields`` maps each key the block takes to ``(reader, default)``.  A
+    reader takes ``(value, "block.key")`` and returns the checked value;
+    an absent key takes its default as is, or is an error when the
+    default is ``_REQUIRED``.  Only here is a block that is not a JSON
+    object, lacks a required key or holds another key refused.
+    """
+    _object(obj, where)
+    got = {}
+    for key, (reader, default) in fields.items():
+        if key in obj:
+            got[key] = reader(obj[key], f"{where}.{key}")
+        elif default is _REQUIRED:
+            raise SchemaError(f"{where}: missing required key {key!r}")
+        else:
+            got[key] = default
+    extras = set(obj) - set(fields)
     if extras:
         raise SchemaError(f"{where}: unknown keys {sorted(extras)}")
+    return got
+
+
+def _tagged(obj, where: str, tag: str, tables: dict) -> dict:
+    """A block whose ``tag`` key picks the table of its other keys."""
+    name = _object(obj, where).get(tag)
+    table = tables.get(name, {}) if isinstance(name, str) else {}
+    return _read(obj, where, {tag: (_choice(*tables), _REQUIRED), **table})
+
+
+def _build(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a model error as a schema error at ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except RobustMVError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+# value readers: (value, "block.key") -> the checked value
 
 
 def _object(value, where: str, kind: type = dict):
@@ -89,26 +122,115 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
-def _numbers(value, shape: tuple, where: str) -> np.ndarray:
-    """A nested JSON list of finite numbers (no booleans or strings) as a
-    float array of ``shape``; a None entry of ``shape`` takes any length."""
-    arr = np.array(value, dtype=object)
-    if (arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape))
-            or not all(_is_number(x) for x in arr.flat)):
-        size = " x ".join("k" if d is None else str(d) for d in shape)
-        raise SchemaError(f"{where}: expected {size} finite numbers, got {value!r}")
-    return arr.astype(float)
-
-
-def _vector(value, n: int, where: str) -> np.ndarray:
-    return _numbers(value, (n,), where)
-
-
-def _number(obj: dict, key: str, where: str, default: float | None = None) -> float:
-    value = _need(obj, key, where) if default is None else obj.get(key, default)
+def _number(value, where: str) -> float:
     if not _is_number(value):
-        raise SchemaError(f"{where}.{key} must be a finite number, got {value!r}")
+        raise SchemaError(f"{where} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _positive(value, where: str) -> float:
+    if not (_is_number(value) and value > 0):
+        raise SchemaError(f"{where} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _as_is(value, where: str):
+    """The value unchecked: the model object it feeds checks it."""
+    return value
+
+
+def _file_name(value, where: str) -> str:
+    """A bare file name, so the file lands in the output directory."""
+    if not (isinstance(value, str) and Path(value).name == value and value not in ("", ".", "..")):
+        raise SchemaError(f"{where} must be a bare file name, got {value!r}")
+    return value
+
+
+def _integer(least: int, below: int | None = None):
+    """Reader of JSON integers (not booleans) in [least, below)."""
+    def read(value, where: str) -> int:
+        if (isinstance(value, bool) or not isinstance(value, int) or value < least
+                or (below is not None and value >= below)):
+            bound = f" and < {below}" if below is not None else ""
+            raise SchemaError(f"{where} must be an integer >= {least}{bound}, got {value!r}")
+        return value
+    return read
+
+
+_seed = _integer(0, below=2**64)
+
+
+def _numbers(*shape):
+    """Reader of nested JSON lists of finite numbers (no booleans or
+    strings) as a float array of ``shape``; a None entry takes any length."""
+    def read(value, where: str) -> np.ndarray:
+        arr = np.array(value, dtype=object)
+        if (arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape))
+                or not all(_is_number(x) for x in arr.flat)):
+            size = " x ".join("k" if d is None else str(d) for d in shape)
+            raise SchemaError(f"{where}: expected {size} finite numbers, got {value!r}")
+        return arr.astype(float)
+    return read
+
+
+def _choice(*options: str):
+    def read(value, where: str) -> str:
+        if value not in options:
+            raise SchemaError(f"{where} must be {'|'.join(options)}, got {value!r}")
+        return value
+    return read
+
+
+def _list(item, length: int | None = None):
+    """Reader of a non-empty JSON array (of ``length`` entries) of ``item`` values."""
+    def read(value, where: str) -> list:
+        if not (isinstance(value, list) and value and length in (None, len(value))):
+            size = "a non-empty list" if length is None else f"a list of {length}"
+            raise SchemaError(f"{where} must be {size}, got {value!r}")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return read
+
+
+def _size_laws(value, where: str) -> tuple[JumpSizeLaw, ...]:
+    return tuple(parse_size_law(obj, i) for i, obj in enumerate(_object(value, where, list)))
+
+
+# the blocks
+
+
+_OPTIONAL = (_object, None)
+_PROBLEM = {"version": (_choice("1"), _REQUIRED), "assets": (_integer(1), _REQUIRED),
+            "uncertainty": (_object, _REQUIRED), "jumps": _OPTIONAL,
+            "criterion": (_object, _REQUIRED), "worst_case": _OPTIONAL, "verify": _OPTIONAL,
+            "simulate": _OPTIONAL, "perturb": _OPTIONAL}
+_PER_TYPE = (_numbers(None), _REQUIRED)  # one entry per jump type or atom, counted by the model
+_STATED = {"mean": (_number, None), "second_moment": (_number, None)}
+_SIZE_LAWS = {
+    "two-point": {"values": (_numbers(2), None), "prob": (_number, None), **_STATED},
+    "uniform": {"lo": (_number, _REQUIRED), "hi": (_number, _REQUIRED), **_STATED},
+    "shifted-lognormal": {"m": (_number, _REQUIRED), "s": (_number, _REQUIRED), **_STATED},
+}
+_CRITERION = {"kind": (_as_is, _REQUIRED), "lambda": (_number, _REQUIRED),
+              "T": (_number, _REQUIRED), "t0": (_number, 0.0), "x0": (_number, 1.0)}
+_WORST_CASE = {"method": (_choice("closed", "numeric", "auto"), "auto"),
+               "grid_resolution": (_integer(2), DEFAULT_RESOLUTION),
+               "refinements": (_integer(0), DEFAULT_REFINEMENTS)}
+_VERIFY = {"grid": (_list(_integer(1), 2), (10, 10)), "samples": (_integer(1), 1000),
+           "seed": (_seed, _REQUIRED), "residual_tol": (_positive, 1e-8)}
+_PATHS = {"n_paths": (_integer(2), _REQUIRED), "dt": (_positive, _REQUIRED),
+          "seed": (_seed, _REQUIRED)}
+_SIMULATE = {**_PATHS, "antithetic": (_flag, False), "keep_paths": (_flag, False),
+             "spill": (_file_name, None)}
+_PERTURB = {"h_list": (_list(_number), _REQUIRED), "w_samples": (_integer(1), _REQUIRED),
+            "u_samples": (_integer(1), _REQUIRED), **_PATHS,
+            "mode": (_choice("both", "worst_case", "equilibrium"), "both"),
+            "base_scale": (_number, None)}
 
 
 def _reject_constant(token: str):
@@ -116,196 +238,92 @@ def _reject_constant(token: str):
 
 
 def load_problem(path) -> dict:
+    """The problem file's JSON object, its top-level keys checked; the
+    command that reads a block checks its keys."""
     try:
         with open(path) as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read problem file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("problem file must hold a JSON object")
-    _no_extras(doc, _TOP_KEYS, "problem")
-    if _need(doc, "version", "problem") != "1":
-        raise SchemaError('unsupported version tag (need "1")')
+    _read(doc, "problem", _PROBLEM)
     return doc
 
 
 def parse_uncertainty(doc: dict) -> UncertaintySet:
-    n = _integer(doc, "assets", None, 1, "problem")
-    unc = _object(_need(doc, "uncertainty", "problem"), "uncertainty")
+    n = doc["assets"]
+    bound = (_numbers(n), _REQUIRED)
     # the correlation keys the asset count reads: none, a range, or hull vertices
-    corr = set() if n == 1 else {"rho_lo", "rho_hi"} if n == 2 else {"corr_vertices"}
-    _no_extras(unc, {"drift_lo", "drift_hi", "vol_lo", "vol_hi", "jump_bounds"} | corr,
-               "uncertainty")
-    kwargs = dict(
-        drift_lo=_vector(_need(unc, "drift_lo", "uncertainty"), n, "drift_lo"),
-        drift_hi=_vector(_need(unc, "drift_hi", "uncertainty"), n, "drift_hi"),
-        vol_lo=_vector(_need(unc, "vol_lo", "uncertainty"), n, "vol_lo"),
-        vol_hi=_vector(_need(unc, "vol_hi", "uncertainty"), n, "vol_hi"),
-    )
-    if n == 2:
-        kwargs["rho_lo"] = _number(unc, "rho_lo", "uncertainty")
-        kwargs["rho_hi"] = _number(unc, "rho_hi", "uncertainty")
-    elif n > 2:
-        verts = _numbers(_need(unc, "corr_vertices", "uncertainty"), (None, n, n), "corr_vertices")
-        kwargs["corr_vertices"] = tuple(verts)
-    try:
-        if "jump_bounds" in unc:
-            kwargs["jump_bounds"] = parse_jump_bounds(unc["jump_bounds"], n)
-        return UncertaintySet(**kwargs)
-    except (InvalidBounds, NotPositiveDefinite) as exc:
-        raise SchemaError(f"uncertainty: {exc}") from exc
+    corr = ({} if n == 1 else {"rho_lo": (_number, _REQUIRED), "rho_hi": (_number, _REQUIRED)}
+            if n == 2 else {"corr_vertices": (_numbers(None, n, n), _REQUIRED)})
+    got = _read(doc["uncertainty"], "uncertainty", {
+        "drift_lo": bound, "drift_hi": bound, "vol_lo": bound, "vol_hi": bound, **corr,
+        "jump_bounds": (lambda obj, _: parse_jump_bounds(obj, n), None)})
+    return _build("uncertainty", UncertaintySet, **got)
 
 
 def parse_jump_bounds(obj: dict, n: int):
-    kind = _need(_object(obj, "jump_bounds"), "kind", "jump_bounds")
-    if kind == "compound_poisson":
-        _no_extras(obj, {"kind", "loadings", "intensity_lo", "intensity_hi",
-                         "mean_lo", "mean_hi", "second_lo", "second_hi"}, "jump_bounds")
-        loadings = _numbers(_need(obj, "loadings", "jump_bounds"), (n, None), "jump_bounds.loadings")
-        k = loadings.shape[1]
-        return CompoundPoissonBounds(
-            loadings=loadings,
-            intensity_lo=_vector(_need(obj, "intensity_lo", "jump_bounds"), k, "intensity_lo"),
-            intensity_hi=_vector(_need(obj, "intensity_hi", "jump_bounds"), k, "intensity_hi"),
-            mean_lo=_vector(_need(obj, "mean_lo", "jump_bounds"), k, "mean_lo"),
-            mean_hi=_vector(_need(obj, "mean_hi", "jump_bounds"), k, "mean_hi"),
-            second_lo=_vector(_need(obj, "second_lo", "jump_bounds"), k, "second_lo"),
-            second_hi=_vector(_need(obj, "second_hi", "jump_bounds"), k, "second_hi"),
-        )
-    if kind == "levy_discrete":
-        _no_extras(obj, {"kind", "atoms", "weight_lo", "weight_hi"}, "jump_bounds")
-        atoms = _numbers(_need(obj, "atoms", "jump_bounds"), (None, n), "jump_bounds.atoms")
-        m = atoms.shape[0]
-        return DiscreteLevyBounds(
-            atoms=atoms,
-            weight_lo=_vector(_need(obj, "weight_lo", "jump_bounds"), m, "weight_lo"),
-            weight_hi=_vector(_need(obj, "weight_hi", "jump_bounds"), m, "weight_hi"),
-        )
-    raise SchemaError(f"jump_bounds: unknown kind {kind!r}")
+    where = "uncertainty.jump_bounds"
+    got = _tagged(obj, where, "kind", {
+        "compound_poisson": {"loadings": (_numbers(n, None), _REQUIRED),
+                             "intensity_lo": _PER_TYPE, "intensity_hi": _PER_TYPE,
+                             "mean_lo": _PER_TYPE, "mean_hi": _PER_TYPE,
+                             "second_lo": _PER_TYPE, "second_hi": _PER_TYPE},
+        "levy_discrete": {"atoms": (_numbers(None, n), _REQUIRED),
+                          "weight_lo": _PER_TYPE, "weight_hi": _PER_TYPE},
+    })
+    cls = CompoundPoissonBounds if got.pop("kind") == "compound_poisson" else DiscreteLevyBounds
+    return _build(where, cls, **got)
 
 
 def parse_size_law(obj: dict, index: int) -> JumpSizeLaw:
     where = f"jumps.sizes[{index}]"
-    sampler = _need(_object(obj, where), "sampler", where)
-    if sampler == "two-point":
-        _no_extras(obj, {"sampler", "values", "prob", "mean", "second_moment"}, where)
-        if "values" in obj:
-            a, b = _numbers(obj["values"], (2,), f"{where}.values")
-            law = JumpSizeLaw.two_point(a, b, _number(obj, "prob", where))
-        else:
-            law = JumpSizeLaw.two_point_from_moments(
-                _number(obj, "mean", where),
-                _number(obj, "second_moment", where),
-            )
-    elif sampler == "uniform":
-        _no_extras(obj, {"sampler", "lo", "hi", "mean", "second_moment"}, where)
-        law = JumpSizeLaw.uniform(_number(obj, "lo", where), _number(obj, "hi", where))
+    got = _tagged(obj, where, "sampler", _SIZE_LAWS)
+    sampler, mean, second = got["sampler"], got["mean"], got["second_moment"]
+    if sampler == "uniform":
+        law = _build(where, JumpSizeLaw.uniform, got["lo"], got["hi"])
     elif sampler == "shifted-lognormal":
-        _no_extras(obj, {"sampler", "m", "s", "mean", "second_moment"}, where)
-        law = JumpSizeLaw.shifted_lognormal(_number(obj, "m", where), _number(obj, "s", where))
+        law = _build(where, JumpSizeLaw.shifted_lognormal, got["m"], got["s"])
+    elif got["values"] is not None and got["prob"] is not None:
+        law = _build(where, JumpSizeLaw.two_point, *got["values"], got["prob"])
+    elif got["values"] is None and got["prob"] is None and None not in (mean, second):
+        law = _build(where, JumpSizeLaw.two_point_from_moments, mean, second)
     else:
-        raise SchemaError(f"{where}: unknown sampler {sampler!r}")
-    if "mean" in obj and "second_moment" in obj:
-        try:
-            law.check_stated_moments(_number(obj, "mean", where), _number(obj, "second_moment", where))
-        except InvalidBounds as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
+        raise SchemaError(f"{where}: a two-point law takes values and prob, "
+                          "or mean and second_moment")
+    _build(where, law.check_stated_moments, mean, second)
     return law
 
 
 def parse_jumps(doc: dict, n: int):
     if "jumps" not in doc:
         return None
-    obj = _object(doc["jumps"], "jumps")
-    kind = _need(obj, "kind", "jumps")
-    try:
-        if kind == "compound_poisson":
-            _no_extras(obj, {"kind", "loadings", "intensity", "sizes"}, "jumps")
-            loadings = _numbers(_need(obj, "loadings", "jumps"), (n, None), "jumps.loadings")
-            laws = _object(_need(obj, "sizes", "jumps"), "jumps.sizes", list)
-            sizes = [parse_size_law(s, i) for i, s in enumerate(laws)]
-            return CompoundPoissonJumps(
-                loadings=loadings,
-                intensity=_vector(_need(obj, "intensity", "jumps"), loadings.shape[1], "jumps.intensity"),
-                size_laws=tuple(sizes),
-            )
-        if kind == "levy_discrete":
-            _no_extras(obj, {"kind", "atoms", "weights"}, "jumps")
-            atoms = _numbers(_need(obj, "atoms", "jumps"), (None, n), "jumps.atoms")
-            return DiscreteLevyJumps(
-                atoms=atoms,
-                weights=_vector(_need(obj, "weights", "jumps"), atoms.shape[0], "jumps.weights"),
-            )
-    except (InvalidBounds, RobustMVError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"jumps: {exc}") from exc
-    raise SchemaError(f"jumps: unknown kind {kind!r}")
+    got = _tagged(doc["jumps"], "jumps", "kind", {
+        "compound_poisson": {"loadings": (_numbers(n, None), _REQUIRED), "intensity": _PER_TYPE,
+                             "sizes": (_size_laws, _REQUIRED)},
+        "levy_discrete": {"atoms": (_numbers(None, n), _REQUIRED), "weights": _PER_TYPE},
+    })
+    if got.pop("kind") == "levy_discrete":
+        return _build("jumps", DiscreteLevyJumps, **got)
+    return _build("jumps", CompoundPoissonJumps, got["loadings"], got["intensity"], got["sizes"])
 
 
 def parse_criterion(doc: dict) -> Criterion:
-    obj = _object(_need(doc, "criterion", "problem"), "criterion")
-    _no_extras(obj, {"kind", "lambda", "T", "t0", "x0"}, "criterion")
-    try:
-        return Criterion(
-            kind=_need(obj, "kind", "criterion"),
-            lam=_number(obj, "lambda", "criterion"),
-            horizon=_number(obj, "T", "criterion"),
-            t0=_number(obj, "t0", "criterion", default=0.0),
-            x0=_number(obj, "x0", "criterion", default=1.0),
-        )
-    except InvalidBounds as exc:
-        raise SchemaError(f"criterion: {exc}") from exc
-
-
-def _integer(obj: dict, key: str, default: int | None, least: int, where: str,
-             below: int | None = None) -> int:
-    value = obj.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, int) or value < least
-            or (below is not None and value >= below)):
-        bound = f" and < {below}" if below is not None else ""
-        raise SchemaError(f"{where}.{key} must be an integer >= {least}{bound}, got {value!r}")
-    return value
-
-
-def _seed(obj: dict, where: str) -> int:
-    return _integer(obj, "seed", None, 0, where, below=2**64)
-
-
-def _positive(obj: dict, key: str, default: float | None, where: str) -> float:
-    value = obj.get(key, default)
-    if not (_is_number(value) and value > 0):
-        raise SchemaError(f"{where}.{key} must be a finite number > 0, got {value!r}")
-    return float(value)
-
-
-def _flag(obj: dict, key: str, where: str) -> bool:
-    value = obj.get(key, False)
-    if not isinstance(value, bool):
-        raise SchemaError(f"{where}.{key} must be true or false, got {value!r}")
-    return value
+    got = _read(doc["criterion"], "criterion", _CRITERION)
+    return _build("criterion", Criterion, kind=got["kind"], lam=got["lambda"],
+                  horizon=got["T"], t0=got["t0"], x0=got["x0"])
 
 
 def parse_worst_case(doc: dict) -> tuple[str, int, int]:
     """The optional ``worst_case`` block: method, grid resolution, refinements."""
-    block = _object(doc.get("worst_case", {}), "worst_case")
-    _no_extras(block, {"method", "grid_resolution", "refinements"}, "worst_case")
-    method = block.get("method", "auto")
-    if method not in ("closed", "numeric", "auto"):
-        raise SchemaError(f"worst_case.method must be closed|numeric|auto, got {method!r}")
-    return (method,
-            _integer(block, "grid_resolution", DEFAULT_RESOLUTION, 2, "worst_case"),
-            _integer(block, "refinements", DEFAULT_REFINEMENTS, 0, "worst_case"))
+    got = _read(doc.get("worst_case", {}), "worst_case", _WORST_CASE)
+    return got["method"], got["grid_resolution"], got["refinements"]
 
 
-def _block(doc: dict, name: str, allowed: set[str], required: set[str]) -> dict:
-    obj = doc.get(name)
-    if obj is None:
+def _block(doc: dict, name: str, fields: dict) -> dict:
+    """The values of the run block ``name``, which the command needs."""
+    if name not in doc:
         raise SchemaError(f"problem: command needs a {name!r} block")
-    _no_extras(_object(obj, name), allowed, name)
-    for key in required:
-        _need(obj, key, name)
-    return obj
+    return _read(doc[name], name, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +389,17 @@ def _print_worst_case(em: Emitter, res) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _worst_case_from_doc(doc: dict, uset: UncertaintySet, criterion: Criterion, jumps):
+def _parse_model(doc: dict):
+    """The set, criterion, fixed jumps and worst-case settings of a problem."""
+    uset = parse_uncertainty(doc)
+    return uset, parse_criterion(doc), parse_jumps(doc, uset.n), parse_worst_case(doc)
+
+
+def _worst_case(uset: UncertaintySet, criterion: Criterion, jumps, settings):
     """The worst case the ``worst_case`` block asks for; every command uses it."""
     from .worst_case import find_worst_case, worst_case_numeric, worst_case_two_asset
 
-    method, resolution, refinements = parse_worst_case(doc)
+    method, resolution, refinements = settings
     if method == "closed":
         if jumps is not None:
             raise InvalidBounds("closed method covers diffusion ambiguity; use numeric with jumps")
@@ -388,28 +412,26 @@ def _worst_case_from_doc(doc: dict, uset: UncertaintySet, criterion: Criterion, 
 
 
 def cmd_worst_case(doc: dict, em: Emitter) -> int:
-    uset = parse_uncertainty(doc)
-    criterion = parse_criterion(doc)
-    res = _worst_case_from_doc(doc, uset, criterion, parse_jumps(doc, uset.n))
+    res = _worst_case(*_parse_model(doc))
     _print_worst_case(em, res)
     em.payload("worst-case", {"result": _worst_case_dict(res)})
     return EXIT_OK
 
 
-def _solve_from_doc(doc: dict, em: Emitter):
+def _solve_from_doc(doc: dict):
+    """The set and the solution; an unsolved criterion/jump pair is refused
+    before the search, since a fixed jump law is the worst case's."""
     from . import closed_form
 
-    uset = parse_uncertainty(doc)
-    criterion = parse_criterion(doc)
-    jumps = parse_jumps(doc, uset.n)
-    worst = _worst_case_from_doc(doc, uset, criterion, jumps)
-    sol = closed_form.solve(uset, criterion, jump=jumps, worst=worst)
-    return uset, criterion, jumps, sol
+    uset, criterion, jumps, settings = _parse_model(doc)
+    closed_form.admitted(criterion.kind, jumps)
+    worst = _worst_case(uset, criterion, jumps, settings)
+    return uset, closed_form.solve(uset, criterion, jump=jumps, worst=worst)
 
 
 def cmd_strategy(doc: dict, em: Emitter) -> int:
-    _, criterion, jumps, sol = _solve_from_doc(doc, em)
-    t0, x0 = criterion.t0, criterion.x0
+    _, sol = _solve_from_doc(doc)
+    t0, x0 = sol.criterion.t0, sol.criterion.x0
     _print_worst_case(em, sol.worst_case)
     if sol.worst_case.scenario.jump is not None:
         b_f, sigma_f = sol.worst_case.adjusted
@@ -439,16 +461,9 @@ def cmd_strategy(doc: dict, em: Emitter) -> int:
 def cmd_verify(doc: dict, em: Emitter) -> int:
     from . import pde_check
 
-    uset, criterion, jumps, sol = _solve_from_doc(doc, em)
-    block = _block(doc, "verify", {"grid", "samples", "seed", "residual_tol"}, {"seed"})
-    grid = block.get("grid", [10, 10])
-    if not (isinstance(grid, list) and len(grid) == 2
-            and all(_is_number(g) and isinstance(g, int) and g >= 1 for g in grid)):
-        raise SchemaError(f"verify.grid must be two integers >= 1, got {grid!r}")
-    nt, nx = grid
-    samples = _integer(block, "samples", 1000, 1, "verify")
-    seed = _seed(block, "verify")
-    tol = _positive(block, "residual_tol", 1e-8, "verify")
+    run = _block(doc, "verify", _VERIFY)
+    (nt, nx), samples, seed, tol = run["grid"], run["samples"], run["seed"], run["residual_tol"]
+    uset, sol = _solve_from_doc(doc)
 
     table = pde_check.residual_grid(sol, nt=nt, nx=nx)
     saddle = pde_check.saddle_check(sol, uset, samples=samples, seed=seed)
@@ -491,21 +506,16 @@ def cmd_verify(doc: dict, em: Emitter) -> int:
 def cmd_simulate(doc: dict, em: Emitter) -> int:
     from . import simulate as sim
 
-    _, criterion, jumps, sol = _solve_from_doc(doc, em)
-    block = _block(doc, "simulate",
-                   {"n_paths", "dt", "seed", "antithetic", "keep_paths", "spill"},
-                   {"n_paths", "dt", "seed"})
-    n_paths = _integer(block, "n_paths", None, 2, "simulate")
-    antithetic = _flag(block, "antithetic", "simulate")
-    if antithetic and n_paths % 2:
-        raise SchemaError(f"simulate.n_paths must be even when simulate.antithetic is set, got {n_paths}")
-    cfg = sim.SimConfig(
-        n_paths=n_paths,
-        dt=_positive(block, "dt", None, "simulate"),
-        seed=_seed(block, "simulate"),
-        antithetic=antithetic,
-        keep_paths=_flag(block, "keep_paths", "simulate"),
-    )
+    run = _block(doc, "simulate", _SIMULATE)
+    spill = run.pop("spill")
+    if run["antithetic"] and run["n_paths"] % 2:
+        raise SchemaError("simulate.n_paths must be even when simulate.antithetic is set, "
+                          f"got {run['n_paths']}")
+    if spill is not None and not run["keep_paths"]:
+        raise SchemaError("simulate.spill writes the kept paths: it needs simulate.keep_paths true")
+    cfg = sim.SimConfig(**run)
+    _, sol = _solve_from_doc(doc)
+    criterion = sol.criterion
     batch = sim.simulate_solution(sol, cfg)
     est = sim.estimate_J(batch, criterion)
     t0, x0 = criterion.t0, criterion.x0
@@ -519,8 +529,8 @@ def cmd_simulate(doc: dict, em: Emitter) -> int:
     em.say(f"mean X_T             {est.mean_hat:.8f} +- {est.standard_error_mean:.2e}")
     em.say(f"g(t0, x0)            {g_ref:.8f}   |diff| {abs(est.mean_hat - g_ref):.2e}  "
            f"{'PASS' if g_ok else 'FAIL'}")
-    if block.get("spill"):
-        target = (em.out_dir or Path(".")) / str(block["spill"])
+    if spill is not None:
+        target = (em.out_dir or Path(".")) / spill
         batch.spill(target)
         em.say(f"paths spilled to     {target}")
     em.payload("simulate", {
@@ -541,36 +551,23 @@ def cmd_simulate(doc: dict, em: Emitter) -> int:
 def cmd_perturb(doc: dict, em: Emitter) -> int:
     from . import simulate as sim
 
-    uset, criterion, jumps, sol = _solve_from_doc(doc, em)
-    block = _block(doc, "perturb",
-                   {"h_list", "w_samples", "u_samples", "n_paths", "dt", "seed",
-                    "mode", "base_scale"},
-                   {"h_list", "w_samples", "u_samples", "n_paths", "dt", "seed"})
-    cfg = sim.SimConfig(n_paths=_integer(block, "n_paths", None, 2, "perturb"),
-                        dt=_positive(block, "dt", None, "perturb"), seed=_seed(block, "perturb"))
-    h_list = block["h_list"]
-    if not (isinstance(h_list, list) and h_list and all(_is_number(h) for h in h_list)):
-        raise SchemaError(f"perturb.h_list must be a non-empty list of numbers, got {h_list!r}")
-    w_samples = _integer(block, "w_samples", None, 1, "perturb")
-    u_samples = _integer(block, "u_samples", None, 1, "perturb")
-    mode = block.get("mode", "both")
-    if mode not in ("both", "worst_case", "equilibrium"):
-        raise SchemaError(f"perturb.mode must be both|worst_case|equilibrium, got {mode!r}")
-    base_scale = block.get("base_scale")
-    if base_scale is not None and not _is_number(base_scale):
-        raise SchemaError(f"perturb.base_scale must be a finite number, got {base_scale!r}")
+    run = _block(doc, "perturb", _PERTURB)
+    h_list, u_samples = run["h_list"], run["u_samples"]
+    cfg = sim.SimConfig(n_paths=run["n_paths"], dt=run["dt"], seed=run["seed"])
+    uset, sol = _solve_from_doc(doc)
+    base_scale = run["base_scale"]
     if base_scale is not None and sol.kind == "wealth_scaled":
         raise SchemaError("perturb.base_scale scales a constant strategy; "
                           "the wealth-scaled strategy is not constant")
-    base = None if base_scale is None else float(base_scale) * sol.alpha_coef
+    base = None if base_scale is None else base_scale * sol.alpha_coef
 
     reports = {}
-    if mode in ("both", "worst_case"):
+    if run["mode"] in ("both", "worst_case"):
         reports["worst_case"] = sim.perturb_worst_case(sol, uset, h_list, u_samples=u_samples,
                                                        cfg=cfg)
-    if mode in ("both", "equilibrium"):
+    if run["mode"] in ("both", "equilibrium"):
         reports["equilibrium"] = sim.perturb_equilibrium(
-            sol, uset, h_list, w_samples=w_samples, u_samples=u_samples, cfg=cfg,
+            sol, uset, h_list, w_samples=run["w_samples"], u_samples=u_samples, cfg=cfg,
             base_strategy=base)
 
     ok = all(rep.ok for rep in reports.values())

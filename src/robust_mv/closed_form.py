@@ -373,7 +373,7 @@ _SOLVED_JUMPS = {"terminal_wealth": CompoundPoissonJumps, "log_return": (),
                  "wealth_scaled": DiscreteLevyJumps}
 
 
-def _admitted(kind: str, law: JumpSpec | None) -> JumpSpec | None:
+def admitted(kind: str, law: JumpSpec | None) -> JumpSpec | None:
     """``law`` if the ``kind`` criterion has a closed form with it."""
     if law is not None and not isinstance(law, _SOLVED_JUMPS[kind]):
         raise InvalidBounds(f"no closed form for the {kind} criterion with {type(law).__name__}")
@@ -393,10 +393,10 @@ def solve(uset: UncertaintySet, criterion: Criterion, jump: JumpSpec | None = No
     refuses them.
     """
     if worst is None:
-        worst = find_worst_case(uset, criterion, jump=_admitted(criterion.kind, jump))
+        worst = find_worst_case(uset, criterion, jump=admitted(criterion.kind, jump))
     elif jump is not None and worst.scenario.jump is not jump:
         raise InvalidBounds("the jump spec is not the worst case's jump law")
-    law = _admitted(criterion.kind, worst.scenario.jump)
+    law = admitted(criterion.kind, worst.scenario.jump)
     if criterion.kind == "wealth_scaled":
         return ClosedFormSolution(criterion, worst, ode=solve_growth_factors(
             criterion.lam, worst.risk_premium, criterion.t0, criterion.horizon))

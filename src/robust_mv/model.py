@@ -42,6 +42,8 @@ DEFAULT_RESOLUTION = 21
 DEFAULT_REFINEMENTS = 2
 
 _MOMENT_TOL = 1e-12
+_CONTAINS_TOL = 1e-9  # slack of `UncertaintySet.contains` on the drift and vol boxes
+_EXPOSURE_TOL = 1e-12  # slack of `nonbankruptcy_violations` on [0, 1]
 
 
 def _ro(values, dtype=float) -> np.ndarray:
@@ -204,18 +206,17 @@ class JumpSizeLaw:
         m, s = self.params
         return math.exp(2.0 * m + 2.0 * s * s) - 2.0 * math.exp(m + 0.5 * s * s) + 1.0
 
-    def check_stated_moments(self, mean: float, second_moment: float) -> None:
-        """Reject stated moments that disagree with the sampler's analytic ones."""
-        if abs(self.mean - mean) > _MOMENT_TOL or abs(self.second_moment - second_moment) > _MOMENT_TOL:
-            raise InvalidBounds(
-                "stated jump moments do not match the sampler: "
-                f"analytic ({self.mean!r}, {self.second_moment!r}) vs stated ({mean!r}, {second_moment!r})"
-            )
+    def check_stated_moments(self, mean: float | None = None,
+                             second_moment: float | None = None) -> None:
+        """Reject a stated moment that disagrees with the sampler's analytic
+        one; each is checked on its own, and one left out is not checked."""
+        for name, stated, analytic in (("mean", mean, self.mean),
+                                       ("second moment", second_moment, self.second_moment)):
+            if stated is not None and abs(analytic - stated) > _MOMENT_TOL:
+                raise InvalidBounds(f"stated jump {name} {stated!r} does not match "
+                                    f"the sampler's {analytic!r}")
 
     # --- sampling -----------------------------------------------------------
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.quantile(rng.random(size))
 
     def quantile(self, u) -> np.ndarray:
         """Inverse CDF at uniforms u in [0, 1): nondecreasing in u."""
@@ -729,15 +730,14 @@ class UncertaintySet:
         vol2: tuple[float, float],
         rho: tuple[float, float],
         jump_bounds: JumpBounds | None = None,
-        require_ordering: bool = True,
     ) -> "UncertaintySet":
         """Two-asset product set for the case-split worst-case solver.
 
         By construction asset 1 is the one with the (weakly) better drift
         and tighter volatility: the solver requires drift2 <= drift1 and
         vol2 >= vol1 bound-by-bound, plus nonnegative drift lower bounds.
-        Pass ``require_ordering=False`` only for sets meant exclusively
-        for the numeric search.
+        A set meant only for the numeric search is built with the
+        constructor, which does not check the ordering.
         """
         out = cls(
             [drift1[0], drift2[0]],
@@ -748,8 +748,7 @@ class UncertaintySet:
             rho_hi=float(rho[1]),
             jump_bounds=jump_bounds,
         )
-        if require_ordering:
-            out.check_two_asset_ordering()
+        out.check_two_asset_ordering()
         return out
 
     @classmethod
@@ -834,12 +833,12 @@ class UncertaintySet:
         w = np.asarray(weights, dtype=float)
         return sum(w[..., j, None, None] * v for j, v in enumerate(self.corr_hull))
 
-    def contains(self, scenario: Scenario, tol: float = 1e-9) -> bool:
-        """Box containment of drift and vols plus hull containment of the
-        correlation matrix."""
+    def contains(self, scenario: Scenario) -> bool:
+        """Box containment of drift and vols (to `_CONTAINS_TOL`) plus hull
+        containment of the correlation matrix (LP residual at most 1e-8)."""
         if scenario.n != self.n:
             return False
-        b, v = scenario.drift, scenario.vols
+        b, v, tol = scenario.drift, scenario.vols, _CONTAINS_TOL
         if np.any(b < self.drift_lo - tol) or np.any(b > self.drift_hi + tol):
             return False
         if np.any(v < self.vol_lo - tol) or np.any(v > self.vol_hi + tol):
@@ -860,7 +859,7 @@ class UncertaintySet:
         )
         if not res.success:
             return False
-        return bool(np.max(np.abs(a_eq @ res.x - b_eq)) <= max(tol, 1e-8))
+        return bool(np.max(np.abs(a_eq @ res.x - b_eq)) <= 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -953,7 +952,7 @@ def nonbankruptcy_intervals(alpha: np.ndarray, jump: CompoundPoissonJumps) -> np
     return np.asarray(alpha, dtype=float) @ jump.loadings
 
 
-def nonbankruptcy_violations(alpha: np.ndarray, jump: CompoundPoissonJumps,
-                             tol: float = 1e-12) -> list[int]:
+def nonbankruptcy_violations(alpha: np.ndarray, jump: CompoundPoissonJumps) -> list[int]:
+    """Types whose exposure leaves [0, 1] by more than `_EXPOSURE_TOL`."""
     expo = nonbankruptcy_intervals(alpha, jump)
-    return [int(l) for l, e in enumerate(expo) if e < -tol or e > 1.0 + tol]
+    return [int(l) for l, e in enumerate(expo) if e < -_EXPOSURE_TOL or e > 1.0 + _EXPOSURE_TOL]

@@ -779,13 +779,11 @@ class _Coefficients:
 
 
 def simulate_solution(sol: ClosedFormSolution, cfg: SimConfig,
-                      scenario=None, shock_cache: ShockCache | None = None) -> PathBatch:
-    """Simulate the solution's own strategy, by default under its worst case."""
-    dynamics = WealthDynamics.for_criterion(sol.criterion)
-    strategy = SolutionStrategy(sol)
-    timeline = scenario if scenario is not None else sol.worst_case.scenario
-    return simulate_paths(dynamics, strategy, timeline, cfg,
-                          sol.criterion.t0, sol.criterion.horizon, sol.criterion.x0,
+                      shock_cache: ShockCache | None = None) -> PathBatch:
+    """Simulate the solution's own strategy under its worst case."""
+    crit = sol.criterion
+    return simulate_paths(WealthDynamics.for_criterion(crit), SolutionStrategy(sol),
+                          sol.worst_case.scenario, cfg, crit.t0, crit.horizon, crit.x0,
                           shock_cache=shock_cache)
 
 

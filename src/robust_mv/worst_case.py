@@ -918,13 +918,12 @@ def worst_case_numeric(
     jump: JumpSpec | None = None,
     resolution: int = DEFAULT_RESOLUTION,
     refinements: int = DEFAULT_REFINEMENTS,
-    max_evals: int = DEFAULT_MAX_EVALS,
 ) -> WorstCaseResult:
     """Minimal risk premium over any set, by the cheapest exact method.
 
     A diffusion-only set (no jump ambiguity and no fixed jump) goes to the
     certified convex solver `_worst_case_convex`, for any asset count;
-    ``resolution``, ``refinements`` and ``max_evals`` then play no part.
+    ``resolution`` and ``refinements`` then play no part.
     A set with jump ambiguity or a fixed jump runs the grid search
     `_worst_case_grid`, which evaluates only the grid columns that a
     convex lower bound leaves in play and returns the bits of the whole
@@ -939,16 +938,15 @@ def worst_case_numeric(
         return _degenerate_result(uset, jump)
     if jump is None and uset.jump_bounds is None:
         return _worst_case_convex(uset)
-    return _worst_case_grid(box, resolution, refinements, max_evals)
+    return _worst_case_grid(box, resolution, refinements)
 
 
 def _worst_case_grid(box: _CoordBox, resolution: int = DEFAULT_RESOLUTION,
-                     refinements: int = DEFAULT_REFINEMENTS,
-                     max_evals: int = DEFAULT_MAX_EVALS) -> WorstCaseResult:
+                     refinements: int = DEFAULT_REFINEMENTS) -> WorstCaseResult:
     """Grid search plus box refinement for the minimal risk premium.
 
     Each pass lays `resolution` points per non-degenerate coordinate
-    (auto-reduced to respect ``max_evals``) and takes the minimum of the
+    (auto-reduced to respect `DEFAULT_MAX_EVALS`) and takes the minimum of the
     jump-adjusted premium over the grid, for any asset count, as a
     running minimum over the blocks of `_CoordBox.grid_premiums`, which
     skip the columns that a lower bound shows cannot reach it; it then
@@ -963,6 +961,7 @@ def _worst_case_grid(box: _CoordBox, resolution: int = DEFAULT_RESOLUTION,
     """
     free = box.hi > box.lo
     d = int(np.count_nonzero(free))
+    max_evals = DEFAULT_MAX_EVALS
     res = resolution
     while res > 3 and res**d > max_evals:
         res -= 1

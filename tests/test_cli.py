@@ -3,10 +3,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from robust_mv import PathBatch
 from robust_mv.cli import main
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
 
 def write_problem(tmp_path, name="problem.json", **overrides):
@@ -166,7 +170,8 @@ def test_every_command_uses_the_requested_solver(tmp_path, command):
 
 _BLOCKS = {
     "verify": {"grid": [4, 4], "samples": 10, "seed": 5},
-    "simulate": {"n_paths": 200, "dt": 0.1, "seed": 9, "antithetic": True},
+    "simulate": {"n_paths": 200, "dt": 0.1, "seed": 9, "antithetic": True,
+                 "keep_paths": True, "spill": "paths.rmvp"},
     "perturb": {"h_list": [0.1], "w_samples": 2, "u_samples": 2,
                 "n_paths": 200, "dt": 0.1, "seed": 9},
 }
@@ -202,11 +207,29 @@ _BLOCKS = {
     ("simulate", "n_paths", 1),
     ("perturb", "n_paths", 1),
     ("simulate", "n_paths", 1001),  # odd, with antithetic set
+    # a spill is a bare file name, written under --out, of kept paths
+    ("simulate", "spill", 5),
+    ("simulate", "spill", True),
+    ("simulate", "spill", {"a": 1}),
+    ("simulate", "spill", "../escaped.rmvp"),
+    ("simulate", "spill", ""),
+    ("simulate", "spill", ".."),
+    ("simulate", "keep_paths", False),
 ])
 def test_bad_run_block_is_schema_error(tmp_path, capsys, command, key, value):
     path = write_problem(tmp_path, **{command: {**_BLOCKS[command], key: value}})
-    assert run_cli([command, path])[0] == 2
+    assert run_cli([command, path, "--out", tmp_path / "out"])[0] == 2
     assert f"{command}.{key}" in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir()) and not (tmp_path / "escaped.rmvp").exists()
+
+
+def test_spill_lands_under_out(tmp_path):
+    path = write_problem(tmp_path, simulate=_BLOCKS["simulate"])
+    code, out = run_cli(["simulate", path, "--out", tmp_path / "out"])
+    assert code == 0 and out.count("PASS") == 2
+    n_paths, n_steps, paths = PathBatch.load(tmp_path / "out" / "paths.rmvp")
+    assert (n_paths, n_steps) == (200, 10) and paths.shape == (200, 11)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["paths.rmvp", "simulate.json"]
 
 
 _UNCERTAINTY = {"drift_lo": [0.10, 0.02], "drift_hi": [0.12, 0.03],
@@ -282,10 +305,16 @@ _ONE_ASSET = {"drift_lo": [0.1], "drift_hi": [0.12], "vol_lo": [0.2], "vol_hi": 
     {"assets": True, "uncertainty": _ONE_ASSET},
     {"assets": 1, "uncertainty": {**_ONE_ASSET, "rho_lo": 0.1, "rho_hi": 0.2}},
     {"uncertainty": {**_UNCERTAINTY, "corr_vertices": [[[1.0, 0.0], [0.0, 1.0]]]}},
+    {"simulate": 5},
+    {"jumps": {**_CP, "kind": "bogus"}},
+    {"jumps": {**_CP, "sizes": [{"sampler": "two-point", "prob": 0.5,
+                                 "mean": 0.1, "second_moment": 0.02}]}},
 ], ids=lambda v: json.dumps(v))
 def test_malformed_blocks_are_schema_errors(tmp_path, capsys, patch):
-    # a block of the wrong JSON type, a boolean asset count, or a
-    # correlation key that the asset count does not read
+    # a block of the wrong JSON type (a run block the command does not
+    # read included), a boolean asset count, a correlation key that the
+    # asset count does not read, an unknown jump kind, or a two-point law
+    # whose prob has no values
     path = write_problem(tmp_path, **{"verify": _BLOCKS["verify"], **patch})
     assert run_cli(["verify", path])[0] == 2
     assert "schema error" in capsys.readouterr().err
@@ -370,6 +399,34 @@ class TestStrategyCommand:
             },
         )
         assert run_cli(["strategy", path])[0] == 2
+
+    @pytest.mark.parametrize("stated, code", [
+        ({"mean": 0.5}, 2),
+        ({"mean": 0.0}, 0),
+        ({"second_moment": 0.5}, 2),
+        ({"second_moment": 0.01 / 3}, 0),
+    ], ids=json.dumps)
+    def test_each_stated_moment_is_checked_on_its_own(self, tmp_path, capsys, stated, code):
+        size = {"sampler": "uniform", "lo": -0.1, "hi": 0.1, **stated}
+        path = write_problem(tmp_path, jumps={**_CP, "sizes": [size]})
+        assert run_cli(["worst-case", path])[0] == code
+        assert ("does not match the sampler" in capsys.readouterr().err) == (code == 2)
+
+    def test_unsolved_pair_is_refused_before_the_search(self, tmp_path, capsys, monkeypatch):
+        # compound_poisson.json recast as wealth-scaled: the fixed law has
+        # no closed form under that criterion, so no solver runs
+        from robust_mv import worst_case
+
+        calls = []
+        for name in ("find_worst_case", "worst_case_numeric", "worst_case_two_asset"):
+            monkeypatch.setattr(worst_case, name, lambda *a, _name=name, **k: calls.append(_name))
+        doc = json.loads((DEMOS / "compound_poisson.json").read_text())
+        doc["criterion"]["kind"] = "wealth_scaled"
+        path = tmp_path / "recast.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["strategy", path])[0] == 3
+        assert "no closed form for the wealth_scaled criterion" in capsys.readouterr().err
+        assert calls == []
 
 
 def test_import_loads_no_scipy(tmp_path):

@@ -44,7 +44,7 @@ class TestJumpSizeLaws:
     def test_lognormal_moments_match_samples(self):
         law = rm.JumpSizeLaw.shifted_lognormal(-0.1, 0.2)
         rng = np.random.default_rng(1)
-        draws = law.sample(rng, 400_000)
+        draws = law.quantile(rng.random(400_000))
         assert np.mean(draws) == pytest.approx(law.mean, abs=3e-3)
         assert np.mean(draws**2) == pytest.approx(law.second_moment, abs=3e-3)
 
@@ -350,11 +350,13 @@ class TestScenarioAndSet:
             )
 
     def test_ordering_escape_hatch(self):
-        uset = rm.UncertaintySet.two_asset(
-            (0.1, 0.12), (0.02, 0.03), (0.25, 0.3), (0.2, 0.3), (0.4, 0.6),
-            require_ordering=False,
-        )
+        # the constructor builds a set the case solver cannot take
+        uset = rm.UncertaintySet([0.1, 0.02], [0.12, 0.03], [0.25, 0.2], [0.3, 0.3],
+                                 rho_lo=0.4, rho_hi=0.6)
         assert not uset.two_asset_ordering_holds()
+        with pytest.raises(rm.AssumptionViolated, match="vol_lo"):
+            rm.UncertaintySet.two_asset(
+                (0.1, 0.12), (0.02, 0.03), (0.25, 0.3), (0.2, 0.3), (0.4, 0.6))
 
     def test_correlation_interval_bounds(self):
         with pytest.raises(rm.InvalidBounds):

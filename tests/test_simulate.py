@@ -429,8 +429,8 @@ class TestJumpEvents:
         for name, window in (("busy", rm.Scenario(theta.drift, theta.cov, jump=busy)),
                              ("base", None),
                              ("twin", rm.Scenario(theta.drift, theta.cov, jump=jump))):
-            timeline = None if window is None else SplicedScenario(window, 0.5, theta)
-            runs[name] = rm.simulate_solution(sol, cfg, scenario=timeline, shock_cache=cache)
+            timeline = theta if window is None else SplicedScenario(window, 0.5, theta)
+            runs[name] = _simulate_under(sol, timeline, cfg, shock_cache=cache)
         assert np.array_equal(runs["base"].terminal, alone.terminal)
         assert np.array_equal(runs["twin"].terminal, alone.terminal)
         assert runs["twin"].jump_events == runs["base"].jump_events == alone.jump_events > 0
@@ -635,6 +635,13 @@ class TestJumpDynamics:
         assert np.array_equal(a.terminal, b.terminal)
 
 
+def _simulate_under(sol, timeline, cfg, shock_cache=None):
+    """``sol``'s own strategy simulated under ``timeline``, a scenario or a splice."""
+    crit = sol.criterion
+    return rm.simulate_paths(WealthDynamics.for_criterion(crit), SolutionStrategy(sol), timeline,
+                             cfg, crit.t0, crit.horizon, crit.x0, shock_cache=shock_cache)
+
+
 @dataclass(frozen=True)
 class _CountingSplice(SplicedStrategy):
     """A spliced strategy that records the times it is asked for alpha."""
@@ -683,9 +690,8 @@ class TestCommonRandomNumbers:
         cfg = rm.SimConfig(n_paths=5000, dt=0.0125, seed=17)
         cache = ShockCache()
         base = rm.simulate_solution(tw_solution, cfg, shock_cache=cache)
-        spliced = rm.simulate_solution(
-            tw_solution, cfg, scenario=SplicedScenario(theta, 0.1, theta),
-            shock_cache=cache)
+        spliced = _simulate_under(tw_solution, SplicedScenario(theta, 0.1, theta), cfg,
+                                  shock_cache=cache)
         assert np.array_equal(base.terminal, spliced.terminal)
         diff, se = paired_difference(base, spliced, crit)
         assert diff == 0.0
@@ -697,13 +703,11 @@ class TestCommonRandomNumbers:
         cfg = rm.SimConfig(n_paths=20_000, dt=0.0125, seed=19)
         cache = ShockCache()
         base = rm.simulate_solution(tw_solution, cfg, shock_cache=cache)
-        run = rm.simulate_solution(tw_solution, cfg,
-                                   scenario=SplicedScenario(u, 0.1, theta),
-                                   shock_cache=cache)
+        run = _simulate_under(tw_solution, SplicedScenario(u, 0.1, theta), cfg,
+                              shock_cache=cache)
         _, se_crn = paired_difference(base, run, crit)
-        indep = rm.simulate_solution(
-            tw_solution, rm.SimConfig(n_paths=20_000, dt=0.0125, seed=20),
-            scenario=SplicedScenario(u, 0.1, theta))
+        indep = _simulate_under(tw_solution, SplicedScenario(u, 0.1, theta),
+                                rm.SimConfig(n_paths=20_000, dt=0.0125, seed=20))
         est_a = rm.estimate_J(base, crit)
         est_b = rm.estimate_J(indep, crit)
         se_indep = math.hypot(est_a.standard_error_j, est_b.standard_error_j)

@@ -126,10 +126,8 @@ class TestTwoAssetCases:
         assert abs(closed.risk_premium - numeric.risk_premium) <= 1e-6 * (1 + closed.risk_premium)
 
     def test_ordering_violation_raises(self):
-        uset = rm.UncertaintySet.two_asset(
-            (0.10, 0.12), (0.02, 0.03), (0.25, 0.3), (0.2, 0.3), (0.4, 0.6),
-            require_ordering=False,
-        )
+        uset = rm.UncertaintySet([0.10, 0.02], [0.12, 0.03], [0.25, 0.2], [0.3, 0.3],
+                                 rho_lo=0.4, rho_hi=0.6)
         with pytest.raises(rm.AssumptionViolated):
             rm.worst_case_two_asset(uset)
 
@@ -184,7 +182,7 @@ class TestNumericSearch:
         for scen in rm.sample_scenarios(uset, 50, 3):
             assert rm.scenario_premium(scen) >= res.risk_premium - 1e-9
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         # jump ambiguity keeps the grid: 7 free coordinates need 3^7 > 1000 points
         bounds = rm.CompoundPoissonBounds(
             loadings=np.array([[1.0], [0.0]]),
@@ -196,17 +194,19 @@ class TestNumericSearch:
             (0.10, 0.12), (0.02, 0.03), (0.2, 0.2), (0.2, 0.3), (0.4, 0.6),
             jump_bounds=bounds,
         )
+        monkeypatch.setattr(worst_case, "DEFAULT_MAX_EVALS", 1000)
         with pytest.raises(rm.BudgetExceeded):
-            rm.worst_case_numeric(uset, max_evals=1000)
+            rm.worst_case_numeric(uset)
 
-    def test_former_budget_set_is_certified(self):
+    def test_former_budget_set_is_certified(self, monkeypatch):
         # 4 assets, 9 hull vertices: beyond the grid's budget, and zero
         # drift is feasible, so the certified minimum is 0 at b = 0, vol_hi
         verts = tuple(np.eye(4) for _ in range(9))
         uset = rm.UncertaintySet.hull(
             [0.0] * 4, [0.1] * 4, [0.1] * 4, [0.2] * 4, verts
         )
-        res = rm.worst_case_numeric(uset, max_evals=1000)
+        monkeypatch.setattr(worst_case, "DEFAULT_MAX_EVALS", 1000)
+        res = rm.worst_case_numeric(uset)
         assert res.case_label == "Numeric" and res.evaluations > 0
         assert res.risk_premium == 0.0 and res.gap == 0.0
         assert np.array_equal(res.scenario.drift, np.zeros(4))
@@ -748,8 +748,8 @@ class TestConvexWorstCase:
         assert gap > 0.1
 
     def test_zero_sharpe_ratio_is_zero_drift_at_the_upper_vol(self):
-        uset = rm.UncertaintySet.two_asset(
-            (0.0, 0.1), (0.0, 0.05), (0.1, 0.2), (0.2, 0.3), (0.3, 0.5), require_ordering=False)
+        uset = rm.UncertaintySet([0.0, 0.0], [0.1, 0.05], [0.1, 0.2], [0.2, 0.3],
+                                 rho_lo=0.3, rho_hi=0.5)
         res = rm.worst_case_numeric(uset)
         assert res.risk_premium == 0.0 and res.gap == 0.0
         assert np.array_equal(res.scenario.drift, [0.0, 0.0])
@@ -763,9 +763,10 @@ class TestConvexWorstCase:
         assert routed.risk_premium == direct.risk_premium
         assert np.array_equal(routed.scenario.cov, direct.scenario.cov)
 
-    def test_grid_arguments_do_not_change_a_diffusion_result(self, short_second_set):
+    def test_grid_arguments_do_not_change_a_diffusion_result(self, short_second_set, monkeypatch):
         a = rm.worst_case_numeric(short_second_set)
-        b = rm.worst_case_numeric(short_second_set, resolution=3, refinements=0, max_evals=10)
+        monkeypatch.setattr(worst_case, "DEFAULT_MAX_EVALS", 10)
+        b = rm.worst_case_numeric(short_second_set, resolution=3, refinements=0)
         assert (a.risk_premium, a.gap, a.evaluations) == (b.risk_premium, b.gap, b.evaluations)
         assert np.array_equal(a.scenario.cov, b.scenario.cov)
 
