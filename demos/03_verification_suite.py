@@ -5,8 +5,12 @@ Three instruments:
   the equilibrium pair on a (t, x) lattice, should vanish;
 * saddle sampling: the objective F(alpha, theta) must be nonpositive in
   alpha at the worst case and nonnegative in theta at the strategy;
-* cross-scenario slack: a true minimizer theta_hat keeps
-  H(bhat, Shat) - 2 H(b, Shat) + H(bhat, S) below zero on the whole set.
+* cross-scenario slack: H(bhat, Shat) - 2 H(b, Shat) + H(bhat, S), the
+  theta side of the saddle with the sign turned (F(alpha_hat, theta) -
+  F(alpha_hat, theta_hat) = -slack / (4 lam) for terminal wealth).  It
+  is not a certificate of the premium minimum: over ambiguous vols a
+  premium minimizer can have positive slack at a corner, and the
+  certificate is the convex solver's gap.
 
 Each check is then pointed at a deliberately corrupted solution to show
 it actually bites.
@@ -39,7 +43,7 @@ def main() -> None:
     theta_hat = sol.worst_case.scenario
     slacks = [rm.worst_case_optimality_slack(theta_hat, th)
               for th in rm.sample_scenarios(BOX, 100, 7)]
-    print(f"\ncross-scenario slack over 100 draws: max = {max(slacks):+.2e} (must be <= 0)")
+    print(f"\ncross-scenario slack over 100 draws: max = {max(slacks):+.2e} (<= 0: no draw lowers F)")
 
     print("\n--- falsification probes")
     bad = with_scaled_value(sol, 1.01)
@@ -58,7 +62,7 @@ def main() -> None:
           f"(deepest theta-side value {worst_theta:+.2e})")
     slack_bad = max(rm.worst_case_optimality_slack(corner, th)
                     for th in rm.sample_scenarios(BOX, 100, 7))
-    print(f"non-minimizer scenario        -> max slack {slack_bad:+.2e} (positive exposes it)")
+    print(f"non-minimizer scenario        -> max slack {slack_bad:+.2e} (positive: a draw lowers F)")
 
 
 if __name__ == "__main__":

@@ -553,9 +553,12 @@ def cmd_perturb(doc: dict, em: Emitter) -> int:
 
     run = _block(doc, "perturb", _PERTURB)
     h_list, u_samples = run["h_list"], run["u_samples"]
+    base_scale = run["base_scale"]
+    if base_scale is not None and run["mode"] == "worst_case":
+        raise SchemaError("perturb.base_scale scales the base strategy of the equilibrium "
+                          "report, which perturb.mode 'worst_case' does not run")
     cfg = sim.SimConfig(n_paths=run["n_paths"], dt=run["dt"], seed=run["seed"])
     uset, sol = _solve_from_doc(doc)
-    base_scale = run["base_scale"]
     if base_scale is not None and sol.kind == "wealth_scaled":
         raise SchemaError("perturb.base_scale scales a constant strategy; "
                           "the wealth-scaled strategy is not constant")

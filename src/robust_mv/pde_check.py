@@ -19,14 +19,13 @@ fourth-order central differences otherwise.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import DerivativeFailure
+from .errors import DerivativeFailure, InvalidBounds
 from .fields import ScalarField
 from .model import (
     Criterion,
@@ -248,12 +247,9 @@ def default_grid(criterion: Criterion, nt: int = 10, nx: int = 10) -> tuple[np.n
     return t_nodes, _x_window(criterion, nx)
 
 
-def residual_grid(sol, t_nodes: Sequence[float] | None = None,
-                  x_nodes: Sequence[float] | None = None,
-                  nt: int = 10, nx: int = 10,
-                  use_analytic: bool = True) -> ResidualTable:
+def residual_grid(sol, nt: int = 10, nx: int = 10) -> ResidualTable:
     """Evaluate every equation of the applicable system at the equilibrium
-    pair on a (t, x) lattice.
+    pair on the `default_grid` lattice of nt x nx points.
 
     Constant aversion checks both the value-form system (value equation
     plus the conditional-mean equation) and the objective-form system
@@ -262,17 +258,12 @@ def residual_grid(sol, t_nodes: Sequence[float] | None = None,
     the one its solution solves.
     """
     criterion = sol.criterion
-    if t_nodes is None or x_nodes is None:
-        t_default, x_default = default_grid(criterion, nt, nx)
-        t_nodes = t_default if t_nodes is None else t_nodes
-        x_nodes = x_default if x_nodes is None else x_nodes
+    t_nodes, x_nodes = default_grid(criterion, nt, nx)
     dynamics = WealthDynamics.for_criterion(criterion)
-    ops = OperatorSet(dynamics, criterion.span, use_analytic=use_analytic)
+    ops = OperatorSet(dynamics, criterion.span)
     theta = sol.worst_case.scenario
 
     # every lattice point at once: t outer, x inner
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    x_nodes = np.asarray(x_nodes, dtype=float)
     t = np.repeat(t_nodes, x_nodes.size)
     x = np.tile(x_nodes, t_nodes.size)
     alpha = sol.alpha_hat(t, x)
@@ -328,8 +319,11 @@ def saddle_check(sol, uset: UncertaintySet, samples: int = 1000, seed: int = 0) 
     alpha_hat, scenarios uniformly from the set (the worst case's own
     jump spec is attached when the set itself carries no jump
     ambiguity).  Points (t, x) are sampled per draw; the tolerance is
-    1e-9 (1 + premium)(1 + |x|).
+    1e-9 (1 + premium)(1 + |x|).  The scenarios are drawn first, then
+    t, x, the directions and the radius factors, each as one array.
     """
+    if samples < 1:
+        raise InvalidBounds(f"saddle_check needs samples >= 1, got {samples}")
     criterion = sol.criterion
     rng = np.random.default_rng([int(seed), 0x5A])
     dynamics = WealthDynamics.for_criterion(criterion)
@@ -351,28 +345,19 @@ def saddle_check(sol, uset: UncertaintySet, samples: int = 1000, seed: int = 0) 
     saddle_value = float(saddle_objective(sol, ops, a_mid, theta_hat, t_mid, x_mid))
     saddle_eps = float(eps_at(x_mid))
 
-    # the draws stay one sample at a time, interleaved as (t, x, direction,
-    # radius), so every seed keeps its stream
     n = a_mid.size
-    t = np.empty(samples)
-    x = np.empty(samples)
-    direction = np.zeros((samples, n))
-    sq = np.zeros(samples)
-    shrink = np.zeros(samples)
-    for i in range(samples):
-        t[i] = rng.uniform(t_lo, t_hi)
-        x[i] = rng.uniform(x_lo, x_hi)
-        d = direction[i] = rng.standard_normal(n)
-        sq[i] = d.dot(d)
-        if sq[i] != 0:
-            shrink[i] = rng.random() ** (1.0 / n)
-    # a 1-D norm is sqrt(v.dot(v)): the unit vectors keep the per-vector bits
-    unit = direction / np.sqrt(np.where(sq != 0, sq, 1.0))[:, None]
+    t = rng.uniform(t_lo, t_hi, samples)
+    x = rng.uniform(x_lo, x_hi, samples)
+    direction = rng.standard_normal((samples, n))
+    shrink = rng.random(samples) ** (1.0 / n)
+    # a zero direction stays zero, so its strategy is alpha_hat itself
+    norm = np.linalg.norm(direction, axis=1)
+    unit = direction / np.where(norm != 0, norm, 1.0)[:, None]
 
     eps = eps_at(x)
     a_hat = np.reshape(sol.alpha_hat(t, x), (samples, n))
     radius = _SADDLE_RADIUS * np.maximum(np.linalg.norm(a_hat, axis=1), 1e-12)
-    alpha = a_hat + unit * radius[:, None] * shrink[:, None]
+    alpha = a_hat + unit * (radius * shrink)[:, None]
     f_alpha = saddle_objective(sol, ops, alpha, theta_hat, t, x)
     f_theta = saddle_objective(sol, ops, a_hat, thetas, t, x)
 
@@ -390,6 +375,6 @@ def saddle_check(sol, uset: UncertaintySet, samples: int = 1000, seed: int = 0) 
         saddle_value=saddle_value,
         saddle_eps=saddle_eps,
         violations=tuple(violations),
-        max_alpha_side=float(np.max(f_alpha, initial=-math.inf)),
-        min_theta_side=float(np.min(f_theta, initial=math.inf)),
+        max_alpha_side=float(np.max(f_alpha)),
+        min_theta_side=float(np.min(f_theta)),
     )

@@ -156,13 +156,19 @@ def worst_case_optimality_slack(theta_hat: Scenario, theta: Scenario) -> float:
     """Signed slack of the cross-scenario optimality inequality.
 
     With H(b, S) = b' Shat^{-1} S Shat^{-1} bhat (jump-adjusted moments
-    throughout), a true minimizer theta_hat satisfies
+    throughout), the slack at theta is
 
-        H(bhat, Shat) - 2 H(b, Shat) + H(bhat, S) <= 0
+        H(bhat, Shat) - 2 H(b, Shat) + H(bhat, S),
 
-    for every theta in the same product set, with equality at
-    theta = theta_hat.  Positive slack certifies that theta_hat is not
-    the minimizer.
+    linear in (b, S) and zero at theta_hat.  It is the theta side of the
+    saddle: F(alpha_hat, theta) - F(alpha_hat, theta_hat) is
+    -slack / (4 lam) for terminal wealth, -slack / (2 (1 + 2 lam)) for
+    log return.  Slack <= 0 on a set is the first-order condition of the
+    premium minimum only where the reachable (b, S) are convex; over
+    ambiguous vols they are not, a premium minimizer need not be nature's
+    best response to alpha_hat, and it may have positive slack on the
+    set.  The certificate of the premium minimum is the convex solver's
+    `gap`.
     """
     bh, sh = adjusted_moments(theta_hat)
     b, s = adjusted_moments(theta)
@@ -489,16 +495,18 @@ class _CoordBox:
         successive single-point draws would."""
         if self.n_corr <= 1:
             return rng.uniform(self.lo, self.hi, size=(k, self.dim))
-        pts = np.empty((k, self.dim))
-        i0 = 2 * self.uset.n
-        for pt in pts:
-            pt[:] = rng.uniform(self.lo, self.hi)
-            # overwrite stick coordinates with a uniform simplex draw
-            w = rng.dirichlet(np.ones(self.n_corr + 1))
-            rem = 1.0
-            for j in range(self.n_corr):
-                pt[i0 + j] = 0.0 if rem <= 0 else min(max(w[j] / rem, 0.0), 1.0)
-                rem -= w[j]
+        # point by point, the raw draws of rng.uniform(lo, hi) and of
+        # rng.dirichlet(ones(m + 1)), which normalizes m + 1 unit
+        # exponentials: an exponential takes a varying number of raw draws
+        m, i0 = self.n_corr, 2 * self.uset.n
+        u, e = np.empty((k, self.dim)), np.empty((k, m + 1))
+        for i in range(k):
+            u[i], e[i] = rng.random(self.dim), rng.standard_exponential(m + 1)
+        pts = self.lo + (self.hi - self.lo) * u
+        w = e[:, :m] * (1.0 / np.add.accumulate(e, axis=1)[:, -1:])
+        # stick j: w_j over what is left of the unit stick, in [0, 1]
+        rem = np.subtract.accumulate(np.hstack([np.ones((k, 1)), w]), axis=1)[:, :m]
+        pts[:, i0:i0 + m] = np.where(rem > 0, np.clip(w / np.where(rem > 0, rem, 1.0), 0, 1), 0.0)
         return pts
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -173,7 +173,7 @@ _BLOCKS = {
     "simulate": {"n_paths": 200, "dt": 0.1, "seed": 9, "antithetic": True,
                  "keep_paths": True, "spill": "paths.rmvp"},
     "perturb": {"h_list": [0.1], "w_samples": 2, "u_samples": 2,
-                "n_paths": 200, "dt": 0.1, "seed": 9},
+                "n_paths": 200, "dt": 0.1, "seed": 9, "mode": "worst_case"},
 }
 
 
@@ -204,6 +204,7 @@ _BLOCKS = {
     ("perturb", "n_paths", "x"),
     ("perturb", "seed", 2**64),
     ("perturb", "base_scale", "x"),
+    ("perturb", "base_scale", 2.0),  # with mode worst_case, which has no base strategy
     ("simulate", "n_paths", 1),
     ("perturb", "n_paths", 1),
     ("simulate", "n_paths", 1001),  # odd, with antithetic set

@@ -86,7 +86,9 @@ def sequential_scenarios(uset, count, rng, fixed_jump=None):
 
 def per_sample_saddle(sol, uset, samples, seed, radius_scale=10.0, eps_rel=1e-9):
     """The saddle check written as a loop over samples of scalar
-    `saddle_objective` calls; same draws in the same order."""
+    `saddle_objective` calls; same draws in the same order: the
+    scenarios, then every t, every x, every direction and every radius
+    factor."""
     crit = sol.criterion
     rng = np.random.default_rng([int(seed), 0x5A])
     ops = OperatorSet(WealthDynamics.for_criterion(crit), crit.span)
@@ -108,14 +110,16 @@ def per_sample_saddle(sol, uset, samples, seed, radius_scale=10.0, eps_rel=1e-9)
     saddle_value = saddle_objective(sol, ops, a_mid, theta_hat, t_mid, x_mid)
     violations, max_alpha, min_theta = [], -math.inf, math.inf
     n = a_mid.size
+    ts, xs = rng.uniform(t_lo, t_hi, samples), rng.uniform(x_lo, x_hi, samples)
+    directions, factors = rng.standard_normal((samples, n)), rng.random(samples)
     for i in range(samples):
-        t, x = rng.uniform(t_lo, t_hi), rng.uniform(x_lo, x_hi)
+        t, x = ts[i], xs[i]
         eps = eps_at(x)
         a_hat = np.atleast_1d(sol.alpha_hat(t, x))
         radius = radius_scale * max(float(np.linalg.norm(a_hat)), 1e-12)
-        direction = rng.standard_normal(n)
+        direction = directions[i]
         norm = float(np.linalg.norm(direction))
-        alpha = a_hat if norm == 0 else a_hat + direction / norm * radius * rng.random() ** (1.0 / n)
+        alpha = a_hat if norm == 0 else a_hat + direction / norm * radius * factors[i] ** (1.0 / n)
         f_alpha = saddle_objective(sol, ops, alpha, theta_hat, t, x)
         max_alpha = max(max_alpha, f_alpha)
         if f_alpha > eps:
@@ -284,6 +288,11 @@ class TestSaddle:
                 f_plus = saddle_objective(sol, ops, a_hat + s * d, theta, t, x)
                 assert f_plus - 2.0 * f_mid + f_minus <= 1e-12
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_fewer_than_one_sample_is_refused(self, tw_solution, short_second_set, samples):
+        with pytest.raises(rm.InvalidBounds, match="samples"):
+            rm.saddle_check(tw_solution, short_second_set, samples=samples)
+
     def test_report_is_deterministic(self, tw_solution, short_second_set):
         a = rm.saddle_check(tw_solution, short_second_set, samples=300, seed=11)
         b = rm.saddle_check(tw_solution, short_second_set, samples=300, seed=11)
@@ -308,6 +317,25 @@ class TestBatchedVerification:
             assert _close(rep.max_alpha_side, max_alpha)
             assert _close(rep.min_theta_side, min_theta)
 
+    @pytest.mark.parametrize("case", ["tw", "lr", "cp"])
+    def test_theta_side_reads_the_scenarios_drawn_first(self, verify_cases, case):
+        # F(alpha_hat, theta) does not depend on (t, x) for these families,
+        # so the sampled minimum is the minimum over the scenario stack
+        # drawn first from the check's stream, at any point
+        sol, uset = verify_cases[case]
+        crit = sol.criterion
+        ops = OperatorSet(WealthDynamics.for_criterion(crit), crit.span)
+        t_mid = crit.t0 + 0.5 * crit.span
+        x_mid = float(np.mean(rm.default_grid(crit, 2, 2)[1]))
+        a_hat = np.atleast_1d(sol.alpha_hat(t_mid, x_mid))
+        fixed_jump = sol.worst_case.scenario.jump if uset.jump_bounds is None else None
+        for seed in (0, 3):
+            rep = rm.saddle_check(sol, uset, samples=400, seed=seed)
+            rng = np.random.default_rng([seed, 0x5A])
+            thetas = rm.sample_scenario_arrays(uset, 400, rng, fixed_jump=fixed_jump)
+            want = np.min(saddle_objective(sol, ops, a_hat, thetas, t_mid, x_mid))
+            assert abs(rep.min_theta_side - want) <= 1e-12
+
     def test_jump_bounds_case_exercises_redraws(self, jump_bounds_case):
         _, uset = jump_bounds_case
         _, rejected = sequential_scenarios(uset, 400, np.random.default_rng(0))
@@ -328,6 +356,23 @@ class TestBatchedVerification:
             stack = rm.sample_scenario_arrays(uset, 300, seed, fixed_jump=fixed_jump)
             assert np.array_equal(stack.drift, np.array([b.drift for b in want]))
             assert np.array_equal(stack.cov, np.array([b.cov for b in want]))
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_hulls_of_more_matrices_draw_as_sequential_draws(self, m):
+        rng = np.random.default_rng(m)
+        verts = []
+        for _ in range(m):
+            a = rng.standard_normal((3, 5))
+            c = a @ a.T / np.outer(np.linalg.norm(a, axis=1), np.linalg.norm(a, axis=1))
+            c = 0.5 * (c + c.T)
+            np.fill_diagonal(c, 1.0)
+            verts.append(c)
+        uset = rm.UncertaintySet.hull([0.02, 0.03, 0.04], [0.05, 0.06, 0.07],
+                                      [0.1, 0.2, 0.3], [0.2, 0.3, 0.4], verts)
+        got = rm.sample_scenario_arrays(uset, 200, 7)
+        want, _ = sequential_scenarios(uset, 200, np.random.default_rng(7))
+        assert np.array_equal(got.drift, np.array([s.drift for s in want]))
+        assert np.array_equal(got.cov, np.array([s.cov for s in want]))
 
     def test_residual_columns_give_the_rows_and_maxima(self, tw_solution):
         # the table holds columns; its rows are a view built once, and the
@@ -351,7 +396,7 @@ class TestBatchedVerification:
         for sol, eqs in ((tw_solution, ["mean_pde", "hjb_value", "objective_pde", "hjb_objective"]),
                          (ws_solution, ["mean_pde", "objective_pde", "hjb_objective"])):
             t_nodes, x_nodes = rm.default_grid(sol.criterion, 3, 4)
-            rows = rm.residual_grid(sol, t_nodes, x_nodes).rows
+            rows = rm.residual_grid(sol, nt=3, nx=4).rows
             want = [(t, x, eq) for t in t_nodes for x in x_nodes for eq in eqs]
             assert [(r.t, r.x, r.eq_id) for r in rows] == want
 
