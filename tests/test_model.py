@@ -318,6 +318,19 @@ class TestScenarioAndSet:
         with pytest.raises(rm.NotPositiveDefinite):
             rm.Scenario(np.array([0.1, 0.1]), np.array([[0.04, 0.05], [0.05, 0.04]]))
 
+    def test_scenario_symmetry_check_is_allclose(self):
+        # the covariance is refused exactly when np.allclose(s, s.T, atol=1e-10) fails
+        cov = np.array([[0.04, 0.01], [0.01, 0.09]])
+        rng = np.random.default_rng(0)
+        for scale in (1e-13, 1e-8, 1e-7, 1e-6):
+            for _ in range(50):
+                s = cov + np.triu(rng.normal(0.0, scale, (2, 2)), 1)
+                if np.allclose(s, s.T, atol=1e-10):
+                    rm.Scenario(np.array([0.1, 0.1]), s)
+                else:
+                    with pytest.raises(rm.NotPositiveDefinite, match="not symmetric"):
+                        rm.Scenario(np.array([0.1, 0.1]), s)
+
     def test_non_finite_drift_rejected(self):
         with pytest.raises(rm.InvalidBounds, match="finite"):
             rm.Scenario(np.array([np.nan]), np.array([[0.04]]))
