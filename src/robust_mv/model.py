@@ -87,9 +87,10 @@ def factorizes(mats: np.ndarray) -> np.ndarray:
 def build_covariance(vols: Sequence[float], corr: np.ndarray) -> np.ndarray:
     """Assemble Sigma_ij = sigma_i sigma_j rho_ij and verify it factorizes.
 
-    `corr` must be symmetric with unit diagonal; positive definiteness of
-    the result is equivalent to positive definiteness of `corr` and is
-    checked by attempting a Cholesky factorization.
+    `corr` must be symmetric with unit diagonal, each to 1e-12 absolute;
+    positive definiteness of the result is equivalent to positive
+    definiteness of `corr` and is checked by attempting a Cholesky
+    factorization.
     """
     v = np.asarray(vols, dtype=float)
     c = np.asarray(corr, dtype=float)
@@ -99,9 +100,9 @@ def build_covariance(vols: Sequence[float], corr: np.ndarray) -> np.ndarray:
         )
     if np.any(v <= 0):
         raise InvalidBounds("volatilities must be strictly positive")
-    if not np.allclose(c, c.T, atol=1e-12):
+    if not np.allclose(c, c.T, rtol=0.0, atol=1e-12):
         raise NotPositiveDefinite("correlation matrix is not symmetric")
-    if not np.allclose(np.diag(c), 1.0, atol=1e-12):
+    if not np.allclose(np.diag(c), 1.0, rtol=0.0, atol=1e-12):
         raise NotPositiveDefinite("correlation matrix must have unit diagonal")
     sigma = np.outer(v, v) * c
     cholesky_or_raise(sigma, "covariance built from vols/corr")

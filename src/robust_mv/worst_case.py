@@ -14,8 +14,8 @@ are present).  Three solvers are provided:
   the matrix-fractional function, which is jointly convex in (s, C)
   (Boyd & Vandenberghe, Convex Optimization, 3.1.7).  Each s_i ranges
   over an interval and C over the hull of the correlation vertices, so
-  the minimum is found by SLSQP plus Newton steps on the active face and
-  certified by the Frank-Wolfe duality gap (Jaggi, ICML 2013);
+  the minimum is found by Newton steps on the active face and certified
+  by the Frank-Wolfe duality gap (Jaggi, ICML 2013);
 * `worst_case_numeric` with jump ambiguity or a fixed jump - a grid
   search with coordinate-box refinement over drifts, volatilities,
   correlation hull weights and jump coordinates.  One kernel serves every
@@ -452,9 +452,8 @@ class _CoordBox:
         corr_mat = self.corr_matrices(corr)
         cov = vols[:, :, None] * vols[:, None, :] * corr_mat
         valid = (
-            np.all(np.abs(corr_mat - corr_mat.swapaxes(1, 2))
-                   <= 1e-12 + 1e-5 * np.abs(corr_mat.swapaxes(1, 2)), axis=(1, 2))
-            & np.all(np.abs(np.diagonal(corr_mat, axis1=1, axis2=2) - 1.0) <= 1e-12 + 1e-5, axis=1)
+            np.all(np.abs(corr_mat - corr_mat.swapaxes(1, 2)) <= 1e-12, axis=(1, 2))
+            & np.all(np.abs(np.diagonal(corr_mat, axis1=1, axis2=2) - 1.0) <= 1e-12, axis=1)
         )
         valid[valid] = factorizes(cov[valid])
 
@@ -787,20 +786,20 @@ def _worst_case_convex(uset: UncertaintySet) -> WorstCaseResult:
     correlation hull, for a diffusion-only set of any size.
 
     The variables are s and the weights w of C = sum_k w_k V_k on the
-    simplex.  SLSQP gets close; Newton steps on the active face (free s
-    coordinates and the weights in the support, or tied with the largest
-    y'V_k y) then polish until the Frank-Wolfe gap stops falling or drops
-    below `_POLISH_RTOL` (1 + premium).  A gap above `_GAP_RTOL`
-    (1 + premium) after `_POLISH_STEPS` raises `BudgetExceeded`: no
+    simplex.  From s at the box point nearest 0 and uniform weights,
+    Newton steps on the active face (free s coordinates and the weights in
+    the support, or tied with the largest y'V_k y) run until the
+    Frank-Wolfe gap stops falling or drops below `_POLISH_RTOL`
+    (1 + premium).  A run that ends above `_GAP_RTOL` (1 + premium) is
+    repeated once from all weight on the vertex of least s' V_k^{-1} s;
+    when that is not certified either, `BudgetExceeded` is raised: no
     uncertified answer is returned.
     """
-    # imported here, as `linprog` is in the model: scipy.optimize is slow to import
-    from scipy.optimize import minimize
-
     lo, hi = _sharpe_box(uset)
     # the distinct hull matrices, in first-occurrence order
     verts = uset.corr_hull[np.sort(np.unique(uset.corr_hull, axis=0, return_index=True)[1])]
-    n, m = uset.n, len(verts)
+    m = len(verts)
+    s0 = np.clip(0.0, lo, hi)
     evals = 0
 
     def value(s, w):
@@ -810,52 +809,44 @@ def _worst_case_convex(uset: UncertaintySet) -> WorstCaseResult:
         y = np.linalg.solve(corr, s)
         return float(s @ y), corr, y
 
-    def value_and_grad(x):
-        f, _, y = value(x[:n], x[n:])
-        return f, np.concatenate([2.0 * y, -np.einsum("i,kij,j->k", y, verts, y)])
-
-    x0 = np.concatenate([np.clip(0.0, lo, hi), np.full(m, 1.0 / m)])
-    ones_w = np.concatenate([np.zeros(n), np.ones(m)])
-    sol = minimize(value_and_grad, x0, jac=True, method="SLSQP",
-                   bounds=list(zip(lo, hi)) + [(0.0, 1.0)] * m,
-                   constraints=[{"type": "eq", "fun": lambda x: x[n:].sum() - 1.0,
-                                 "jac": lambda x: ones_w}],
-                   options={"ftol": 1e-12, "maxiter": 100})
-    s = np.clip(sol.x[:n], lo, hi)
-    w = np.maximum(sol.x[n:], 0.0)
-    w /= w.sum()
-
-    f, corr, y = value(s, w)
-    gap = _gap(s, corr, lo, hi, verts)
-    for _ in range(_POLISH_STEPS):
-        if gap <= _POLISH_RTOL * (1.0 + f):
-            break
-        ds, dw = _face_newton_step(s, w, corr, y, lo, hi, verts)
-        # the longest feasible step along the Newton direction, halved
-        # until it lowers the premium, or lowers the gap with the premium
-        # unchanged to rounding (near the minimum the premium moves with
-        # the square of the step, the gap linearly)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            reach = np.concatenate([np.where(ds > 0, hi - s, lo - s) / ds, -w / dw])
-        alpha = min(1.0, reach[np.concatenate([ds != 0, dw < 0])].min(initial=1.0))
-        for _ in range(40):
-            s_new = np.clip(s + alpha * ds, lo, hi)
-            w_new = np.maximum(w + alpha * dw, 0.0)
-            w_new /= w_new.sum()
-            f_new, corr_new, y_new = value(s_new, w_new)
-            gap_new = _gap(s_new, corr_new, lo, hi, verts)
-            if f_new < f or (f_new <= f + 1e-15 * (1.0 + f) and gap_new < gap):
+    def polish(w: np.ndarray) -> tuple[Scenario, float, float]:
+        # the scenario, premium and gap reached from (s0, w)
+        s = s0
+        f, corr, y = value(s, w)
+        gap = _gap(s, corr, lo, hi, verts)
+        for _ in range(_POLISH_STEPS):
+            if gap <= _POLISH_RTOL * (1.0 + f):
                 break
-            alpha *= 0.5
-        else:
-            break
-        s, w, f, corr, y, gap = s_new, w_new, f_new, corr_new, y_new, gap_new
+            ds, dw = _face_newton_step(s, w, corr, y, lo, hi, verts)
+            # the longest feasible step along the Newton direction, halved
+            # until it lowers the premium, or lowers the gap with the premium
+            # unchanged to rounding (near the minimum the premium moves with
+            # the square of the step, the gap linearly)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reach = np.concatenate([np.where(ds > 0, hi - s, lo - s) / ds, -w / dw])
+            alpha = min(1.0, reach[np.concatenate([ds != 0, dw < 0])].min(initial=1.0))
+            for _ in range(40):
+                s_new = np.clip(s + alpha * ds, lo, hi)
+                w_new = np.maximum(w + alpha * dw, 0.0)
+                w_new /= w_new.sum()
+                f_new, corr_new, y_new = value(s_new, w_new)
+                gap_new = _gap(s_new, corr_new, lo, hi, verts)
+                if f_new < f or (f_new <= f + 1e-15 * (1.0 + f) and gap_new < gap):
+                    break
+                alpha *= 0.5
+            else:
+                break
+            s, w, f, corr, y, gap = s_new, w_new, f_new, corr_new, y_new, gap_new
 
-    corr = corr.copy()
-    np.fill_diagonal(corr, 1.0)
-    scen = _scenario_from_sharpe(uset, s, corr)
-    premium = scenario_premium(scen)
-    gap = _frank_wolfe_gap(uset, scen)
+        corr = corr.copy()
+        np.fill_diagonal(corr, 1.0)
+        scen = _scenario_from_sharpe(uset, s, corr)
+        return scen, scenario_premium(scen), _frank_wolfe_gap(uset, scen)
+
+    scen, premium, gap = polish(np.full(m, 1.0 / m))
+    if not gap <= _GAP_RTOL * (1.0 + premium) and m > 1:
+        least = np.argmin([s0 @ np.linalg.solve(v, s0) for v in verts])
+        scen, premium, gap = polish(np.eye(m)[least])
     if not gap <= _GAP_RTOL * (1.0 + premium):
         raise BudgetExceeded(
             f"convex worst case not certified: Frank-Wolfe gap {gap:.3g} above "
@@ -929,13 +920,15 @@ def worst_case_numeric(
 ) -> WorstCaseResult:
     """Minimal risk premium over any set, by the cheapest exact method.
 
-    A diffusion-only set (no jump ambiguity and no fixed jump) goes to the
-    certified convex solver `_worst_case_convex`, for any asset count;
-    ``resolution`` and ``refinements`` then play no part.
-    A set with jump ambiguity or a fixed jump runs the grid search
-    `_worst_case_grid`, which evaluates only the grid columns that a
-    convex lower bound leaves in play and returns the bits of the whole
-    grid.  The grid arguments are checked on every call.
+    A diffusion-only set (no jump ambiguity, and no fixed jump or an
+    inert one, see `_inert`) goes to the certified convex solver
+    `_worst_case_convex`, for any asset count; ``resolution`` and
+    ``refinements`` then play no part, and an inert jump is put back on
+    the result.  A set with jump ambiguity or a fixed jump that moves the
+    moments runs the grid search `_worst_case_grid`, which evaluates only
+    the grid columns that a convex lower bound leaves in play and returns
+    the bits of the whole grid.  The grid arguments are checked on every
+    call.
     """
     if resolution < 2:
         raise InvalidBounds("grid resolution must be at least 2")
@@ -944,9 +937,21 @@ def worst_case_numeric(
     box = _CoordBox.build(uset, jump)
     if uset.is_singleton:
         return _degenerate_result(uset, jump)
-    if jump is None and uset.jump_bounds is None:
-        return _worst_case_convex(uset)
+    if uset.jump_bounds is None and _inert(jump):
+        return _with_jump(_worst_case_convex(uset), jump)
     return _worst_case_grid(box, resolution, refinements)
+
+
+def _inert(jump: JumpSpec | None) -> bool:
+    """No fixed jump, or one whose drift and covariance adjustments are all
+    zero: every premium is then the diffusion premium."""
+    return jump is None or not (np.any(jump.drift_adjustment())
+                                or np.any(jump.covariance_adjustment()))
+
+
+def _with_jump(res: WorstCaseResult, jump: JumpSpec | None) -> WorstCaseResult:
+    """``res`` with an inert jump put back, so that simulation still jumps."""
+    return res if jump is None else replace(res, scenario=res.scenario.with_jump(jump))
 
 
 def _worst_case_grid(box: _CoordBox, resolution: int = DEFAULT_RESOLUTION,
@@ -1045,28 +1050,21 @@ def find_worst_case(
     """Dispatch to the cheapest exact solver available.
 
     Singletons short-circuit; two-asset diffusion sets satisfying the
-    ordering assumption use the explicit case split (a jump spec with
-    exactly zero moment adjustments is dropped first); everything else
-    runs `worst_case_numeric`: the certified convex solver without jumps,
-    the grid search with them.
+    ordering assumption use the explicit case split (an inert jump spec,
+    see `_inert`, is dropped first and put back on the result);
+    everything else runs `worst_case_numeric`: the certified convex
+    solver without jumps, the grid search with them.
     """
     if jump is not None and uset.jump_bounds is not None:
         raise InvalidBounds("a fixed jump spec and jump ambiguity bounds are exclusive")
-    jump_null = jump is not None and (
-        not np.any(jump.drift_adjustment()) and not np.any(jump.covariance_adjustment())
-    )
-    effective_jump = None if jump_null else jump
     if uset.is_singleton:
         return _degenerate_result(uset, jump)
     if (
         uset.n == 2
-        and effective_jump is None
         and uset.jump_bounds is None
+        and _inert(jump)
         and uset.two_asset_ordering_holds()
     ):
-        res = worst_case_two_asset(uset, criterion)
-    else:
-        res = worst_case_numeric(uset, criterion, jump=effective_jump,
-                                 resolution=resolution, refinements=refinements)
-    # re-attach a null jump so downstream simulation still jumps
-    return replace(res, scenario=res.scenario.with_jump(jump)) if jump_null else res
+        return _with_jump(worst_case_two_asset(uset, criterion), jump)
+    return worst_case_numeric(uset, criterion, jump=jump,
+                              resolution=resolution, refinements=refinements)

@@ -321,6 +321,18 @@ def test_malformed_blocks_are_schema_errors(tmp_path, capsys, patch):
     assert "schema error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, value", [((2, 2), 1.000009), ((0, 1), 0.2 + 1e-6)])
+def test_hull_vertex_off_by_1e6_is_schema_error(tmp_path, capsys, entry, value):
+    # a vertex of hull3.json with a diagonal entry or one side of a pair
+    # moved by about 1e-6: refused at parse time, not solved
+    doc = json.loads((DEMOS / "hull3.json").read_text())
+    i, j = entry
+    doc["uncertainty"]["corr_vertices"][1][i][j] = value
+    path = write_problem(tmp_path, assets=3, uncertainty=doc["uncertainty"])
+    assert run_cli(["worst-case", path])[0] == 2
+    assert "schema error: uncertainty: correlation matrix" in capsys.readouterr().err
+
+
 class TestStrategyCommand:
     def test_single_asset_point(self, tmp_path):
         path = write_problem(

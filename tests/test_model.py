@@ -29,6 +29,20 @@ class TestBuildCovariance:
         with pytest.raises(rm.NotPositiveDefinite):
             rm.build_covariance([1.0, 1.0], np.array([[1.1, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("entry, value, message", [
+        ((2, 2), 1.000009, "unit diagonal"),
+        ((0, 1), 0.2 + 1e-6, "not symmetric"),
+    ])
+    def test_correlation_checks_are_absolute(self, entry, value, message):
+        # 1e-12 absolute: a relative tolerance would pass both off by ~1e-6
+        corr = np.array([[1.0, 0.2, -0.1], [0.2, 1.0, 0.1], [-0.1, 0.1, 1.0]])
+        rm.build_covariance(np.ones(3), corr)
+        corr[entry] = value
+        with pytest.raises(rm.NotPositiveDefinite, match=message):
+            rm.build_covariance(np.ones(3), corr)
+        with pytest.raises(rm.NotPositiveDefinite, match=message):
+            rm.UncertaintySet.hull([0.05] * 3, [0.07] * 3, [0.15] * 3, [0.2] * 3, (np.eye(3), corr))
+
 
 class TestJumpSizeLaws:
     def test_two_point_moments(self):

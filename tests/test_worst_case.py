@@ -3,6 +3,8 @@
 import itertools
 import logging
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -698,6 +700,23 @@ def _random_corner_scenarios(uset, count, rng):
     return out
 
 
+def _near_singular_hull(rng, n):
+    """A random hull set of 1 to 8 near-singular vertices A A' + 1e-3 I,
+    normalised to unit diagonal, A an n x U{1..n+1} standard normal
+    matrix; drift and vol boxes whose widths are zero with probability
+    0.2."""
+    b_lo = rng.uniform(-0.1, 0.15, n)
+    b_hi = b_lo + rng.uniform(0.0, 0.1, n) * (rng.random(n) >= 0.2)
+    v_lo = rng.uniform(0.05, 0.4, n)
+    v_hi = v_lo + rng.uniform(0.0, 0.3, n) * (rng.random(n) >= 0.2)
+    verts = []
+    for _ in range(rng.integers(1, 9)):
+        a = rng.standard_normal((n, rng.integers(1, n + 2)))
+        c = a @ a.T + 1e-3 * np.eye(n)
+        verts.append(c / np.sqrt(np.outer(np.diag(c), np.diag(c))))
+    return rm.UncertaintySet.hull(b_lo, b_hi, v_lo, v_hi, verts)
+
+
 class TestConvexWorstCase:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 12, 20])
     def test_random_hulls_are_certified(self, n):
@@ -720,6 +739,28 @@ class TestConvexWorstCase:
             slack = max(rm.worst_case_optimality_slack(res.scenario, th)
                         for th in rm.sample_scenarios(uset, 200, rng))
             assert slack <= 1e-10
+
+    @pytest.mark.parametrize("seed, n", [(29, 6), (116, 5), (129, 7)])
+    def test_near_singular_hulls_are_certified(self, seed, n):
+        uset = _near_singular_hull(np.random.default_rng([seed, n]), n)
+        res = rm.worst_case_numeric(uset)
+        p = res.risk_premium
+        assert res.gap <= 1e-10 * (1.0 + p)
+        assert p == rm.scenario_premium(res.scenario)
+        assert uset.contains(res.scenario)
+        corners = _random_corner_scenarios(uset, 256, np.random.default_rng(seed))
+        assert p <= min(rm.scenario_premium(c) for c in corners) + 1e-12
+
+    def test_solves_without_scipy_optimize(self):
+        # a fresh interpreter: a hull and an unordered two-asset box
+        code = ("import sys, numpy as np, robust_mv as rm; "
+                "rm.worst_case_numeric(rm.UncertaintySet.hull([0.05] * 3, [0.07] * 3, "
+                "[0.15] * 3, [0.2] * 3, [np.eye(3), np.full((3, 3), 0.3) + 0.7 * np.eye(3)])); "
+                "rm.worst_case_numeric(rm.UncertaintySet([0.02, 0.1], [0.03, 0.12], [0.2, 0.15], "
+                "[0.3, 0.2], rho_lo=0.4, rho_hi=0.6)); "
+                "print('scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_never_above_the_grid(self, n):
@@ -773,6 +814,21 @@ class TestConvexWorstCase:
     def test_jump_results_carry_no_gap(self, cp_set, cp_jump):
         res = rm.worst_case_numeric(cp_set, jump=cp_jump, resolution=5, refinements=1)
         assert res.gap is None and res.evaluations > 0
+
+    def test_inert_jump_goes_to_the_convex_solver(self, short_second_set):
+        # a zero-size compound-Poisson type moves no moment: both entry
+        # points solve without it and put it back on the result
+        inert = rm.CompoundPoissonJumps(loadings=np.array([[1.0], [0.0]]),
+                                        intensity=np.array([0.5]),
+                                        size_laws=(rm.JumpSizeLaw.two_point(0.0, 0.0, 0.5),))
+        plain = rm.worst_case_numeric(short_second_set)
+        res = rm.worst_case_numeric(short_second_set, jump=inert)
+        assert res.scenario.jump is inert
+        assert res.gap is not None and res.gap <= 1e-10 * (1.0 + res.risk_premium)
+        assert (res.risk_premium, res.gap, res.evaluations) == (
+            plain.risk_premium, plain.gap, plain.evaluations)
+        assert np.array_equal(res.scenario.cov, plain.scenario.cov)
+        assert rm.find_worst_case(short_second_set, jump=inert).scenario.jump is inert
 
 
 @st.composite
